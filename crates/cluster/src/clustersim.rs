@@ -7,12 +7,6 @@
 //! whenever enough boxes are due at once (controller poll ticks line up
 //! on every machine); each box's evolution between routed deliveries is
 //! independent, so the parallel run is bit-identical to the serial one.
-//!
-//! [`SpeculationConfig`] additionally lets boxes run *ahead* of the
-//! delivery barrier inside a bounded window, checkpointing first and
-//! rolling back when a late cross-box delivery invalidates the run-ahead
-//! (see [`crate::speculate`]). Conservative lock-step remains the
-//! default, and speculative runs stay byte-identical to serial ones.
 
 use std::collections::HashMap;
 
@@ -27,7 +21,6 @@ use telemetry::{CpuBreakdown, LatencyRecorder, TelemetryMode};
 
 use crate::pool::WorkerPool;
 use crate::report::{ClusterReport, LayerStats};
-use crate::speculate::{self, SpecState, SpeculationConfig, SpeculationStats};
 use crate::topology::Topology;
 
 /// Cluster experiment configuration.
@@ -70,15 +63,6 @@ pub struct ClusterConfig {
     /// Overload-resilience policy stamped onto every index box (`None` =
     /// the classic cluster with no admission control or retries).
     pub resilience: Option<std::sync::Arc<workloads::ResiliencePolicy>>,
-    /// Minimum number of boxes due at one instant before the advance (or
-    /// a speculation batch) fans out to the worker pool; below it the
-    /// hand-off overhead beats the win.
-    pub min_par_boxes: usize,
-    /// Speculative synchronization: checkpoint boxes and run them ahead
-    /// of the delivery barrier, rolling back on late deliveries. Off by
-    /// default (conservative lock-step); the `PERFISO_SPECULATE` env var
-    /// (`1`/`0`) overrides the switch at construction.
-    pub speculation: SpeculationConfig,
 }
 
 impl ClusterConfig {
@@ -100,14 +84,9 @@ impl ClusterConfig {
             fault: None,
             telemetry: TelemetryMode::Exact,
             resilience: None,
-            min_par_boxes: DEFAULT_MIN_PAR_BOXES,
-            speculation: SpeculationConfig::default(),
         }
     }
 }
-
-/// Default for [`ClusterConfig::min_par_boxes`].
-pub const DEFAULT_MIN_PAR_BOXES: usize = 8;
 
 const KIND_SHIFT: u32 = 60;
 const REQ_SHIFT: u32 = 16;
@@ -164,16 +143,11 @@ pub struct ClusterSim {
     /// Reusable buffers for the per-step fabric drain and box drains.
     scratch_deliveries: Vec<Delivery>,
     scratch_events: Vec<BoxEvent>,
-    /// Per-box speculation sessions (all inactive when speculation is
-    /// off, which keeps the conservative paths untouched).
-    spec: Vec<SpecState>,
-    /// Speculation master switch for the current phase; forced off for
-    /// the tail drain after the measured window closes.
-    spec_on: bool,
-    spec_stats: SpeculationStats,
-    /// Reusable candidate-index buffer for re-speculation batches.
-    spec_candidates: Vec<usize>,
 }
+
+/// Minimum number of simultaneously-due boxes before the advance fans out
+/// to worker threads; below this the spawn overhead beats the win.
+const PARALLEL_ADVANCE_THRESHOLD: usize = 8;
 
 impl ClusterSim {
     /// Builds all machines and the fabric.
@@ -181,15 +155,8 @@ impl ClusterSim {
     /// # Panics
     ///
     /// Panics on an invalid topology.
-    pub fn new(mut cfg: ClusterConfig) -> Self {
+    pub fn new(cfg: ClusterConfig) -> Self {
         cfg.topology.validate().expect("valid topology");
-        // Env override so any existing scenario can run speculatively
-        // without a config change (the determinism oracle depends on it).
-        match std::env::var("PERFISO_SPECULATE").ok().as_deref() {
-            Some("1" | "true" | "on") => cfg.speculation.enabled = true,
-            Some("0" | "false" | "off") => cfg.speculation.enabled = false,
-            _ => {}
-        }
         let n_index = cfg.topology.index_machines();
         // One Arc per run: the 44 index boxes share the service and
         // controller configs instead of cloning them per machine.
@@ -243,33 +210,22 @@ impl ClusterSim {
             },
             scratch_deliveries: Vec::with_capacity(64),
             scratch_events: Vec::with_capacity(64),
-            spec: (0..n_index).map(|_| SpecState::default()).collect(),
-            spec_on: cfg.speculation.enabled,
-            spec_stats: SpeculationStats::default(),
-            spec_candidates: Vec::with_capacity(n_index as usize),
             cfg,
         }
     }
 
     /// Runs the experiment and produces the Fig 9-style report.
     pub fn run(self) -> ClusterReport {
-        self.run_impl(None).0
-    }
-
-    /// Like [`ClusterSim::run`] but also returns what speculation did
-    /// (all-zero counters when it was off). The report itself is
-    /// byte-identical to [`ClusterSim::run`]'s.
-    pub fn run_with_speculation_stats(self) -> (ClusterReport, SpeculationStats) {
         self.run_impl(None)
     }
 
     /// Like [`ClusterSim::run`] but reports loop progress to stderr every
     /// `every` iterations (diagnostic aid).
     pub fn run_traced(self, every: u64) -> ClusterReport {
-        self.run_impl(Some(every.max(1))).0
+        self.run_impl(Some(every.max(1)))
     }
 
-    fn run_impl(mut self, trace_every: Option<u64>) -> (ClusterReport, SpeculationStats) {
+    fn run_impl(mut self, trace_every: Option<u64>) -> ClusterReport {
         let total = self.cfg.warmup + self.cfg.measure;
         let end = SimTime::ZERO + total;
         let n_queries = (self.cfg.qps_total * total.as_secs_f64() * 1.02) as usize + 8;
@@ -293,9 +249,6 @@ impl ClusterSim {
                 break;
             }
             if warm_bd.is_none() && t >= warmup_end {
-                // Breakdowns must observe the committed present, not a
-                // box's speculative future.
-                self.despeculate_all();
                 warm_bd = Some(self.boxes.iter().map(|b| b.breakdown()).collect());
             }
             self.now = t;
@@ -324,10 +277,6 @@ impl ClusterSim {
         }
 
         // Drain the tail: requests in flight resolve within one timeout.
-        // Conservatively — run-ahead buys nothing in a winding-down
-        // cluster, and the report reads below need committed state.
-        self.despeculate_all();
-        self.spec_on = false;
         let drain_until = end + self.cfg.service.timeout + SimDuration::from_millis(50);
         while let Some(t) = self.next_any_event().filter(|&t| t <= drain_until) {
             self.now = t;
@@ -362,7 +311,7 @@ impl ClusterSim {
                 resilience.merge(&r);
             }
         }
-        let report = ClusterReport {
+        ClusterReport {
             local: LayerStats::from_recorder(&mut self.local_lat),
             mla: LayerStats::from_recorder(&mut self.mla_lat),
             tla: LayerStats::from_recorder(&mut self.tla_lat),
@@ -373,8 +322,7 @@ impl ClusterSim {
             breakdown: agg,
             faults,
             resilience: (!resilience.is_empty()).then_some(resilience),
-        };
-        (report, self.spec_stats)
+        }
     }
 
     /// Advances network and boxes to `t` and routes everything due.
@@ -386,144 +334,20 @@ impl ClusterSim {
         // Same-instant delivery order is part of the determinism
         // contract: the global loop stops at every fabric timer, so the
         // drained batch is exactly the messages landing at `t`, in the
-        // fabric's send-order tiebreak. Routing (and the speculation
-        // rollback decisions below) depend on that order being stable.
+        // fabric's send-order tiebreak, and routing depends on that order.
         debug_assert!(
             deliveries.iter().all(|d| d.at == t),
             "step batch holds a delivery not due at the step instant"
         );
         for d in deliveries.drain(..) {
-            if self.spec_on {
-                self.prepare_delivery_target(t, d.to);
-            }
             self.on_delivery(t, d.to, d.token);
         }
         self.scratch_deliveries = deliveries;
-        if self.spec_on {
-            self.release_and_advance(t);
-            self.drain_phase(t);
-            self.respeculate(t);
-        } else {
-            self.advance_due_boxes(t);
-            for i in 0..self.boxes.len() {
-                if self.boxes[i].has_events() {
-                    self.drain_box(i, t);
-                }
-            }
-        }
-    }
-
-    /// Brings a speculated delivery target back to its committed state so
-    /// the injection observes exactly what the serial simulation would.
-    /// TLA nodes and unspeculated boxes need nothing.
-    fn prepare_delivery_target(&mut self, t: SimTime, to: NodeId) {
-        let flat = to.0 as usize;
-        if flat >= self.boxes.len() || !self.spec[flat].active() {
-            return;
-        }
-        let mut scratch = std::mem::take(&mut self.scratch_events);
-        self.spec_stats.replayed_steps +=
-            speculate::rollback_box(&mut self.boxes[flat], &mut self.spec[flat], t, &mut scratch);
-        self.scratch_events = scratch;
-        self.spec_stats.rollbacks += 1;
-    }
-
-    /// The speculative counterpart of [`ClusterSim::advance_due_boxes`]:
-    /// speculated boxes whose next recorded step is exactly `t` surrender
-    /// that step's events to the drain phase (their real clock is already
-    /// past `t`); when the last step releases, the session retires — the
-    /// frontier *is* the committed state. Everything off the speculative
-    /// path advances conservatively.
-    fn release_and_advance(&mut self, t: SimTime) {
-        for spec in &mut self.spec {
-            if !spec.active() {
-                continue;
-            }
-            let front = spec.front_at().expect("active session has steps");
-            debug_assert!(front >= t, "unreleased speculative step skipped");
-            if front == t {
-                let step = spec.steps.pop_front().expect("front exists");
-                debug_assert!(spec.released.is_empty(), "double release in one step");
-                spec.released = step.events;
-                self.spec_stats.released_steps += 1;
-                if spec.steps.is_empty() {
-                    spec.commit();
-                    self.spec_stats.commits += 1;
-                }
-            }
-        }
         self.advance_due_boxes(t);
-    }
-
-    /// Routes everything each box produced at `t`, in box order: first
-    /// the events a speculation session released, then anything in the
-    /// box's own buffer — the same positions the conservative drain
-    /// loop routes from.
-    fn drain_phase(&mut self, t: SimTime) {
         for i in 0..self.boxes.len() {
-            if !self.spec[i].released.is_empty() {
-                let mut events = std::mem::take(&mut self.spec[i].released);
-                self.route_events(i, t, &mut events);
-                self.spec[i].released = events; // drained; keeps capacity
-            }
             if self.boxes[i].has_events() {
                 self.drain_box(i, t);
             }
-        }
-    }
-
-    /// Starts run-ahead sessions for every committed box with work due
-    /// inside the speculation window, fanning out to the pool when
-    /// enough candidates qualify.
-    fn respeculate(&mut self, t: SimTime) {
-        let horizon = t + self.cfg.speculation.window;
-        let stride = self.cfg.speculation.checkpoint_stride;
-        let mut idx = std::mem::take(&mut self.spec_candidates);
-        idx.clear();
-        for (i, b) in self.boxes.iter().enumerate() {
-            if !self.spec[i].active() && b.next_event_time().is_some_and(|n| n <= horizon) {
-                idx.push(i);
-            }
-        }
-        let mut pooled = false;
-        if idx.len() >= self.cfg.min_par_boxes.max(1) {
-            if let Some(pool) = self.pool.as_mut() {
-                pool.speculate_batch(&mut self.boxes, &mut self.spec, &idx, horizon, stride);
-                pooled = true;
-            }
-        }
-        if !pooled {
-            for &i in &idx {
-                speculate::speculate_box(&mut self.boxes[i], &mut self.spec[i], horizon, stride);
-            }
-        }
-        for &i in &idx {
-            if self.spec[i].active() {
-                self.spec_stats.sessions += 1;
-                self.spec_stats.checkpoints += self.spec[i].checkpoints.len() as u64;
-            }
-        }
-        self.spec_candidates = idx;
-    }
-
-    /// Unwinds every active session so all boxes sit at their committed
-    /// state (warm-up captures and report reads must not see the
-    /// speculative future).
-    fn despeculate_all(&mut self) {
-        for i in 0..self.boxes.len() {
-            if !self.spec[i].active() {
-                continue;
-            }
-            let target = self.spec[i].front_at().expect("active session has steps");
-            let mut scratch = std::mem::take(&mut self.scratch_events);
-            self.spec_stats.replayed_steps += speculate::rollback_box(
-                &mut self.boxes[i],
-                &mut self.spec[i],
-                target,
-                &mut scratch,
-            );
-            self.scratch_events = scratch;
-            self.spec_stats.unwinds += 1;
         }
     }
 
@@ -542,7 +366,7 @@ impl ClusterSim {
         if due == 0 {
             return;
         }
-        if due >= self.cfg.min_par_boxes.max(1) {
+        if due >= PARALLEL_ADVANCE_THRESHOLD {
             if let Some(pool) = self.pool.as_mut() {
                 pool.advance_due(&mut self.boxes, t);
                 return;
@@ -557,15 +381,8 @@ impl ClusterSim {
 
     fn next_any_event(&self) -> Option<SimTime> {
         let mut t: Option<SimTime> = self.net.next_timer_at();
-        for (i, b) in self.boxes.iter().enumerate() {
-            // A speculated box's future is already computed: its next
-            // observable step is the first unreleased recorded one, never
-            // its real (past-the-frontier) event clock.
-            let n = match self.spec[i].front_at() {
-                Some(u) => Some(u),
-                None => b.next_event_time(),
-            };
-            if let Some(n) = n {
+        for b in &self.boxes {
+            if let Some(n) = b.next_event_time() {
                 t = Some(t.map_or(n, |x: SimTime| x.min(n)));
             }
         }
@@ -689,17 +506,10 @@ impl ClusterSim {
 
     /// Drains one box's events and routes them.
     fn drain_box(&mut self, flat: usize, now: SimTime) {
+        let topo = self.cfg.topology;
         let mut events = std::mem::take(&mut self.scratch_events);
         events.clear();
         self.boxes[flat].drain_events_into(&mut events);
-        self.route_events(flat, now, &mut events);
-        self.scratch_events = events;
-    }
-
-    /// Routes box `flat`'s drained `events` (consuming the buffer) —
-    /// shared by the live drain and the release of speculated steps.
-    fn route_events(&mut self, flat: usize, now: SimTime, events: &mut Vec<BoxEvent>) {
-        let topo = self.cfg.topology;
         for ev in events.drain(..) {
             match ev {
                 BoxEvent::QueryDone(out) => {
@@ -749,6 +559,7 @@ impl ClusterSim {
                 }
             }
         }
+        self.scratch_events = events;
     }
 }
 
@@ -781,79 +592,13 @@ mod tests {
         );
     }
 
-    /// The tentpole oracle: a speculative run must be byte-identical to
-    /// the conservative serial run — rollbacks cost time, never accuracy.
-    /// The bully/HDFS secondary keeps every box busy so sessions actually
-    /// start, release, and roll back.
-    #[test]
-    fn speculative_run_is_byte_identical_to_serial() {
-        let secondary = SecondaryKind {
-            cpu_bully: Some(workloads::BullyIntensity::Mid),
-            disk_bully: None,
-            hdfs: true,
-        };
-        let base = ClusterSim::new(small_config(secondary.clone(), 11)).run();
-        let mut cfg = small_config(secondary, 11);
-        cfg.speculation = crate::speculate::SpeculationConfig {
-            enabled: true,
-            window: SimDuration::from_micros(800),
-            checkpoint_stride: 4,
-        };
-        let (spec, stats) = ClusterSim::new(cfg).run_with_speculation_stats();
-        assert!(stats.sessions > 0, "speculation never engaged: {stats:?}");
-        assert!(stats.released_steps > 0, "no speculated step was released");
-        assert_eq!(
-            serde_json::to_string(&base).expect("report serializes"),
-            serde_json::to_string(&spec).expect("report serializes"),
-            "speculative report diverged from serial (stats {stats:?})"
-        );
-    }
-
-    /// Speculation composed with the worker pool must still match the
-    /// serial conservative run (sessions fan out across threads).
-    #[test]
-    fn speculative_parallel_run_matches_serial() {
-        let base = ClusterSim::new(small_config(SecondaryKind::none(), 12)).run();
-        let mut cfg = small_config(SecondaryKind::none(), 12);
-        cfg.threads = 4;
-        cfg.min_par_boxes = 2;
-        cfg.speculation = crate::speculate::SpeculationConfig {
-            enabled: true,
-            ..Default::default()
-        };
-        let (spec, stats) = ClusterSim::new(cfg).run_with_speculation_stats();
-        assert!(stats.sessions > 0, "speculation never engaged: {stats:?}");
-        assert_eq!(
-            serde_json::to_string(&base).expect("report serializes"),
-            serde_json::to_string(&spec).expect("report serializes"),
-            "pooled speculative report diverged from serial"
-        );
-    }
-
-    /// Satellite of the speculation work: the fan-out threshold is now a
-    /// config knob. A threshold past the box count forces the serial
-    /// advance path even with a pool; the result must not change.
-    #[test]
-    fn min_par_boxes_is_configurable() {
-        let base = ClusterSim::new(small_config(SecondaryKind::none(), 13)).run();
-        let mut cfg = small_config(SecondaryKind::none(), 13);
-        cfg.threads = 3;
-        cfg.min_par_boxes = usize::MAX;
-        let alt = ClusterSim::new(cfg).run();
-        assert_eq!(
-            serde_json::to_string(&base).expect("serializes"),
-            serde_json::to_string(&alt).expect("serializes"),
-        );
-    }
-
     /// Regression for the same-instant delivery-order contract the step
-    /// batch (and speculation's rollback decisions) rely on: the drained
-    /// sequence is time-sorted, deliveries landing at the *same* instant
-    /// keep send order (the fabric's FIFO tiebreak), and the whole
-    /// sequence is reproducible run to run.
+    /// batch relies on: the drained sequence is time-sorted, deliveries
+    /// landing at the *same* instant keep send order (the fabric's FIFO
+    /// tiebreak), and the whole sequence is reproducible run to run.
     #[test]
     fn same_instant_deliveries_drain_deterministically() {
-        let run = |seed: u64| -> Vec<(u64, simcore::SimTime)> {
+        let run = |seed: u64| -> Vec<(u64, SimTime)> {
             // Zero jitter: identical-size messages from distinct sources
             // land at identical instants, forcing the tiebreak.
             let cfg = NetConfig {

@@ -21,11 +21,9 @@ pub mod clustersim;
 pub mod fleet;
 mod pool;
 pub mod report;
-pub mod speculate;
 pub mod topology;
 
-pub use clustersim::{ClusterConfig, ClusterSim, DEFAULT_MIN_PAR_BOXES};
+pub use clustersim::{ClusterConfig, ClusterSim};
 pub use fleet::{FleetConfig, FleetReport};
 pub use report::{BoxFaults, ClusterReport, LayerStats};
-pub use speculate::{SpeculationConfig, SpeculationStats};
 pub use topology::{BoxShape, Topology};

@@ -20,8 +20,6 @@ use std::thread::JoinHandle;
 use indexserve::BoxSim;
 use simcore::SimTime;
 
-use crate::speculate::SpecState;
-
 /// What a worker does to one due box (injectable so tests can exercise
 /// the pool's panic path without corrupting a real simulation).
 type AdvanceFn = fn(&mut BoxSim, SimTime);
@@ -33,7 +31,7 @@ fn advance_box(b: &mut BoxSim, target: SimTime) {
 
 /// One advance request: a raw view of the box array plus the target time.
 #[derive(Clone, Copy)]
-struct AdvanceJob {
+struct Job {
     boxes: *mut BoxSim,
     len: usize,
     chunk: usize,
@@ -41,40 +39,17 @@ struct AdvanceJob {
     advance: AdvanceFn,
 }
 
-/// One speculation request: run-ahead sessions for the candidate boxes
-/// named by `idx`, writing into the parallel `specs` array.
-#[derive(Clone, Copy)]
-struct SpecJob {
-    boxes: *mut BoxSim,
-    specs: *mut SpecState,
-    idx: *const usize,
-    n_idx: usize,
-    chunk: usize,
-    horizon: SimTime,
-    stride: u32,
-}
-
-/// What the submitter hands every worker for one step.
-#[derive(Clone, Copy)]
-enum Job {
-    Advance(AdvanceJob),
-    Speculate(SpecJob),
-}
-
-// SAFETY: a `Job` is only live while the submitting `WorkerPool` method
-// blocks the owning thread, and workers touch pairwise-disjoint chunks
-// (claimed via the shared atomic cursor; speculation candidate indices
-// are distinct by construction), so the aliasing rules hold.
+// SAFETY: a `Job` is only live while `WorkerPool::advance_due` blocks the
+// owning thread, and workers touch pairwise-disjoint chunks (claimed via
+// the shared atomic cursor), so the aliasing rules hold.
 unsafe impl Send for Job {}
 
-// The manual Send impl above erases the compiler's Send checks on the
-// pointed-to data; reinstate them so a future non-Send field inside
-// BoxSim or a box snapshot becomes a compile error instead of silent
-// undefined behaviour.
+// The manual Send impl above erases the compiler's `BoxSim: Send` check;
+// reinstate it so a future non-Send field inside BoxSim becomes a compile
+// error instead of silent undefined behaviour.
 const _: () = {
     const fn assert_send<T: Send>() {}
-    assert_send::<BoxSim>();
-    assert_send::<SpecState>()
+    assert_send::<BoxSim>()
 };
 
 /// The persistent pool. Dropping it shuts the workers down.
@@ -127,49 +102,14 @@ impl WorkerPool {
         if boxes.is_empty() {
             return;
         }
-        self.submit(Job::Advance(AdvanceJob {
+        self.cursor.store(0, Ordering::Relaxed);
+        let job = Job {
             boxes: boxes.as_mut_ptr(),
             len: boxes.len(),
             chunk: boxes.len().div_ceil(self.senders.len()),
             target,
             advance,
-        }));
-    }
-
-    /// Starts run-ahead sessions for the candidate boxes named by `idx`,
-    /// in parallel; `specs` runs parallel to `boxes`. Blocks until every
-    /// candidate is done, which is what makes the pointer hand-off sound.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises any worker panic, like [`WorkerPool::advance_due`].
-    pub(crate) fn speculate_batch(
-        &mut self,
-        boxes: &mut [BoxSim],
-        specs: &mut [SpecState],
-        idx: &[usize],
-        horizon: SimTime,
-        stride: u32,
-    ) {
-        if idx.is_empty() {
-            return;
-        }
-        debug_assert_eq!(boxes.len(), specs.len());
-        debug_assert!(idx.iter().all(|&i| i < boxes.len()));
-        self.submit(Job::Speculate(SpecJob {
-            boxes: boxes.as_mut_ptr(),
-            specs: specs.as_mut_ptr(),
-            idx: idx.as_ptr(),
-            n_idx: idx.len(),
-            chunk: idx.len().div_ceil(self.senders.len()),
-            horizon,
-            stride,
-        }));
-    }
-
-    /// Hands `job` to every worker and blocks until all signal done.
-    fn submit(&mut self, job: Job) {
-        self.cursor.store(0, Ordering::Relaxed);
+        };
         for tx in &self.senders {
             tx.send(job).expect("pool worker exited early");
         }
@@ -202,52 +142,26 @@ impl Drop for WorkerPool {
 /// are never touched again after a panic: the submitter aborts the run.
 fn worker_loop(rx: &Receiver<Job>, cursor: &AtomicUsize, done: &Sender<bool>) {
     while let Ok(job) = rx.recv() {
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match job {
-            Job::Advance(j) => run_advance(&j, cursor),
-            Job::Speculate(j) => run_speculate(&j, cursor),
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| loop {
+            let start = cursor.fetch_add(1, Ordering::Relaxed) * job.chunk;
+            if start >= job.len {
+                break;
+            }
+            let end = (start + job.chunk).min(job.len);
+            // SAFETY: `start..end` ranges from distinct cursor values are
+            // disjoint, and the submitting thread blocks in `advance_due`
+            // until every worker has signalled `done`, so no other code
+            // aliases these boxes while we hold the slice.
+            let boxes =
+                unsafe { std::slice::from_raw_parts_mut(job.boxes.add(start), end - start) };
+            for b in boxes {
+                if b.next_event_time().is_some_and(|n| n <= job.target) {
+                    (job.advance)(b, job.target);
+                }
+            }
         }));
         if done.send(result.is_err()).is_err() {
             return; // Pool dropped mid-job: nothing left to report to.
-        }
-    }
-}
-
-fn run_advance(job: &AdvanceJob, cursor: &AtomicUsize) {
-    loop {
-        let start = cursor.fetch_add(1, Ordering::Relaxed) * job.chunk;
-        if start >= job.len {
-            break;
-        }
-        let end = (start + job.chunk).min(job.len);
-        // SAFETY: `start..end` ranges from distinct cursor values are
-        // disjoint, and the submitting thread blocks in `submit` until
-        // every worker has signalled `done`, so no other code aliases
-        // these boxes while we hold the slice.
-        let boxes = unsafe { std::slice::from_raw_parts_mut(job.boxes.add(start), end - start) };
-        for b in boxes {
-            if b.next_event_time().is_some_and(|n| n <= job.target) {
-                (job.advance)(b, job.target);
-            }
-        }
-    }
-}
-
-fn run_speculate(job: &SpecJob, cursor: &AtomicUsize) {
-    // SAFETY: the index list is read-only and outlives the blocked submit.
-    let idx = unsafe { std::slice::from_raw_parts(job.idx, job.n_idx) };
-    loop {
-        let start = cursor.fetch_add(1, Ordering::Relaxed) * job.chunk;
-        if start >= job.n_idx {
-            break;
-        }
-        let end = (start + job.chunk).min(job.n_idx);
-        for &i in &idx[start..end] {
-            // SAFETY: candidate indices are distinct, so the box/spec
-            // pairs touched by different chunks never alias, and the
-            // submitting thread blocks in `submit` until every worker
-            // has signalled `done`.
-            let (b, s) = unsafe { (&mut *job.boxes.add(i), &mut *job.specs.add(i)) };
-            crate::speculate::speculate_box(b, s, job.horizon, job.stride);
         }
     }
 }

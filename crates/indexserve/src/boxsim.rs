@@ -21,15 +21,13 @@ use perfiso::recovery::ControllerState;
 use perfiso::system::{IoLimit, IoTenant, IoTenantStats, SystemInterface};
 use perfiso::{PerfIso, PerfIsoConfig};
 use qtrace::{OpenLoopClient, QuerySpec, TraceConfig, TraceGenerator};
-use simcore::{CoreMask, EventQueue, EventQueueState, SimDuration, SimRng, SimTime, Snapshot};
+use simcore::{CoreMask, EventQueue, SimDuration, SimRng, SimTime};
 use simcpu::machine::MachineStats;
 use simcpu::{
-    ArenaStats, CpuRateQuota, JobId, Machine, MachineConfig, MachineOutput, MachineState, Program,
-    ThreadId,
+    ArenaStats, CpuRateQuota, JobId, Machine, MachineConfig, MachineOutput, Program, ThreadId,
 };
 use simdisk::{
-    AccessPattern, DiskSim, DiskSimState, IoKind, IoPriority, OwnerId, RateLimit, VolumeId,
-    VolumeSpec,
+    AccessPattern, DiskSim, IoKind, IoPriority, OwnerId, RateLimit, VolumeId, VolumeSpec,
 };
 use telemetry::recorder::PercentileSummary;
 use telemetry::{
@@ -189,7 +187,7 @@ pub enum BoxEvent {
     AuxDone(u64),
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Debug)]
 enum AppEvent {
     /// A query deadline: service index in the top byte, service-local
     /// query index below (service 0 packs to the bare index, so
@@ -237,7 +235,6 @@ const ROLLBACK_MIN_SAMPLES: usize = 50;
 const ROLLBACK_ACCEPT_SAMPLES: usize = 400;
 
 /// A config rollout under observation by the tail-latency watchdog.
-#[derive(Clone)]
 struct RolloutWatch {
     /// Index of this rollout's [`FaultRecord`].
     record: usize,
@@ -252,7 +249,6 @@ struct RolloutWatch {
 
 /// A rollout published to the config store but not yet seen by the
 /// controller's poll loop.
-#[derive(Clone)]
 struct PendingRollout {
     key: String,
     record: usize,
@@ -262,7 +258,6 @@ struct PendingRollout {
 /// Autopilot-side state of a fault-injected box: the service registry and
 /// restart manager, the versioned config store the controller polls, the
 /// crash checkpoint, and the per-fault records for the report.
-#[derive(Clone)]
 struct ChaosState {
     plan: Arc<FaultPlan>,
     manager: ServiceManager,
@@ -304,7 +299,6 @@ struct ChaosState {
 
 /// A quota-exhaustion episode: one batch I/O tenant's operations are
 /// inflated until `until`, driving it into its throttle.
-#[derive(Clone)]
 struct IoSurge {
     until: SimTime,
     /// [`IoTenant`] index (0 = disk-bully, 1 = hdfs-replication,
@@ -398,32 +392,6 @@ pub struct BoxSim {
     scratch_outputs: Vec<MachineOutput>,
     scratch_completions: Vec<simdisk::IoCompletion>,
     scratch_outcomes: Vec<QueryOutcome>,
-}
-
-/// A [`BoxSim::snapshot`]ed deep copy of one box's mutable state.
-///
-/// Composes every sub-simulator's snapshot (machine, disk, hosted service
-/// ports, controller, chaos/autopilot state, app timers, RNG) so that
-/// [`BoxSim::restore`] rewinds the box as a unit. Opaque: only the box
-/// that produced it can consume it.
-pub struct BoxSnapshot {
-    machine: MachineState,
-    disk: DiskSimState,
-    ports: Vec<Box<dyn ServicePort>>,
-    controller: Option<PerfIso>,
-    perfiso_cfg: Option<Arc<PerfIsoConfig>>,
-    chaos: Option<Box<ChaosState>>,
-    app: EventQueueState<AppEvent>,
-    bully: Option<CpuBullyHandle>,
-    hdfs_repl: HdfsNode,
-    hdfs_client: HdfsNode,
-    rng: SimRng,
-    events: Vec<BoxEvent>,
-    now: SimTime,
-    secondary_killed: bool,
-    resilience: ResilienceStats,
-    flood_spec: Option<QuerySpec>,
-    secondary_tids: Vec<ThreadId>,
 }
 
 impl BoxSim {
@@ -882,86 +850,6 @@ impl BoxSim {
     /// configured controller.
     pub fn controller_down(&self) -> bool {
         self.perfiso_cfg.is_some() && self.controller.is_none()
-    }
-
-    /// Checkpoints the full box state for later [`BoxSim::restore`].
-    ///
-    /// Returns `None` when the box cannot be snapshotted — some thread on
-    /// the machine runs a program whose `clone_box` declines, or a hosted
-    /// service has no `clone_port`. Speculative cluster sync treats such a
-    /// box conservatively; everything built from the standard workloads is
-    /// snapshotable.
-    ///
-    /// Immutable construction-time state (config, job ids, volume ids,
-    /// owner table) is not captured: a snapshot may only be restored into
-    /// the box that produced it.
-    pub fn snapshot(&self) -> Option<BoxSnapshot> {
-        let machine = self.machine.snapshot()?;
-        let mut ports = Vec::with_capacity(self.services.len());
-        for s in &self.services {
-            ports.push(s.port.clone_port()?);
-        }
-        Some(BoxSnapshot {
-            machine,
-            disk: self.disk.save(),
-            ports,
-            controller: self.controller.clone(),
-            perfiso_cfg: self.perfiso_cfg.clone(),
-            chaos: self.chaos.clone(),
-            app: self.app.save(),
-            bully: self.bully.clone(),
-            hdfs_repl: self.hdfs_repl.clone(),
-            hdfs_client: self.hdfs_client.clone(),
-            rng: self.rng.clone(),
-            events: self.events.clone(),
-            now: self.now,
-            secondary_killed: self.secondary_killed,
-            resilience: self.resilience,
-            flood_spec: self.flood_spec.clone(),
-            secondary_tids: self.secondary_tids.clone(),
-        })
-    }
-
-    /// Rolls the box back to a previously captured [`BoxSnapshot`].
-    ///
-    /// The same snapshot can be restored any number of times; after a
-    /// restore the box replays bit-identically to the run that produced
-    /// the snapshot (given identical subsequent inputs). The cloned CPU
-    /// bully handle shares its progress counter with the machine's
-    /// threads, whose rolled-back value the machine restore writes back,
-    /// so externally observed bully progress rolls back too.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot's shape does not match this box (it came
-    /// from a differently configured box).
-    pub fn restore(&mut self, s: &BoxSnapshot) {
-        assert_eq!(
-            s.ports.len(),
-            self.services.len(),
-            "snapshot is from a differently configured box"
-        );
-        self.machine.restore(&s.machine);
-        self.disk.restore(&s.disk);
-        for (slot, port) in self.services.iter_mut().zip(&s.ports) {
-            slot.port = port
-                .clone_port()
-                .expect("snapshotted ports are clonable by construction");
-        }
-        self.controller = s.controller.clone();
-        self.perfiso_cfg = s.perfiso_cfg.clone();
-        self.chaos = s.chaos.clone();
-        self.app.restore(&s.app);
-        self.bully = s.bully.clone();
-        self.hdfs_repl = s.hdfs_repl.clone();
-        self.hdfs_client = s.hdfs_client.clone();
-        self.rng = s.rng.clone();
-        self.events.clone_from(&s.events);
-        self.now = s.now;
-        self.secondary_killed = s.secondary_killed;
-        self.resilience = s.resilience;
-        self.flood_spec = s.flood_spec.clone();
-        self.secondary_tids.clone_from(&s.secondary_tids);
     }
 
     /// Mutable access to the machine plus the secondary job id, for

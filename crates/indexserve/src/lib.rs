@@ -36,8 +36,8 @@ pub mod service;
 pub mod tags;
 
 pub use boxsim::{
-    BoxConfig, BoxEvent, BoxReport, BoxSim, BoxSnapshot, HostedSpec, SecondaryKind, ServicePlan,
-    ServiceReport, IO_TENANT_SERVICES,
+    BoxConfig, BoxEvent, BoxReport, BoxSim, HostedSpec, SecondaryKind, ServicePlan, ServiceReport,
+    IO_TENANT_SERVICES,
 };
 pub use cache::CacheModel;
 pub use chaos::{FaultPlan, FaultRecord, PlannedFault, PlannedFaultKind};

@@ -112,14 +112,6 @@ pub trait ServicePort: Send {
     fn as_indexserve(&self) -> Option<&IndexServe> {
         None
     }
-
-    /// Deep-copies the service for a box checkpoint. `None` (the default)
-    /// marks the service unsnapshotable, which makes its whole box fall
-    /// back to conservative synchronization in the cluster — correct, just
-    /// slower. Implement as `Some(Box::new(self.clone()))`.
-    fn clone_port(&self) -> Option<Box<dyn ServicePort>> {
-        None
-    }
 }
 
 impl ServicePort for IndexServe {
@@ -191,16 +183,11 @@ impl ServicePort for IndexServe {
     fn as_indexserve(&self) -> Option<&IndexServe> {
         Some(self)
     }
-
-    fn clone_port(&self) -> Option<Box<dyn ServicePort>> {
-        Some(Box::new(self.clone()))
-    }
 }
 
 /// Adapter hosting a [`GraphEngine`] (the `workloads::service_graph`
 /// execution engine) as a box service: converts engine completions into
 /// [`QueryOutcome`]s stamped with the slot index.
-#[derive(Clone)]
 pub struct GraphPort {
     name: String,
     engine: GraphEngine,
@@ -303,9 +290,5 @@ impl ServicePort for GraphPort {
 
     fn advance_to(&mut self, now: SimTime, machine: &mut Machine) {
         self.engine.advance_to(now, machine);
-    }
-
-    fn clone_port(&self) -> Option<Box<dyn ServicePort>> {
-        Some(Box::new(self.clone()))
     }
 }

@@ -122,7 +122,7 @@ pub struct QueryOutcome {
     pub service: u8,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct QueryState {
     spec: QuerySpec,
     arrival: SimTime,
@@ -133,11 +133,7 @@ struct QueryState {
 }
 
 /// The per-machine IndexServe instance.
-///
-/// `Clone` deep-copies the full query-tracking state (the shared config
-/// `Arc` is refcounted) — the box checkpoint/rollback path relies on a
-/// clone behaving identically to the original from the clone point on.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct IndexServe {
     cfg: Arc<ServiceConfig>,
     job: JobId,

@@ -589,102 +589,6 @@ fn resilience_drift(baseline: &Value, probe: &Value) -> bool {
     drifted
 }
 
-/// Speculative-sync probe: runs one cluster scenario conservatively, then
-/// again with [`cluster::SpeculationConfig`] enabled, asserts the two
-/// reports byte-identical (the speculation determinism oracle, enforced
-/// under the perf gate too), and reports what speculation did — sessions,
-/// checkpoints, rollbacks, and both modes' throughput. A rollback ratio
-/// past 0.5 earns a warn-only `ROLLBACK-THRASH WARNING` annotation, same
-/// policy as the alloc check. On a machine without spare cores the
-/// speculative run is expected to be ~1× or slower (checkpoint copies are
-/// pure overhead when boxes cannot run ahead in parallel); the block
-/// reports reality, it does not gate.
-fn speculation_probe(smoke: bool) -> Value {
-    use cluster::{ClusterSim, Topology};
-
-    // Full mode probes the paper-scale cluster, where 8k QPS of cross-box
-    // traffic makes speculation thrash (~97% of sessions roll back with
-    // the default window) — the measure interval is kept short because
-    // the probe's cost IS that thrash, and one honest sample per run is
-    // enough to track it.
-    let (topo, qps, warm_ms, meas_ms) = if smoke {
-        (Topology::small(), 600.0, 200u64, 600u64)
-    } else {
-        (Topology::paper_cluster(), 8_000.0, 150u64, 350u64)
-    };
-    let spec = ScenarioSpec::builder("speculation-probe")
-        .cluster(topo, qps)
-        .policy(Policy::FullPerfIso)
-        .cpu_bully(BullyIntensity::Mid)
-        .custom_scale(warm_ms, meas_ms)
-        .seed(2024)
-        .build()
-        .expect("valid cluster spec");
-
-    let wall = Instant::now();
-    let conservative = ClusterSim::new(spec.cluster_config(spec.seed, 1).expect("cluster")).run();
-    let wall_cons = wall.elapsed().as_secs_f64();
-
-    let mut cfg = spec.cluster_config(spec.seed, 1).expect("cluster");
-    cfg.speculation.enabled = true;
-    let wall = Instant::now();
-    let (speculative, stats) = ClusterSim::new(cfg).run_with_speculation_stats();
-    let wall_spec = wall.elapsed().as_secs_f64();
-
-    assert_eq!(
-        serde_json::to_string(&conservative).expect("serializable"),
-        serde_json::to_string(&speculative).expect("serializable"),
-        "speculative cluster report diverged from conservative (stats {stats:?})"
-    );
-
-    let ratio = stats.rollback_ratio();
-    let speedup = wall_cons / wall_spec;
-    println!(
-        "speculation probe: {} sessions, {} checkpoints, {} rollbacks \
-         (ratio {:.2}), {} steps released / {} replayed; \
-         conservative {:.2}s vs speculative {:.2}s wall ({:.2}x, \
-         reports verified byte-identical)",
-        stats.sessions,
-        stats.checkpoints,
-        stats.rollbacks,
-        ratio,
-        stats.released_steps,
-        stats.replayed_steps,
-        wall_cons,
-        wall_spec,
-        speedup,
-    );
-    if stats.sessions > 0 && ratio > 0.5 {
-        println!(
-            "ROLLBACK-THRASH WARNING: {:.0}% of speculation sessions rolled \
-             back (threshold 50%); the window is wasting checkpoint work",
-            ratio * 100.0,
-        );
-    }
-    json!({
-        "smoke": smoke,
-        "scenario": spec.target.describe(),
-        "sessions": stats.sessions,
-        "checkpoints": stats.checkpoints,
-        "rollbacks": stats.rollbacks,
-        "unwinds": stats.unwinds,
-        "commits": stats.commits,
-        "released_steps": stats.released_steps,
-        "replayed_steps": stats.replayed_steps,
-        "rollback_ratio": ratio,
-        "conservative": {
-            "wall_seconds": wall_cons,
-            "queries_per_second": conservative.completed as f64 / wall_cons
-        },
-        "speculative": {
-            "wall_seconds": wall_spec,
-            "queries_per_second": speculative.completed as f64 / wall_spec
-        },
-        "speedup_vs_conservative": speedup,
-        "thrashing": stats.sessions > 0 && ratio > 0.5
-    })
-}
-
 /// Bit-exact comparison of the two reports; parallelism must not change a
 /// single ULP anywhere.
 fn assert_identical(serial: &FleetReport, parallel: &FleetReport) {
@@ -752,7 +656,6 @@ fn main() {
 
     let production = fleet_production_probe(smoke);
     let resilience = resilience_probe(smoke);
-    let speculation = speculation_probe(smoke);
 
     let path = std::env::var("PERFISO_BENCH_OUT").unwrap_or_else(|_| "BENCH_fleet.json".into());
     let baseline = baseline_delta(&path, &alloc_profile, smoke, &serial);
@@ -775,7 +678,6 @@ fn main() {
         "fleet_production": production,
         "resilience": resilience,
         "resilience_drifted": resilience_drifted,
-        "speculation": speculation,
         "baseline_delta": baseline,
         "runs": [
             fleet_run_json("serial", 1, &serial),

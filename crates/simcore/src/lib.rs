@@ -29,13 +29,11 @@ pub mod ids;
 pub mod mask;
 pub mod queue;
 pub mod rng;
-pub mod snapshot;
 pub mod time;
 pub(crate) mod wheel;
 
 pub use ids::{CoreId, JobId, ThreadId};
 pub use mask::CoreMask;
-pub use queue::{EventQueue, EventQueueState};
+pub use queue::EventQueue;
 pub use rng::SimRng;
-pub use snapshot::{Epoch, Snapshot};
 pub use time::{SimDuration, SimTime};

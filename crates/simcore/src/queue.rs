@@ -11,9 +11,8 @@
 //! single traversal. The pop order is contractually identical to the
 //! `(time, seq)` total order the former heap produced.
 
-use crate::snapshot::Snapshot;
 use crate::time::SimTime;
-use crate::wheel::{Wheel, WheelState};
+use crate::wheel::Wheel;
 
 /// A timer wheel of timestamped events with deterministic FIFO tie-breaking.
 ///
@@ -29,7 +28,6 @@ use crate::wheel::{Wheel, WheelState};
 /// let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
 /// assert_eq!(order, vec!['a', 'b', 'c']);
 /// ```
-#[derive(Clone)]
 pub struct EventQueue<E> {
     wheel: Wheel<E>,
     next_seq: u64,
@@ -123,41 +121,6 @@ impl<E> EventQueue<E> {
     pub fn clear(&mut self) {
         self.wheel.clear();
         self.next_seq = 0;
-    }
-}
-
-/// A deep copy of an [`EventQueue`]'s state, taken by [`Snapshot::save`].
-///
-/// Restoring reproduces both the exact `(time, seq)` pop order of the
-/// pending events and the sequence counter, so events pushed *after* a
-/// restore tie-break exactly as they would have in a never-rolled-back run.
-pub struct EventQueueState<E> {
-    wheel: WheelState<E>,
-    next_seq: u64,
-}
-
-impl<E: Clone> Clone for EventQueueState<E> {
-    fn clone(&self) -> Self {
-        EventQueueState {
-            wheel: self.wheel.clone(),
-            next_seq: self.next_seq,
-        }
-    }
-}
-
-impl<E: Clone> Snapshot for EventQueue<E> {
-    type State = EventQueueState<E>;
-
-    fn save(&self) -> EventQueueState<E> {
-        EventQueueState {
-            wheel: self.wheel.save(),
-            next_seq: self.next_seq,
-        }
-    }
-
-    fn restore(&mut self, state: &EventQueueState<E>) {
-        self.wheel.restore(&state.wheel);
-        self.next_seq = state.next_seq;
     }
 }
 

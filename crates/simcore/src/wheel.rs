@@ -60,7 +60,6 @@ const NIL: u32 = u32::MAX;
 
 /// One slab cell: a wheel-resident event threaded into a slot list, or a
 /// free-list node awaiting reuse (`payload` is `None` only while free).
-#[derive(Clone)]
 struct Node<E> {
     at: SimTime,
     seq: u64,
@@ -74,7 +73,6 @@ struct Node<E> {
 /// bitmap, length, peek cache, and the level-0 occupancy word — packed at
 /// the front, so the bookkeeping of a push or pop touches one cache line
 /// plus the slot head and the slab cell.
-#[derive(Clone)]
 #[repr(C)]
 pub(crate) struct Wheel<E> {
     /// Granule cursor: the base granule of the currently open level-0
@@ -107,41 +105,6 @@ pub(crate) struct Wheel<E> {
     /// slab indices sorted by *descending* `(time, seq)`, popped from the
     /// back. Empty in every forward-running simulator.
     overdue: Vec<u32>,
-}
-
-/// A [`Wheel::save`]d deep copy of a wheel's pending-event state.
-///
-/// Mirrors the wheel's own layout field-for-field (slab included, with free
-/// cells as tombstones) so save and restore are flat copies; the transient
-/// peek cache is excluded. Restoring into any wheel — same instance or a
-/// fresh one — reproduces the exact `(time, seq)` pop order of the source
-/// at the moment of the save.
-pub(crate) struct WheelState<E> {
-    floor: u64,
-    free: u32,
-    live_levels: u32,
-    len: usize,
-    occupied: [u64; LEVELS],
-    heads0: [u32; SLOTS],
-    nodes: Vec<Node<E>>,
-    heads_hi: Box<[u32]>,
-    overdue: Vec<u32>,
-}
-
-impl<E: Clone> Clone for WheelState<E> {
-    fn clone(&self) -> Self {
-        WheelState {
-            floor: self.floor,
-            free: self.free,
-            live_levels: self.live_levels,
-            len: self.len,
-            occupied: self.occupied,
-            heads0: self.heads0,
-            nodes: self.nodes.clone(),
-            heads_hi: self.heads_hi.clone(),
-            overdue: self.overdue.clone(),
-        }
-    }
 }
 
 /// Granule index of a timestamp.
@@ -486,53 +449,6 @@ impl<E> Wheel<E> {
             self.live_levels &= !(1 << level);
         }
         head
-    }
-
-    /// Captures the complete pending-event state for later [`Wheel::restore`].
-    ///
-    /// The contiguous slab + intrusive-index layout makes this a flat deep
-    /// copy: clone the slab (free cells ride along as `payload: None`
-    /// tombstones, so the free list needs no re-derivation), memcpy the
-    /// slot-head arrays and occupancy bitmaps, and copy five scalars.
-    /// No per-event traversal, no pointer fixups.
-    pub fn save(&self) -> WheelState<E>
-    where
-        E: Clone,
-    {
-        WheelState {
-            floor: self.floor,
-            free: self.free,
-            live_levels: self.live_levels,
-            len: self.len,
-            occupied: self.occupied,
-            heads0: self.heads0,
-            nodes: self.nodes.clone(),
-            heads_hi: self.heads_hi.clone(),
-            overdue: self.overdue.clone(),
-        }
-    }
-
-    /// Rewinds the wheel to a previously [`Wheel::save`]d state.
-    ///
-    /// `clone_from` into the live buffers, so a rollback loop restoring into
-    /// the same wheel reuses its slab/overdue capacity. The peek cache is
-    /// invalidated rather than copied (it is lazily recomputed and carries
-    /// no observable state).
-    pub fn restore(&mut self, state: &WheelState<E>)
-    where
-        E: Clone,
-    {
-        self.floor = state.floor;
-        self.free = state.free;
-        self.live_levels = state.live_levels;
-        self.len = state.len;
-        self.occupied = state.occupied;
-        self.heads0 = state.heads0;
-        self.nodes.clone_from(&state.nodes);
-        self.heads_hi.copy_from_slice(&state.heads_hi);
-        self.overdue.clone_from(&state.overdue);
-        self.peek_valid.set(false);
-        self.peek_at.set(None);
     }
 
     /// Re-hashes one upper-level slot into the levels below (the cursor

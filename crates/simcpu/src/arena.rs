@@ -174,33 +174,6 @@ impl StepArena {
         }
     }
 
-    /// Captures the arena for machine checkpointing: a high-water copy of
-    /// the slab (one memcpy — `Step` is `Copy`) plus the per-class free
-    /// lists and counters. Restoring reproduces the exact range-recycling
-    /// sequence, so post-rollback spawns land in the same slab offsets a
-    /// never-rolled-back run would use.
-    pub fn save(&self) -> StepArenaState {
-        StepArenaState {
-            slab: self.slab.clone(),
-            free: self.free.clone(),
-            live_ranges: self.live_ranges,
-            peak_live_ranges: self.peak_live_ranges,
-            ranges_allocated: self.ranges_allocated,
-            ranges_reused: self.ranges_reused,
-        }
-    }
-
-    /// Rewinds the arena to a previously [`StepArena::save`]d state,
-    /// reusing the live slab's capacity.
-    pub fn restore(&mut self, state: &StepArenaState) {
-        self.slab.clone_from(&state.slab);
-        self.free.clone_from(&state.free);
-        self.live_ranges = state.live_ranges;
-        self.peak_live_ranges = state.peak_live_ranges;
-        self.ranges_allocated = state.ranges_allocated;
-        self.ranges_reused = state.ranges_reused;
-    }
-
     /// Occupancy and recycling counters.
     pub fn stats(&self) -> ArenaStats {
         ArenaStats {
@@ -212,18 +185,6 @@ impl StepArena {
             ranges_reused: self.ranges_reused,
         }
     }
-}
-
-/// A [`StepArena::save`]d deep copy: the slab high-water plus the free
-/// lists and counters, sufficient to replay range recycling exactly.
-#[derive(Clone, Debug)]
-pub struct StepArenaState {
-    slab: Vec<Step>,
-    free: Vec<Vec<u32>>,
-    live_ranges: u64,
-    peak_live_ranges: u64,
-    ranges_allocated: u64,
-    ranges_reused: u64,
 }
 
 /// The machine's internal program representation.
@@ -304,42 +265,6 @@ impl Program {
     pub(crate) fn owned_range(&self) -> Option<StepRange> {
         match self {
             Program::Scripted { range, .. } => Some(*range),
-            _ => None,
-        }
-    }
-
-    /// Clones the program for machine checkpointing, or `None` when it
-    /// cannot be duplicated (a [`Program::Dyn`] whose
-    /// [`ThreadProgram::clone_box`] declines — e.g. a closure program).
-    ///
-    /// Scripted ranges clone as handles only: the referenced steps live in
-    /// the arena slab, which is snapshotted separately. `ComputeLoop` (and
-    /// any `Dyn` program sharing a counter) clones the `Arc` handle, so the
-    /// external observer's identity survives a rollback.
-    pub(crate) fn try_clone(&self) -> Option<Program> {
-        match self {
-            Program::Scripted { range, at } => Some(Program::Scripted {
-                range: *range,
-                at: *at,
-            }),
-            Program::ComputeOnce { duration, done } => Some(Program::ComputeOnce {
-                duration: *duration,
-                done: *done,
-            }),
-            Program::ComputeLoop { chunk, progress } => Some(Program::ComputeLoop {
-                chunk: *chunk,
-                progress: Arc::clone(progress),
-            }),
-            Program::Dyn(p) => p.clone_box().map(Program::Dyn),
-        }
-    }
-
-    /// The shared progress counter the program bumps, if any (see
-    /// [`ThreadProgram::shared_progress`]).
-    pub(crate) fn shared_progress(&self) -> Option<&AtomicU64> {
-        match self {
-            Program::ComputeLoop { progress, .. } => Some(progress),
-            Program::Dyn(p) => p.shared_progress(),
             _ => None,
         }
     }

@@ -44,9 +44,9 @@ pub mod program;
 pub mod programs;
 pub mod quota;
 
-pub use arena::{ArenaStats, Program, StepArena, StepArenaState, StepRange};
+pub use arena::{ArenaStats, Program, StepArena, StepRange};
 pub use config::MachineConfig;
-pub use machine::{Machine, MachineOutput, MachineState, ScriptWriter};
+pub use machine::{Machine, MachineOutput, ScriptWriter};
 pub use program::{Step, ThreadProgram};
 pub use quota::CpuRateQuota;
 pub use simcore::ids::{CoreId, JobId, ThreadId};

@@ -34,12 +34,11 @@
 //! machine that is behind its own timers.
 
 use std::collections::VecDeque;
-use std::sync::atomic::Ordering;
 
-use simcore::{EventQueue, EventQueueState, SimDuration, SimRng, SimTime, Snapshot};
+use simcore::{EventQueue, SimDuration, SimRng, SimTime};
 use telemetry::{CpuBreakdown, TenantClass};
 
-use crate::arena::{ArenaStats, Program, StepArena, StepArenaState};
+use crate::arena::{ArenaStats, Program, StepArena};
 use crate::config::MachineConfig;
 use crate::program::{Step, ThreadProgram};
 use crate::quota::{CpuRateQuota, QuotaState};
@@ -47,7 +46,7 @@ use simcore::ids::{CoreId, JobId, ThreadId};
 use simcore::mask::CoreMask;
 
 /// Events the machine reports to its driver.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub enum MachineOutput {
     /// A thread issued a blocking operation and left its core.
     ThreadBlocked {
@@ -93,7 +92,6 @@ struct ThreadSlot {
     body: Option<ThreadBody>,
 }
 
-#[derive(Clone)]
 struct CoreState {
     running: Option<ThreadId>,
     slice_start: SimTime,
@@ -102,7 +100,6 @@ struct CoreState {
     idle_since: SimTime,
 }
 
-#[derive(Clone)]
 struct JobBody {
     class: TenantClass,
     affinity: CoreMask,
@@ -111,7 +108,7 @@ struct JobBody {
     memory_bytes: u64,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 enum Timer {
     SliceEnd { core: CoreId, gen: u64 },
     ThreadWake { tid: ThreadId },
@@ -456,115 +453,6 @@ impl Machine {
     /// Arena occupancy and range-recycling counters.
     pub fn arena_stats(&self) -> ArenaStats {
         self.arena.stats()
-    }
-
-    // ------------------------------------------------------------------
-    // Checkpoint / rollback
-    // ------------------------------------------------------------------
-
-    /// Captures the machine's complete dynamic state for later
-    /// [`Machine::restore`], or `None` if any live thread runs a program
-    /// that cannot be cloned (a boxed closure — see
-    /// [`ThreadProgram::clone_box`]).
-    ///
-    /// The capture is a flat deep copy: the thread table, core slices, job
-    /// table, ready queue, timer wheel, arena slab high-water, RNG state,
-    /// and accounting. Programs publishing a shared progress counter also
-    /// record its value, so a restore rolls the counter back for external
-    /// observers (the `Arc` identity is preserved).
-    pub fn snapshot(&self) -> Option<MachineState> {
-        let mut threads = Vec::with_capacity(self.threads.len());
-        for slot in &self.threads {
-            let body = match &slot.body {
-                Some(b) => {
-                    let program = b.program.try_clone()?;
-                    let progress_value = b
-                        .program
-                        .shared_progress()
-                        .map(|p| p.load(Ordering::Relaxed));
-                    Some(ThreadBodyState {
-                        job: b.job,
-                        tag: b.tag,
-                        state: b.state,
-                        program,
-                        progress_value,
-                        seg_remaining: b.seg_remaining,
-                        quantum_left: b.quantum_left,
-                        affinity: b.affinity,
-                        cpu_time: b.cpu_time,
-                    })
-                }
-                None => None,
-            };
-            threads.push(ThreadSlotState {
-                gen: slot.gen,
-                body,
-            });
-        }
-        Some(MachineState {
-            now: self.now,
-            cores: self.cores.clone(),
-            threads,
-            free_slots: self.free_slots.clone(),
-            jobs: self.jobs.clone(),
-            ready: self.ready.clone(),
-            ready_stale: self.ready_stale,
-            timers: self.timers.save(),
-            outputs: self.outputs.clone(),
-            breakdown: self.breakdown,
-            rng: self.rng.clone(),
-            stats: self.stats,
-            arena: self.arena.save(),
-        })
-    }
-
-    /// Rewinds the machine to a previously [`Machine::snapshot`]ted state.
-    ///
-    /// After the restore the machine is observationally identical to the
-    /// snapshot instant: every subsequent timer, dispatch, RNG draw, and
-    /// breakdown figure matches a run that never diverged. Shared progress
-    /// counters are written back through their original `Arc`s. The same
-    /// state may be restored from repeatedly (rollback loops).
-    pub fn restore(&mut self, state: &MachineState) {
-        debug_assert_eq!(self.cores.len(), state.cores.len());
-        self.now = state.now;
-        self.cores.clone_from(&state.cores);
-        self.threads.clear();
-        for slot in &state.threads {
-            let body = slot.body.as_ref().map(|b| {
-                let program = b
-                    .program
-                    .try_clone()
-                    .expect("snapshotted programs are clonable by construction");
-                if let (Some(p), Some(v)) = (program.shared_progress(), b.progress_value) {
-                    p.store(v, Ordering::Relaxed);
-                }
-                ThreadBody {
-                    job: b.job,
-                    tag: b.tag,
-                    state: b.state,
-                    program,
-                    seg_remaining: b.seg_remaining,
-                    quantum_left: b.quantum_left,
-                    affinity: b.affinity,
-                    cpu_time: b.cpu_time,
-                }
-            });
-            self.threads.push(ThreadSlot {
-                gen: slot.gen,
-                body,
-            });
-        }
-        self.free_slots.clone_from(&state.free_slots);
-        self.jobs.clone_from(&state.jobs);
-        self.ready.clone_from(&state.ready);
-        self.ready_stale = state.ready_stale;
-        self.timers.restore(&state.timers);
-        self.outputs.clone_from(&state.outputs);
-        self.breakdown = state.breakdown;
-        self.rng = state.rng.clone();
-        self.stats = state.stats;
-        self.arena.restore(&state.arena);
     }
 
     /// Sets a per-thread affinity override (e.g. the primary affinitising
@@ -1206,48 +1094,6 @@ impl Machine {
         self.reschedule_exhaust(job);
         self.dispatch_sweep();
     }
-}
-
-/// A [`Machine::snapshot`]ted deep copy of a machine's dynamic state.
-///
-/// Opaque to callers; held by box-level checkpoints and handed back to
-/// [`Machine::restore`]. The configuration is *not* captured — a state may
-/// only be restored into the machine (or an identically configured one)
-/// that produced it.
-pub struct MachineState {
-    now: SimTime,
-    cores: Vec<CoreState>,
-    threads: Vec<ThreadSlotState>,
-    free_slots: Vec<u32>,
-    jobs: Vec<JobBody>,
-    ready: VecDeque<ThreadId>,
-    ready_stale: usize,
-    timers: EventQueueState<Timer>,
-    outputs: Vec<MachineOutput>,
-    breakdown: CpuBreakdown,
-    rng: SimRng,
-    stats: MachineStats,
-    arena: StepArenaState,
-}
-
-struct ThreadSlotState {
-    gen: u32,
-    body: Option<ThreadBodyState>,
-}
-
-struct ThreadBodyState {
-    job: JobId,
-    tag: u64,
-    state: ThreadState,
-    program: Program,
-    /// The shared progress counter's value at snapshot time, if the
-    /// program publishes one (rolled back through the same `Arc` on
-    /// restore).
-    progress_value: Option<u64>,
-    seg_remaining: SimDuration,
-    quantum_left: SimDuration,
-    affinity: CoreMask,
-    cpu_time: SimDuration,
 }
 
 /// An in-flight scripted spawn: streams steps straight into the machine's

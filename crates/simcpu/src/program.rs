@@ -37,33 +37,6 @@ pub trait ThreadProgram: Send {
     /// Returns the next step. Called once at spawn and again after each step
     /// completes (compute finished, block woken, sleep expired).
     fn next_step(&mut self, rng: &mut SimRng) -> Step;
-
-    /// Clones the program for machine checkpointing, or `None` when its
-    /// state cannot be duplicated (the default).
-    ///
-    /// Speculative cluster sync snapshots whole machines; a boxed program
-    /// that returns `None` makes its thread's machine unsnapshotable, and
-    /// the cluster driver falls back to conservative advance for that box.
-    /// Stateful workload programs should implement this as
-    /// `Some(Box::new(self.clone()))`; programs sharing state with an
-    /// external handle (e.g. a progress counter behind an `Arc`) must clone
-    /// the *handle*, keeping identity — see [`ThreadProgram::shared_progress`]
-    /// for how the counter value itself is rolled back.
-    fn clone_box(&self) -> Option<Box<dyn ThreadProgram>> {
-        None
-    }
-
-    /// The shared progress counter the program bumps, if it publishes one.
-    ///
-    /// Snapshots record the counter's value and restores write it back into
-    /// the *same* atomic (the `Arc` identity survives [`clone_box`]), so an
-    /// external handle polling the counter never observes speculative
-    /// progress that was rolled back.
-    ///
-    /// [`clone_box`]: ThreadProgram::clone_box
-    fn shared_progress(&self) -> Option<&std::sync::atomic::AtomicU64> {
-        None
-    }
 }
 
 impl<F> ThreadProgram for F

@@ -30,17 +30,13 @@ impl ThreadProgram for ComputeOnce {
             Step::Compute(self.duration)
         }
     }
-
-    fn clone_box(&self) -> Option<Box<dyn ThreadProgram>> {
-        Some(Box::new(self.clone()))
-    }
 }
 
 /// Computes in fixed-size chunks forever (or until killed).
 ///
 /// This is the heart of the CPU bully: each completed chunk is one unit of
 /// "progress". The owner reads progress through the shared counter.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct ComputeLoop {
     chunk: SimDuration,
     progress: std::sync::Arc<std::sync::atomic::AtomicU64>,
@@ -61,14 +57,6 @@ impl ThreadProgram for ComputeLoop {
         self.progress
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         Step::Compute(self.chunk)
-    }
-
-    fn clone_box(&self) -> Option<Box<dyn ThreadProgram>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn shared_progress(&self) -> Option<&std::sync::atomic::AtomicU64> {
-        Some(&self.progress)
     }
 }
 
@@ -91,10 +79,6 @@ impl ThreadProgram for Script {
         let s = self.steps.get(self.at).copied().unwrap_or(Step::Exit);
         self.at += 1;
         s
-    }
-
-    fn clone_box(&self) -> Option<Box<dyn ThreadProgram>> {
-        Some(Box::new(self.clone()))
     }
 }
 

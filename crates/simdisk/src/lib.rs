@@ -24,4 +24,4 @@ pub mod window;
 pub use bucket::TokenBucket;
 pub use device::{DeviceKind, DeviceSpec};
 pub use request::{AccessPattern, IoCompletion, IoKind, IoPriority, OwnerId, VolumeId};
-pub use sim::{DiskSim, DiskSimState, OwnerIoStats, RateLimit, VolumeSpec};
+pub use sim::{DiskSim, OwnerIoStats, RateLimit, VolumeSpec};

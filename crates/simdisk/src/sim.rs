@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use simcore::{EventQueue, EventQueueState, SimDuration, SimRng, SimTime, Snapshot};
+use simcore::{EventQueue, SimDuration, SimRng, SimTime};
 
 use crate::bucket::TokenBucket;
 use crate::device::DeviceSpec;
@@ -80,7 +80,6 @@ pub struct OwnerIoStats {
     pub priority: IoPriority,
 }
 
-#[derive(Clone)]
 struct OwnerState {
     priority: IoPriority,
     bytes_bucket: Option<TokenBucket>,
@@ -91,13 +90,11 @@ struct OwnerState {
     total_bytes: u64,
 }
 
-#[derive(Clone)]
 struct DeviceState {
     spec: DeviceSpec,
     busy: u32,
 }
 
-#[derive(Clone)]
 struct Volume {
     devices: Vec<DeviceState>,
     queue: VecDeque<PendingIo>,
@@ -106,7 +103,7 @@ struct Volume {
     recheck_at: Option<SimTime>,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 enum DiskTimer {
     ServiceDone {
         volume: VolumeId,
@@ -473,42 +470,6 @@ impl DiskSim {
                 }
             }
         }
-    }
-}
-
-/// A [`Snapshot::save`]d deep copy of a [`DiskSim`]'s dynamic state:
-/// per-volume device channels and queues, per-owner buckets and windowed
-/// stats, the timer wheel, pending completions, and the RNG.
-pub struct DiskSimState {
-    now: SimTime,
-    volumes: Vec<Volume>,
-    owners: Vec<OwnerState>,
-    timers: EventQueueState<DiskTimer>,
-    completions: Vec<IoCompletion>,
-    rng: SimRng,
-}
-
-impl Snapshot for DiskSim {
-    type State = DiskSimState;
-
-    fn save(&self) -> DiskSimState {
-        DiskSimState {
-            now: self.now,
-            volumes: self.volumes.clone(),
-            owners: self.owners.clone(),
-            timers: self.timers.save(),
-            completions: self.completions.clone(),
-            rng: self.rng.clone(),
-        }
-    }
-
-    fn restore(&mut self, state: &DiskSimState) {
-        self.now = state.now;
-        self.volumes.clone_from(&state.volumes);
-        self.owners.clone_from(&state.owners);
-        self.timers.restore(&state.timers);
-        self.completions.clone_from(&state.completions);
-        self.rng = state.rng.clone();
     }
 }
 

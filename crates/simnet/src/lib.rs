@@ -15,4 +15,4 @@ pub mod shaper;
 pub mod sim;
 
 pub use shaper::{EgressShaper, TrafficClass};
-pub use sim::{Delivery, NetConfig, NetSim, NetSimState, NodeId};
+pub use sim::{Delivery, NetConfig, NetSim, NodeId};

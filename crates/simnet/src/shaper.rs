@@ -29,7 +29,7 @@ pub(crate) struct EgressMsg {
 ///
 /// The shaper itself is time-free: the embedding [`crate::NetSim`] asks
 /// *when* the next message could start and *which* message to start.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct EgressShaper {
     bandwidth: u64,
     high: VecDeque<EgressMsg>,

@@ -1,8 +1,6 @@
 //! The network simulator: nodes, messages, deliveries.
 
-use simcore::{
-    dist::Exp, dist::Sample, EventQueue, EventQueueState, SimDuration, SimRng, SimTime, Snapshot,
-};
+use simcore::{dist::Exp, dist::Sample, EventQueue, SimDuration, SimRng, SimTime};
 
 use crate::shaper::{EgressMsg, EgressShaper, StartDecision, TrafficClass};
 
@@ -44,7 +42,7 @@ pub struct Delivery {
     pub at: SimTime,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 enum NetTimer {
     /// A message enters its source node's egress queue.
     Enqueue { from: NodeId, msg: EgressMsg },
@@ -75,7 +73,6 @@ enum NetTimer {
 /// assert_eq!(d.len(), 1);
 /// assert_eq!(d[0].token, 7);
 /// ```
-#[derive(Clone)]
 pub struct NetSim {
     cfg: NetConfig,
     now: SimTime,
@@ -250,43 +247,6 @@ impl NetSim {
                 self.timers.push(self.now + ser, NetTimer::Egress { node });
             }
         }
-    }
-}
-
-/// A [`Snapshot::save`]d deep copy of a [`NetSim`]'s dynamic state:
-/// per-node egress shapers (queues, token balances, NIC busy horizons),
-/// in-flight timers, pending deliveries, the jitter RNG, and the send
-/// counter.
-pub struct NetSimState {
-    now: SimTime,
-    shapers: Vec<EgressShaper>,
-    timers: EventQueueState<NetTimer>,
-    deliveries: Vec<Delivery>,
-    rng: SimRng,
-    sent: u64,
-}
-
-impl Snapshot for NetSim {
-    type State = NetSimState;
-
-    fn save(&self) -> NetSimState {
-        NetSimState {
-            now: self.now,
-            shapers: self.shapers.clone(),
-            timers: self.timers.save(),
-            deliveries: self.deliveries.clone(),
-            rng: self.rng.clone(),
-            sent: self.sent,
-        }
-    }
-
-    fn restore(&mut self, state: &NetSimState) {
-        self.now = state.now;
-        self.shapers.clone_from(&state.shapers);
-        self.timers.restore(&state.timers);
-        self.deliveries.clone_from(&state.deliveries);
-        self.rng = state.rng.clone();
-        self.sent = state.sent;
     }
 }
 

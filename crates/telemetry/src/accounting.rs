@@ -38,7 +38,7 @@ pub enum TenantClass {
 /// assert!((b.fraction(TenantClass::Primary) - 0.2).abs() < 1e-9);
 /// assert!((b.idle_fraction() - 0.8).abs() < 1e-9);
 /// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
 pub struct CpuBreakdown {
     /// Core-time consumed by the primary tenant.
     pub primary: SimDuration,

@@ -97,10 +97,6 @@ impl ThreadProgram for DiskBullyWorker {
             }
         }
     }
-
-    fn clone_box(&self) -> Option<Box<dyn ThreadProgram>> {
-        Some(Box::new(self.clone()))
-    }
 }
 
 #[cfg(test)]

@@ -132,10 +132,6 @@ impl ThreadProgram for HdfsCpuProgram {
             Step::Sleep(self.idle)
         }
     }
-
-    fn clone_box(&self) -> Option<Box<dyn ThreadProgram>> {
-        Some(Box::new(self.clone()))
-    }
 }
 
 #[cfg(test)]

@@ -81,7 +81,7 @@ impl MlTrainerHandle {
     }
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct TrainerWorker {
     minibatch: SimDuration,
     steps_per_sync: u32,
@@ -104,14 +104,6 @@ impl ThreadProgram for TrainerWorker {
         }
         self.in_compute = true;
         Step::Compute(self.minibatch)
-    }
-
-    fn clone_box(&self) -> Option<Box<dyn ThreadProgram>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn shared_progress(&self) -> Option<&AtomicU64> {
-        Some(&self.progress)
     }
 }
 

@@ -195,7 +195,7 @@ pub struct GraphOutcome {
 /// Per-request execution state. Vectors are recycled through a pool when
 /// the request retires, keeping the steady-state arrival path
 /// allocation-free.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 struct RequestState {
     arrival: SimTime,
     done: bool,
@@ -239,11 +239,6 @@ enum TimerKind {
 }
 
 /// Executes [`GraphWorkload`] requests against a machine.
-///
-/// `Clone` deep-copies the full execution state (in-flight requests,
-/// internal fabric, timers, RNG) — the box checkpoint/rollback path relies
-/// on a clone behaving identically to the original from the clone point on.
-#[derive(Clone)]
 pub struct GraphEngine {
     graph: Arc<GraphWorkload>,
     job: JobId,

@@ -307,97 +307,23 @@ fn fleet_production_parallel_equals_serial_and_rerun() {
 
 /// The cluster simulator's persistent worker pool (engaged whenever ≥ 8
 /// boxes are due at one instant and more than one worker is configured)
-/// must match the serial run exactly — forced to 4 workers here so the
-/// pool path executes even on a single-core machine.
+/// must match the serial run byte for byte — forced to 4 workers here so
+/// the pool path executes even on a single-core machine. The second spec
+/// keeps every box busy with a CPU bully and fires a chaos timeline
+/// (controller crash, then a box restart) inside the measured window.
 #[test]
 fn cluster_parallel_equals_serial() {
     use cluster::Topology;
-
-    let spec = ScenarioSpec::builder("det-cluster")
-        .cluster(Topology::small(), 400.0)
-        .policy(Policy::FullPerfIso)
-        .custom_scale(150, 450)
-        .seed(21)
-        .build()
-        .expect("valid spec");
-    let serial = spec.cluster_sim(spec.seed, 1).expect("cluster").run();
-    let parallel = spec.cluster_sim(spec.seed, 4).expect("cluster").run();
-
-    assert_eq!(serial.completed, parallel.completed);
-    assert_eq!(serial.degraded, parallel.degraded);
-    assert_eq!(serial.tla.p99, parallel.tla.p99);
-    assert_eq!(serial.mla.p99, parallel.mla.p99);
-    assert_eq!(serial.local.p99, parallel.local.p99);
-    assert_eq!(
-        serial.mean_utilization.to_bits(),
-        parallel.mean_utilization.to_bits()
-    );
-}
-
-/// The speculative-sync oracle: with [`cluster::SpeculationConfig`]
-/// enabled, the cluster report must be byte-identical to the serial
-/// conservative run — alone and composed with the worker pool. The
-/// bully secondary keeps every box busy enough that sessions genuinely
-/// start, release, and roll back rather than trivially idling.
-#[test]
-fn cluster_speculative_equals_serial_and_conservative_parallel() {
-    use cluster::{ClusterSim, SpeculationConfig, Topology};
-
-    let spec = ScenarioSpec::builder("det-cluster-speculative")
-        .cluster(Topology::small(), 400.0)
-        .policy(Policy::FullPerfIso)
-        .cpu_bully(BullyIntensity::Mid)
-        .custom_scale(150, 450)
-        .seed(21)
-        .build()
-        .expect("valid spec");
-
-    let serial = spec.cluster_sim(spec.seed, 1).expect("cluster").run();
-    let conservative_parallel = spec.cluster_sim(spec.seed, 4).expect("cluster").run();
-
-    let mut cfg = spec.cluster_config(spec.seed, 1).expect("cluster");
-    cfg.speculation = SpeculationConfig {
-        enabled: true,
-        ..SpeculationConfig::default()
-    };
-    let (speculative, stats) = ClusterSim::new(cfg).run_with_speculation_stats();
-    assert!(stats.sessions > 0, "speculation never engaged: {stats:?}");
-    assert!(stats.released_steps > 0, "no speculated step released");
-
-    let mut cfg = spec.cluster_config(spec.seed, 4).expect("cluster");
-    cfg.speculation.enabled = true;
-    cfg.min_par_boxes = 2; // force the pool path on the small topology
-    let (speculative_parallel, par_stats) = ClusterSim::new(cfg).run_with_speculation_stats();
-    assert!(par_stats.sessions > 0, "pooled speculation never engaged");
-
-    let want = serde_json::to_string(&serial).expect("serializes");
-    for (label, got) in [
-        ("conservative-parallel", &conservative_parallel),
-        ("speculative-serial", &speculative),
-        ("speculative-parallel", &speculative_parallel),
-    ] {
-        assert_eq!(
-            want,
-            serde_json::to_string(got).expect("serializes"),
-            "{label} cluster report diverged from serial"
-        );
-    }
-}
-
-/// Speculation under fault injection: a chaos timeline (controller crash
-/// plus a box restart) fires mid-window, forcing rollbacks through the
-/// chaos machinery — the report, fault records included, must still be
-/// byte-identical to the serial conservative run. (The fleet driver
-/// advances boxes directly without a cluster fabric, so speculation — a
-/// `ClusterSim` feature — cannot perturb `fleet-production` by
-/// construction; `fleet_production_parallel_equals_serial_and_rerun`
-/// above pins that path.)
-#[test]
-fn cluster_speculative_chaos_equals_serial() {
-    use cluster::{ClusterSim, Topology};
     use scenarios::spec::FaultEvent;
 
-    let spec = ScenarioSpec::builder("det-cluster-speculative-chaos")
+    let plain = ScenarioSpec::builder("det-cluster")
+        .cluster(Topology::small(), 400.0)
+        .policy(Policy::FullPerfIso)
+        .custom_scale(150, 450)
+        .seed(21)
+        .build()
+        .expect("valid spec");
+    let chaos = ScenarioSpec::builder("det-cluster-chaos")
         .cluster(Topology::small(), 400.0)
         .policy(Policy::FullPerfIso)
         .cpu_bully(BullyIntensity::Mid)
@@ -414,21 +340,32 @@ fn cluster_speculative_chaos_equals_serial() {
         .build()
         .expect("valid spec");
 
-    let serial = spec.cluster_sim(spec.seed, 1).expect("cluster").run();
-    assert!(
-        !serial.faults.is_empty(),
-        "the chaos timeline must actually fire"
-    );
+    for spec in [plain, chaos] {
+        let serial = spec.cluster_sim(spec.seed, 1).expect("cluster").run();
+        let parallel = spec.cluster_sim(spec.seed, 4).expect("cluster").run();
 
-    let mut cfg = spec.cluster_config(spec.seed, 1).expect("cluster");
-    cfg.speculation.enabled = true;
-    let (speculative, stats) = ClusterSim::new(cfg).run_with_speculation_stats();
-    assert!(stats.sessions > 0, "speculation never engaged: {stats:?}");
-    assert_eq!(
-        serde_json::to_string(&serial).expect("serializes"),
-        serde_json::to_string(&speculative).expect("serializes"),
-        "speculative chaos report diverged from serial (stats {stats:?})"
-    );
+        assert_eq!(serial.completed, parallel.completed);
+        assert_eq!(serial.degraded, parallel.degraded);
+        assert_eq!(serial.tla.p99, parallel.tla.p99);
+        assert_eq!(serial.mla.p99, parallel.mla.p99);
+        assert_eq!(serial.local.p99, parallel.local.p99);
+        assert_eq!(
+            serial.mean_utilization.to_bits(),
+            parallel.mean_utilization.to_bits()
+        );
+        assert_eq!(
+            serial.faults.is_empty(),
+            spec.fault.is_empty(),
+            "{}: the fault timeline must fire exactly when one is set",
+            spec.name
+        );
+        assert_eq!(
+            serde_json::to_string(&serial).expect("serializes"),
+            serde_json::to_string(&parallel).expect("serializes"),
+            "{}: parallel cluster report diverged from serial",
+            spec.name
+        );
+    }
 }
 
 proptest! {
