@@ -218,6 +218,11 @@ fn golden_dual_primary_arbitration() {
     check_golden("dual-primary-arbitration");
 }
 
+#[test]
+fn golden_cluster_small() {
+    check_golden("cluster-small");
+}
+
 /// The arbitration fixture is the acceptance surface for multi-primary
 /// boxes: both colocated services must appear with their own measured
 /// tails, and both must actually complete queries under the bully.
@@ -301,6 +306,7 @@ fn golden_fixtures_parse_as_reports() {
         "graph-fanout",
         "graph-hedged",
         "dual-primary-arbitration",
+        "cluster-small",
     ] {
         let path = golden_dir().join(format!("{name}.json"));
         let text = std::fs::read_to_string(&path)
