@@ -5,8 +5,7 @@
 //! side-by-side with the original. The experiment cells are declarative
 //! [`scenarios::spec::ScenarioSpec`]s — [`policy_cell`] builds and runs
 //! one — so the benches, tests, examples, and the `perfiso-run` CLI all
-//! share a single description of every experiment. See EXPERIMENTS.md for
-//! the figure mapping and the recorded paper-vs-measured comparison.
+//! share a single description of every experiment.
 
 use indexserve::BoxReport;
 use scenarios::{run_with_policy, Policy, Scale};

@@ -1,11 +1,14 @@
 //! The 75-machine cluster simulation (Fig 9).
 //!
 //! The main loop is a coupled DES: boxes interact through the fabric, so
-//! event routing stays serial and deterministic. The expensive part —
-//! advancing many independent boxes to the same instant — fans out across
-//! a persistent [`WorkerPool`] of [`ClusterConfig::threads`] workers
-//! whenever enough boxes are due at once (controller poll ticks line up
-//! on every machine); each box's evolution between routed deliveries is
+//! event routing stays serial and deterministic. The loop keeps each
+//! box's next-event time in a cached array, refreshed only after a call
+//! that can move that box's timers, so a global step touches only the
+//! boxes due at its instant. The expensive part — advancing many
+//! independent boxes to the same instant — fans out across a persistent
+//! [`WorkerPool`] of [`ClusterConfig::threads`] workers whenever enough
+//! boxes are due at once (controller poll ticks line up on every
+//! machine); each box's evolution between routed deliveries is
 //! independent, so the parallel run is bit-identical to the serial one.
 
 use std::collections::HashMap;
@@ -91,6 +94,8 @@ impl ClusterConfig {
 const KIND_SHIFT: u32 = 60;
 const REQ_SHIFT: u32 = 16;
 const DROP_FLAG: u64 = 0x8000;
+// Every column index must fit the aux field below the request id.
+const _: () = assert!(Topology::MAX_COLUMNS as u64 == 1 << REQ_SHIFT);
 
 fn msg_token(kind: u64, req: u64, aux: u64) -> u64 {
     (kind << KIND_SHIFT) | (req << REQ_SHIFT) | aux
@@ -121,6 +126,11 @@ struct RequestState {
 pub struct ClusterSim {
     cfg: ClusterConfig,
     boxes: Vec<BoxSim>,
+    /// `next_at[i]` is `boxes[i]`'s next event time (`SimTime::MAX` when
+    /// it has none), refreshed after every call that mutates the box.
+    next_at: Vec<SimTime>,
+    /// The boxes advanced at the current step, in ascending index order.
+    due: Vec<usize>,
     net: NetSim,
     requests: Vec<RequestState>,
     /// Per-box map from local query index to request id.
@@ -148,6 +158,11 @@ pub struct ClusterSim {
 /// Minimum number of simultaneously-due boxes before the advance fans out
 /// to worker threads; below this the spawn overhead beats the win.
 const PARALLEL_ADVANCE_THRESHOLD: usize = 8;
+
+/// A box's next event time, `SimTime::MAX` when it has none.
+fn next_event_or_max(b: &BoxSim) -> SimTime {
+    b.next_event_time().unwrap_or(SimTime::MAX)
+}
 
 impl ClusterSim {
     /// Builds all machines and the fabric.
@@ -187,10 +202,13 @@ impl ClusterSim {
             cfg.seed ^ 0x7E7,
         );
         let qmap = (0..n_index).map(|_| HashMap::new()).collect();
+        let next_at = boxes.iter().map(next_event_or_max).collect();
         ClusterSim {
             agg_dist: LogNormal::from_median(cfg.mla_agg_cost_us, 0.4),
             rr_mla: vec![0; cfg.topology.rows as usize],
             boxes,
+            next_at,
+            due: Vec::with_capacity(n_index as usize),
             net,
             requests: Vec::new(),
             qmap,
@@ -241,10 +259,10 @@ impl ClusterSim {
         let mut iters = 0u64;
 
         loop {
-            let mut t = client.next_arrival_time().unwrap_or(SimTime::MAX);
-            if let Some(n) = self.next_any_event() {
-                t = t.min(n);
-            }
+            let t = client
+                .next_arrival_time()
+                .unwrap_or(SimTime::MAX)
+                .min(self.next_any_event());
             if t > end || t == SimTime::MAX {
                 break;
             }
@@ -278,7 +296,11 @@ impl ClusterSim {
 
         // Drain the tail: requests in flight resolve within one timeout.
         let drain_until = end + self.cfg.service.timeout + SimDuration::from_millis(50);
-        while let Some(t) = self.next_any_event().filter(|&t| t <= drain_until) {
+        loop {
+            let t = self.next_any_event();
+            if t > drain_until {
+                break;
+            }
             self.now = t;
             self.step_components(t);
             iters += 1;
@@ -344,49 +366,69 @@ impl ClusterSim {
         }
         self.scratch_deliveries = deliveries;
         self.advance_due_boxes(t);
-        for i in 0..self.boxes.len() {
-            if self.boxes[i].has_events() {
-                self.drain_box(i, t);
-            }
+        // Routing drains a box right after every injection, so only the
+        // boxes just advanced can hold events; draining them in index
+        // order keeps the fabric's send order (and its jitter draws).
+        let due = std::mem::take(&mut self.due);
+        for &i in &due {
+            self.drain_box(i, t);
         }
+        debug_assert!(
+            self.boxes
+                .iter()
+                .zip(&self.next_at)
+                .all(|(b, &n)| next_event_or_max(b) == n),
+            "cached next-event time out of date"
+        );
+        debug_assert!(
+            self.boxes
+                .iter()
+                .enumerate()
+                .all(|(i, b)| !b.has_events() || due.binary_search(&i).is_ok()),
+            "a box outside the advanced list holds undrained events"
+        );
+        self.due = due;
     }
 
-    /// Advances every box with work due at or before `t`, handing the
-    /// work to the persistent pool when enough boxes are due at the same
-    /// instant (poll ticks line up across machines). Boxes evolve
-    /// independently between routed deliveries, so the result is
-    /// identical to advancing them one by one; the subsequent event drain
-    /// always runs serially in box order.
+    /// Advances every box whose cached next event is at or before `t`,
+    /// handing the work to the persistent pool when enough boxes are due
+    /// at the same instant (poll ticks line up across machines), and
+    /// refreshes their cache entries. Boxes evolve independently between
+    /// routed deliveries, so the result is identical to advancing them
+    /// one by one; the subsequent event drain always runs serially in box
+    /// order.
     fn advance_due_boxes(&mut self, t: SimTime) {
-        let due = self
-            .boxes
-            .iter()
-            .filter(|b| b.next_event_time().is_some_and(|n| n <= t))
-            .count();
-        if due == 0 {
-            return;
+        self.due.clear();
+        for (i, &n) in self.next_at.iter().enumerate() {
+            if n <= t {
+                self.due.push(i);
+            }
         }
-        if due >= PARALLEL_ADVANCE_THRESHOLD {
-            if let Some(pool) = self.pool.as_mut() {
+        match self.pool.as_mut() {
+            Some(pool) if self.due.len() >= PARALLEL_ADVANCE_THRESHOLD => {
                 pool.advance_due(&mut self.boxes, t);
-                return;
+            }
+            _ => {
+                for &i in &self.due {
+                    self.boxes[i].advance_to(t);
+                }
             }
         }
-        for b in &mut self.boxes {
-            if b.next_event_time().is_some_and(|n| n <= t) {
-                b.advance_to(t);
-            }
+        for &i in &self.due {
+            self.next_at[i] = next_event_or_max(&self.boxes[i]);
         }
     }
 
-    fn next_any_event(&self) -> Option<SimTime> {
-        let mut t: Option<SimTime> = self.net.next_timer_at();
-        for b in &self.boxes {
-            if let Some(n) = b.next_event_time() {
-                t = Some(t.map_or(n, |x: SimTime| x.min(n)));
-            }
-        }
-        t
+    /// Earliest pending event across the fabric and every box
+    /// (`SimTime::MAX` when nothing is pending).
+    fn next_any_event(&self) -> SimTime {
+        let boxes = self.next_at.iter().copied().min().unwrap_or(SimTime::MAX);
+        self.net.next_timer_at().map_or(boxes, |n| n.min(boxes))
+    }
+
+    /// Re-reads box `i`'s next event time after a call that mutated it.
+    fn refresh(&mut self, i: usize) {
+        self.next_at[i] = next_event_or_max(&self.boxes[i]);
     }
 
     fn on_client_arrival(&mut self, now: SimTime, spec: QuerySpec) {
@@ -446,6 +488,7 @@ impl ClusterSim {
                         let spec = self.take_spec(req);
                         let flat = topo.index_flat(row, col);
                         let qidx = self.boxes[flat].inject_query(now, spec);
+                        self.refresh(flat);
                         self.qmap[flat].insert(qidx, req);
                         self.drain_box(flat, now);
                     } else {
@@ -466,6 +509,7 @@ impl ClusterSim {
                 let (row, col) = topo.index_position(to).expect("column is an index machine");
                 let flat = topo.index_flat(row, col);
                 let qidx = self.boxes[flat].inject_query(now, spec);
+                self.refresh(flat);
                 self.qmap[flat].insert(qidx, req);
                 self.drain_box(flat, now);
             }
@@ -484,6 +528,7 @@ impl ClusterSim {
                     let cost = SimDuration::from_micros_f64(self.agg_dist.sample(&mut self.rng));
                     let flat = topo.index_flat(row, mla_col);
                     self.boxes[flat].spawn_primary_aux(now, cost, req);
+                    self.refresh(flat);
                     self.drain_box(flat, now);
                 }
             }

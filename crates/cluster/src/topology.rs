@@ -17,6 +17,10 @@ pub struct Topology {
 }
 
 impl Topology {
+    /// Most columns a cluster can have: the cluster loop's message tokens
+    /// carry a column index in a 16-bit field.
+    pub(crate) const MAX_COLUMNS: u32 = 1 << 16;
+
     /// The paper's 75-machine cluster.
     pub fn paper_cluster() -> Self {
         Topology {
@@ -39,10 +43,30 @@ impl Topology {
     ///
     /// # Errors
     ///
-    /// Returns a message for degenerate shapes.
+    /// Returns a message for degenerate shapes, for shapes whose machine
+    /// count overflows the `u32` node numbering, and for more than 65,536
+    /// columns.
     pub fn validate(&self) -> Result<(), String> {
         if self.columns == 0 || self.rows == 0 || self.tlas == 0 {
             return Err("topology needs at least one column, row, and TLA".into());
+        }
+        if self
+            .columns
+            .checked_mul(self.rows)
+            .and_then(|n| n.checked_add(self.tlas))
+            .is_none()
+        {
+            return Err(format!(
+                "{} columns x {} rows + {} TLAs overflows the u32 machine numbering",
+                self.columns, self.rows, self.tlas
+            ));
+        }
+        if self.columns > Self::MAX_COLUMNS {
+            return Err(format!(
+                "{} columns exceed the {} a cluster message can address",
+                self.columns,
+                Self::MAX_COLUMNS
+            ));
         }
         Ok(())
     }
@@ -192,6 +216,39 @@ mod tests {
         }
         assert_eq!(t.index_position(t.tla_node(0)), None);
         assert_eq!(t.tla_node(30).0, 74);
+    }
+
+    #[test]
+    fn machine_count_overflow_is_rejected() {
+        let t = Topology {
+            columns: u32::MAX,
+            rows: 1,
+            tlas: 1,
+        };
+        let err = t.validate().unwrap_err();
+        assert!(err.contains("overflows"), "{err}");
+        let t = Topology {
+            columns: 2,
+            rows: u32::MAX / 2,
+            tlas: 2,
+        };
+        assert!(t.validate().unwrap_err().contains("overflows"));
+    }
+
+    #[test]
+    fn columns_past_the_message_field_are_rejected() {
+        let t = Topology {
+            columns: 65_537,
+            rows: 1,
+            tlas: 1,
+        };
+        let err = t.validate().unwrap_err();
+        assert!(err.contains("65537 columns"), "{err}");
+        let widest = Topology {
+            columns: Topology::MAX_COLUMNS,
+            ..t
+        };
+        assert!(widest.validate().is_ok());
     }
 
     #[test]

@@ -588,3 +588,30 @@ fn named_bad_graphs_are_rejected_without_panicking() {
     };
     assert!(matches!(s.validate(), Err(SpecError::InvalidWorkload(_))));
 }
+
+/// Cluster shapes the loop cannot encode — a machine count past `u32` or
+/// more columns than a fabric message can address — must fail
+/// `validate` with a labelled topology error, never a panic.
+#[test]
+fn oversized_cluster_topologies_are_rejected_without_panicking() {
+    for (columns, rows, tlas) in [
+        (u32::MAX, 1, 1),
+        (65_537, 1, 1),
+        (2, u32::MAX, 1),
+        (u32::MAX, u32::MAX, u32::MAX),
+    ] {
+        let mut s = ScenarioSpec::builder("oversized-cluster").build().unwrap();
+        s.target = TargetSpec::Cluster {
+            columns,
+            rows,
+            tlas,
+            qps_total: 500.0,
+        };
+        let err = s.validate().expect_err("oversized topology accepted");
+        assert!(
+            matches!(err, SpecError::InvalidTopology(_)),
+            "{columns}x{rows}+{tlas}: {err}"
+        );
+        assert!(err.to_string().starts_with("invalid topology: "));
+    }
+}
