@@ -2,7 +2,12 @@
 //!
 //! # Scheduling model
 //!
-//! - Work-conserving, per-core quantum, one ready queue.
+//! - Work-conserving, per-core quantum, one FIFO ready order over every
+//!   job. It is stored as one queue per job, each entry stamped with a
+//!   sequence number (back pushes count up, boosted front pushes count
+//!   down), and a dispatch takes the lowest-numbered eligible entry across
+//!   the queues: exactly the thread a single shared queue would yield,
+//!   found in O(jobs) instead of a scan over every queued thread.
 //! - A *freshly spawned* thread dispatches immediately onto an idle core
 //!   inside its effective affinity mask; otherwise it queues FIFO behind
 //!   everything else — fan-out worker bursts arriving while secondary
@@ -104,16 +109,31 @@ struct JobBody {
     class: TenantClass,
     affinity: CoreMask,
     quota: Option<QuotaState>,
+    /// Bumped by every [`Machine::set_job_quota`]; a refill timer left by
+    /// an earlier installation carries an older epoch and is dropped.
+    quota_epoch: u64,
     cpu_time: SimDuration,
     memory_bytes: u64,
+    /// This job's share of the ready order, strictly ascending by `seq`.
+    ready: VecDeque<ReadyEntry>,
 }
+
+#[derive(Clone, Copy)]
+struct ReadyEntry {
+    seq: i64,
+    tid: ThreadId,
+}
+
+/// A ready entry located by [`Machine::first_eligible_ready`]: the job's
+/// index and the entry's position in that job's queue.
+type ReadyPos = (usize, usize);
 
 #[derive(Debug)]
 enum Timer {
     SliceEnd { core: CoreId, gen: u64 },
     ThreadWake { tid: ThreadId },
     QuotaExhaust { job: JobId, gen: u64 },
-    QuotaRefill { job: JobId },
+    QuotaRefill { job: JobId, epoch: u64 },
 }
 
 /// Aggregate scheduler activity counters.
@@ -141,8 +161,14 @@ pub struct Machine {
     threads: Vec<ThreadSlot>,
     free_slots: Vec<u32>,
     jobs: Vec<JobBody>,
-    ready: VecDeque<ThreadId>,
-    /// Count of entries in `ready` whose thread has since exited; drives
+    /// Cores with no running thread: set when a slice is settled, cleared
+    /// when one starts.
+    idle: CoreMask,
+    /// Sequence number the next back push takes; counts up from 0.
+    back_seq: i64,
+    /// Sequence number the next front push takes; counts down from -1.
+    front_seq: i64,
+    /// Count of ready entries whose thread has since exited; drives
     /// amortized pruning.
     ready_stale: usize,
     timers: EventQueue<Timer>,
@@ -164,6 +190,10 @@ pub struct Machine {
 
 const MAX_ZERO_STEPS: u32 = 64;
 
+/// Ready-queue entries pre-sized per job and core, so steady-state queueing
+/// never grows a queue.
+const READY_PER_JOB_PER_CORE: usize = 2;
+
 impl Machine {
     /// Creates a machine with a default RNG seed.
     ///
@@ -181,6 +211,7 @@ impl Machine {
     /// Panics if the configuration is invalid.
     pub fn with_seed(cfg: MachineConfig, seed: u64) -> Self {
         cfg.validate().expect("invalid machine config");
+        let idle = CoreMask::all(cfg.cores);
         let cores = (0..cfg.cores)
             .map(|_| CoreState {
                 running: None,
@@ -201,7 +232,9 @@ impl Machine {
             threads: Vec::with_capacity(4 * cores_hint),
             free_slots: Vec::with_capacity(4 * cores_hint),
             jobs: Vec::new(),
-            ready: VecDeque::with_capacity(4 * cores_hint),
+            idle,
+            back_seq: 0,
+            front_seq: -1,
             ready_stale: 0,
             timers: EventQueue::with_capacity(1024),
             outputs: Vec::with_capacity(64),
@@ -237,8 +270,10 @@ impl Machine {
             class,
             affinity,
             quota: None,
+            quota_epoch: 0,
             cpu_time: SimDuration::ZERO,
             memory_bytes: 0,
+            ready: VecDeque::with_capacity(READY_PER_JOB_PER_CORE * self.cfg.cores as usize),
         });
         id
     }
@@ -278,24 +313,12 @@ impl Machine {
     /// A core is idle when no thread occupies it (the "idle thread" runs
     /// there, in the paper's terms).
     pub fn idle_core_mask(&self) -> CoreMask {
-        let mut m = CoreMask::EMPTY;
-        for (i, c) in self.cores.iter().enumerate() {
-            if c.running.is_none() {
-                m = m.with(CoreId(i as u16));
-            }
-        }
-        m
+        self.idle
     }
 
     /// Number of live (not exited) threads.
     pub fn live_thread_count(&self) -> usize {
         self.threads.iter().filter(|s| s.body.is_some()).count()
-    }
-
-    /// Number of threads waiting in the ready queue (may include stale
-    /// entries that are skipped on dispatch).
-    pub fn ready_queue_len(&self) -> usize {
-        self.ready.len()
     }
 
     /// Time of the next internal timer, if any.
@@ -547,15 +570,21 @@ impl Machine {
     }
 
     /// Installs or removes a CPU-rate quota on a job.
+    ///
+    /// Each call starts a new refill chain and retires the previous one, so
+    /// a quota removed and re-installed still refills once per period.
     pub fn set_job_quota(&mut self, now: SimTime, job: JobId, quota: Option<CpuRateQuota>) {
         self.advance_to(now);
+        self.jobs[job.0 as usize].quota_epoch += 1;
         match quota {
             Some(q) => {
                 let mut state = QuotaState::new(q, self.cfg.cores, self.now);
                 state.running = self.count_running_threads_of(job);
-                self.jobs[job.0 as usize].quota = Some(state);
+                let body = &mut self.jobs[job.0 as usize];
+                body.quota = Some(state);
+                let epoch = body.quota_epoch;
                 self.timers
-                    .push(self.now + q.period, Timer::QuotaRefill { job });
+                    .push(self.now + q.period, Timer::QuotaRefill { job, epoch });
                 self.reschedule_exhaust(job);
             }
             None => {
@@ -588,6 +617,30 @@ impl Machine {
             self.handle_timer(timer);
         }
         self.now = t;
+        debug_assert_eq!(
+            self.idle,
+            self.cores
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| c.running.is_none())
+                .fold(CoreMask::EMPTY, |m, (i, _)| m.with(CoreId(i as u16))),
+            "kept idle mask differs from the cores with no running thread"
+        );
+        // `first_eligible_ready` relies on both: ascending queues, and no
+        // live entry that is not a Ready thread of its job.
+        debug_assert!(
+            self.jobs.iter().enumerate().all(|(j, job)| {
+                job.ready
+                    .iter()
+                    .zip(job.ready.iter().skip(1))
+                    .all(|(a, b)| a.seq < b.seq)
+                    && job.ready.iter().all(|e| {
+                        self.thread(e.tid)
+                            .is_none_or(|t| t.job.0 as usize == j && t.state == ThreadState::Ready)
+                    })
+            }),
+            "a job's ready queue is out of sequence order or holds a non-ready thread"
+        );
     }
 
     fn handle_timer(&mut self, timer: Timer) {
@@ -607,7 +660,7 @@ impl Machine {
                 self.advance_program(tid, SimDuration::ZERO, true);
             }
             Timer::QuotaExhaust { job, gen } => self.on_quota_exhaust(job, gen),
-            Timer::QuotaRefill { job } => self.on_quota_refill(job),
+            Timer::QuotaRefill { job, epoch } => self.on_quota_refill(job, epoch),
         }
     }
 
@@ -744,18 +797,39 @@ impl Machine {
     fn make_ready(&mut self, tid: ThreadId, extra_os_cost: SimDuration, boosted: bool) {
         self.thread_mut(tid).expect("live").state = ThreadState::Ready;
         if !self.job_throttled(tid) {
-            let allowed = self.effective_affinity(tid);
-            let idle = self.idle_core_mask().intersection(allowed);
+            let idle = self.idle.intersection(self.effective_affinity(tid));
             if let Some(core) = idle.lowest() {
                 self.dispatch(core, tid, self.cfg.dispatch_cost + extra_os_cost);
                 return;
             }
         }
-        if boosted {
-            self.ready.push_front(tid);
+        self.enqueue(tid, boosted);
+    }
+
+    /// Queues a Ready thread on its job's queue: first in the ready order
+    /// with the wake boost, last without.
+    fn enqueue(&mut self, tid: ThreadId, front: bool) {
+        let job = self.thread(tid).expect("live").job;
+        let queue = &mut self.jobs[job.0 as usize].ready;
+        if front {
+            queue.push_front(ReadyEntry {
+                seq: self.front_seq,
+                tid,
+            });
+            self.front_seq -= 1;
         } else {
-            self.ready.push_back(tid);
+            queue.push_back(ReadyEntry {
+                seq: self.back_seq,
+                tid,
+            });
+            self.back_seq += 1;
         }
+    }
+
+    /// Marks a thread that just left its core Ready and queues it last.
+    fn requeue(&mut self, tid: ThreadId) {
+        self.thread_mut(tid).expect("live").state = ThreadState::Ready;
+        self.enqueue(tid, false);
     }
 
     fn job_throttled(&self, tid: ThreadId) -> bool {
@@ -796,6 +870,7 @@ impl Machine {
             (t.seg_remaining, t.quantum_left)
         };
         let run = seg.min(quantum_left).max(SimDuration::from_nanos(1));
+        self.idle = self.idle.without(core);
         let c = &mut self.cores[core.0 as usize];
         c.running = Some(tid);
         c.slice_start = self.now;
@@ -812,6 +887,7 @@ impl Machine {
     fn settle_slice(&mut self, core: CoreId) -> ThreadId {
         let c = &mut self.cores[core.0 as usize];
         let tid = c.running.take().expect("settling an occupied core");
+        self.idle = self.idle.with(core);
         let elapsed = self.now.since(c.slice_start);
         let os_part = c.slice_os_cost.min(elapsed);
         let busy = elapsed - os_part;
@@ -846,13 +922,8 @@ impl Machine {
             self.continue_or_release(core, tid, quantum_left);
         } else {
             // Quantum expired mid-segment: round-robin if anyone waits.
-            if let Some(next) = self.first_eligible_ready(core) {
-                let t = self.thread_mut(tid).expect("live");
-                t.state = ThreadState::Ready;
-                self.ready.push_back(tid);
-                self.stats.ctx_switches += 1;
-                self.remove_from_ready(next);
-                self.dispatch(core, next, self.cfg.ctx_switch_cost);
+            if let Some(at) = self.first_eligible_ready(core) {
+                self.switch_to_waiter(core, tid, at);
             } else {
                 // Nobody waits: renew the quantum in place.
                 let quantum = self.cfg.quantum;
@@ -885,14 +956,9 @@ impl Machine {
                         // Keep running: no dispatch cost, same quantum.
                         self.quota_running_changed(tid, 1);
                         self.start_slice(core, tid, SimDuration::ZERO);
-                    } else if let Some(next) = waiter {
+                    } else if let Some(at) = waiter {
                         // Quantum exhausted or someone waits: round-robin.
-                        let t = self.thread_mut(tid).expect("live");
-                        t.state = ThreadState::Ready;
-                        self.ready.push_back(tid);
-                        self.stats.ctx_switches += 1;
-                        self.remove_from_ready(next);
-                        self.dispatch(core, next, self.cfg.ctx_switch_cost);
+                        self.switch_to_waiter(core, tid, at);
                     } else {
                         // Quantum exhausted but nobody waits: renew in place.
                         let quantum = self.cfg.quantum;
@@ -931,12 +997,19 @@ impl Machine {
         self.fill_core(core, self.cfg.ctx_switch_cost);
     }
 
+    /// Round-robin on `core`: requeues `tid`, which just left it, and
+    /// dispatches the waiter found at `at`.
+    fn switch_to_waiter(&mut self, core: CoreId, tid: ThreadId, at: ReadyPos) {
+        let next = self.take_ready(at);
+        self.requeue(tid);
+        self.stats.ctx_switches += 1;
+        self.dispatch(core, next, self.cfg.ctx_switch_cost);
+    }
+
     /// Preempts the thread on `core` (resched IPI) and requeues it.
     fn preempt_core(&mut self, core: CoreId) {
         let tid = self.settle_slice(core);
-        let t = self.thread_mut(tid).expect("live");
-        t.state = ThreadState::Ready;
-        self.ready.push_back(tid);
+        self.requeue(tid);
     }
 
     /// Preempts the thread on `core` without requeueing (it is about to be
@@ -945,41 +1018,52 @@ impl Machine {
         let _ = self.settle_slice(core);
     }
 
-    /// First ready-queue thread eligible to run on `core`, skipping stale
-    /// entries.
-    fn first_eligible_ready(&self, core: CoreId) -> Option<ThreadId> {
-        self.ready
-            .iter()
-            .copied()
-            .find(|&tid| self.is_dispatchable(tid, core))
-    }
-
-    fn is_dispatchable(&self, tid: ThreadId, core: CoreId) -> bool {
-        match self.thread(tid) {
-            Some(t) if t.state == ThreadState::Ready => {
-                !self.job_throttled(tid) && self.effective_affinity(tid).contains(core)
+    /// The first thread in the ready order eligible to run on `core`: the
+    /// lowest-sequence entry, over the unthrottled jobs whose mask contains
+    /// `core`, of a live thread whose own mask contains it too. A job's
+    /// scan stops at its first such entry, or once it passes the best
+    /// sequence number found so far, so it walks only the stale and
+    /// affinity-override entries it must skip.
+    fn first_eligible_ready(&self, core: CoreId) -> Option<ReadyPos> {
+        let mut best: Option<(i64, ReadyPos)> = None;
+        for (j, job) in self.jobs.iter().enumerate() {
+            if !job.affinity.contains(core) || job.quota.as_ref().is_some_and(|q| q.throttled) {
+                continue;
             }
-            _ => false,
+            for (pos, e) in job.ready.iter().enumerate() {
+                if best.is_some_and(|(seq, _)| e.seq > seq) {
+                    break;
+                }
+                if self
+                    .thread(e.tid)
+                    .is_some_and(|t| t.affinity.contains(core))
+                {
+                    best = Some((e.seq, (j, pos)));
+                    break;
+                }
+            }
         }
+        best.map(|(_, at)| at)
     }
 
-    fn remove_from_ready(&mut self, tid: ThreadId) {
-        if let Some(pos) = self.ready.iter().position(|&x| x == tid) {
-            self.ready.remove(pos);
-        }
+    /// Removes the ready entry at `at` and returns its thread.
+    fn take_ready(&mut self, (job, pos): ReadyPos) -> ThreadId {
+        self.jobs[job].ready.remove(pos).expect("located entry").tid
     }
 
-    /// Compacts stale entries out of the ready queue once enough have
+    /// Compacts stale entries out of the ready queues once enough have
     /// accumulated, so the cost is amortized O(1) per exit rather than
     /// O(queue) per dispatch.
     fn prune_ready(&mut self) {
         if self.ready_stale > 64 {
-            let threads = &self.threads;
-            self.ready.retain(|tid| {
-                threads
-                    .get(tid.index as usize)
-                    .is_some_and(|s| s.gen == tid.gen && s.body.is_some())
-            });
+            let Machine { jobs, threads, .. } = self;
+            for job in jobs.iter_mut() {
+                job.ready.retain(|e| {
+                    threads
+                        .get(e.tid.index as usize)
+                        .is_some_and(|s| s.gen == e.tid.gen && s.body.is_some())
+                });
+            }
             self.ready_stale = 0;
         }
     }
@@ -989,8 +1073,8 @@ impl Machine {
     /// cost is not charged (an idle core absorbs it).
     fn fill_core(&mut self, core: CoreId, os_cost: SimDuration) {
         debug_assert!(self.cores[core.0 as usize].running.is_none());
-        if let Some(next) = self.first_eligible_ready(core) {
-            self.remove_from_ready(next);
+        if let Some(at) = self.first_eligible_ready(core) {
+            let next = self.take_ready(at);
             self.dispatch(core, next, os_cost);
         }
         self.prune_ready();
@@ -999,11 +1083,10 @@ impl Machine {
     /// Tries to place queued threads on every idle core (after a mask widen,
     /// quota refill, etc.).
     fn dispatch_sweep(&mut self) {
-        for i in 0..self.cores.len() {
-            let core = CoreId(i as u16);
-            if self.cores[i].running.is_none() {
-                self.fill_core(core, self.cfg.dispatch_cost);
-            }
+        // Filling a core never changes another core's occupancy, so the
+        // idle set taken up front is what a core-by-core check would find.
+        for core in self.idle.iter() {
+            self.fill_core(core, self.cfg.dispatch_cost);
         }
     }
 
@@ -1079,18 +1162,23 @@ impl Machine {
         }
     }
 
-    fn on_quota_refill(&mut self, job: JobId) {
+    fn on_quota_refill(&mut self, job: JobId, epoch: u64) {
         let now = self.now;
         let cores = self.cfg.cores;
         let period = {
-            let Some(q) = self.jobs[job.0 as usize].quota.as_mut() else {
+            let body = &mut self.jobs[job.0 as usize];
+            if body.quota_epoch != epoch {
+                return;
+            }
+            let Some(q) = body.quota.as_mut() else {
                 return;
             };
             q.settle(now);
             q.refill(cores, now);
             q.quota.period
         };
-        self.timers.push(now + period, Timer::QuotaRefill { job });
+        self.timers
+            .push(now + period, Timer::QuotaRefill { job, epoch });
         self.reschedule_exhaust(job);
         self.dispatch_sweep();
     }
@@ -1170,7 +1258,10 @@ impl std::fmt::Debug for Machine {
             .field("now", &self.now)
             .field("cores", &self.cfg.cores)
             .field("live_threads", &self.live_thread_count())
-            .field("ready", &self.ready.len())
+            .field(
+                "ready",
+                &self.jobs.iter().map(|j| j.ready.len()).sum::<usize>(),
+            )
             .finish()
     }
 }

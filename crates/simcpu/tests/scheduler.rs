@@ -461,6 +461,218 @@ fn kill_queued_thread_never_runs() {
     );
 }
 
+fn exit_tags(m: &mut Machine) -> Vec<u64> {
+    m.drain_outputs()
+        .iter()
+        .filter_map(|o| match o {
+            MachineOutput::ThreadExited { tag, .. } => Some(*tag),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn ready_order_is_fifo_across_jobs() {
+    // A secondary thread queued before a primary spawn runs first when the
+    // core frees: the ready order is one FIFO over every job.
+    let mut m = Machine::new(zero_cost_config(1));
+    let pri = m.create_job(TenantClass::Primary, CoreMask::all(1));
+    let sec = m.create_job(TenantClass::Secondary, CoreMask::all(1));
+    m.spawn_thread(SimTime::ZERO, pri, Box::new(ComputeOnce::new(ms(10))), 0);
+    m.spawn_thread(
+        SimTime::from_millis(1),
+        sec,
+        Box::new(ComputeOnce::new(ms(1))),
+        1,
+    );
+    m.spawn_thread(
+        SimTime::from_millis(2),
+        pri,
+        Box::new(ComputeOnce::new(ms(1))),
+        2,
+    );
+    m.advance_to(SimTime::from_millis(11));
+    assert_eq!(exit_tags(&mut m), vec![0, 1], "secondary runs at t=10ms");
+    m.advance_to(SimTime::from_millis(12));
+    assert_eq!(exit_tags(&mut m), vec![2]);
+}
+
+#[test]
+fn wake_boost_jumps_ahead_of_other_jobs() {
+    // A boosted wake runs ahead of an earlier-queued thread of another job.
+    let mut cfg = zero_cost_config(1);
+    cfg.quantum = ms(20);
+    let mut m = Machine::new(cfg);
+    let pri = m.create_job(TenantClass::Primary, CoreMask::all(1));
+    let sec = m.create_job(TenantClass::Secondary, CoreMask::all(1));
+    let tid = m.spawn_thread(
+        SimTime::ZERO,
+        pri,
+        Box::new(Script::new(vec![
+            Step::Compute(ms(1)),
+            Step::Block { token: 1 },
+            Step::Compute(ms(1)),
+        ])),
+        7,
+    );
+    m.advance_to(SimTime::from_millis(1));
+    m.drain_outputs();
+    // The bully takes the core; a secondary spawn queues at the back.
+    m.spawn_thread(
+        SimTime::from_millis(1),
+        sec,
+        Box::new(ComputeOnce::new(ms(100))),
+        0,
+    );
+    m.spawn_thread(
+        SimTime::from_millis(2),
+        sec,
+        Box::new(ComputeOnce::new(ms(1))),
+        1,
+    );
+    assert!(m.wake(SimTime::from_millis(3), tid));
+    // Quantum expiry at t=21ms: the woken primary runs first, then the
+    // secondary spawn queued before the bully's requeue.
+    m.advance_to(SimTime::from_millis(22));
+    assert_eq!(exit_tags(&mut m), vec![7]);
+    m.advance_to(SimTime::from_millis(23));
+    assert_eq!(exit_tags(&mut m), vec![1]);
+}
+
+#[test]
+fn throttled_job_head_is_skipped_for_other_jobs() {
+    // 2 cores, 5% quota: the secondary may use 10ms of core-time per 100ms.
+    let mut m = Machine::new(zero_cost_config(2));
+    let sec = m.create_job(TenantClass::Secondary, CoreMask::all(2));
+    let pri = m.create_job(TenantClass::Primary, CoreMask::all(2));
+    m.spawn_thread(SimTime::ZERO, sec, Box::new(ComputeOnce::new(ms(500))), 0);
+    m.set_job_quota(SimTime::ZERO, sec, Some(CpuRateQuota::percent(5.0)));
+    m.spawn_thread(SimTime::ZERO, pri, Box::new(ComputeOnce::new(ms(50))), 1);
+    // Both cores are busy: a secondary spawn heads the queue, a primary
+    // spawn follows it.
+    m.spawn_thread(
+        SimTime::from_millis(1),
+        sec,
+        Box::new(ComputeOnce::new(ms(1))),
+        2,
+    );
+    m.spawn_thread(
+        SimTime::from_millis(2),
+        pri,
+        Box::new(ComputeOnce::new(ms(1))),
+        3,
+    );
+    // The secondary throttles at t=10ms; the freed core skips its queued
+    // thread and runs the later primary spawn.
+    m.advance_to(SimTime::from_millis(12));
+    assert_eq!(exit_tags(&mut m), vec![3]);
+    assert_eq!(m.job_cpu_time(sec), ms(10));
+    // The throttled secondary spawn waits for the refill at t=100ms.
+    m.advance_to(SimTime::from_millis(99));
+    assert_eq!(exit_tags(&mut m), vec![1]);
+    m.advance_to(SimTime::from_millis(102));
+    assert_eq!(exit_tags(&mut m), vec![2]);
+}
+
+#[test]
+fn thread_affinity_override_skips_to_later_entry_of_same_job() {
+    let mut m = Machine::new(zero_cost_config(2));
+    let job = m.create_job(TenantClass::Primary, CoreMask::all(2));
+    m.spawn_thread(SimTime::ZERO, job, Box::new(ComputeOnce::new(ms(10))), 0);
+    m.spawn_thread(SimTime::ZERO, job, Box::new(ComputeOnce::new(ms(20))), 1);
+    let pinned = m.spawn_thread(SimTime::ZERO, job, Box::new(ComputeOnce::new(ms(1))), 2);
+    m.spawn_thread(SimTime::ZERO, job, Box::new(ComputeOnce::new(ms(1))), 3);
+    assert!(m.set_thread_affinity(SimTime::ZERO, pinned, CoreMask::single(CoreId(1))));
+    // Core 0 frees at t=10ms: the queue head may only run on core 1, so the
+    // thread behind it runs instead.
+    m.advance_to(SimTime::from_millis(11));
+    assert_eq!(exit_tags(&mut m), vec![0, 3]);
+    // Core 1 frees at t=20ms and takes the pinned thread.
+    m.advance_to(SimTime::from_millis(21));
+    assert_eq!(exit_tags(&mut m), vec![1, 2]);
+}
+
+#[test]
+fn killed_ready_threads_never_dispatch_across_prune() {
+    // One core held for 10ms while 100 one-millisecond threads of two jobs
+    // queue behind it. Killing 70 of them leaves more than 64 stale queue
+    // entries, which the next core fill prunes.
+    let mut m = Machine::new(zero_cost_config(1));
+    let pri = m.create_job(TenantClass::Primary, CoreMask::all(1));
+    let sec = m.create_job(TenantClass::Secondary, CoreMask::all(1));
+    m.spawn_thread(SimTime::ZERO, pri, Box::new(ComputeOnce::new(ms(10))), 0);
+    let queued: Vec<_> = (1..=100u64)
+        .map(|tag| {
+            let job = if tag % 2 == 0 { pri } else { sec };
+            let tid = m.spawn_thread(SimTime::ZERO, job, Box::new(ComputeOnce::new(ms(1))), tag);
+            (tag, tid)
+        })
+        .collect();
+    let doomed = |tag: u64| tag % 10 < 7;
+    for &(tag, tid) in &queued {
+        if doomed(tag) {
+            assert!(m.kill_thread(SimTime::from_millis(1), tid));
+        }
+    }
+    // A survivor killed after the prune is skipped too.
+    m.advance_to(SimTime::from_millis(11));
+    let late = queued
+        .iter()
+        .filter(|&&(tag, _)| !doomed(tag))
+        .nth(5)
+        .copied()
+        .expect("30 survivors");
+    assert!(m.kill_thread(SimTime::from_millis(11), late.1));
+    m.advance_to(SimTime::from_millis(100));
+    let mut completed = Vec::new();
+    let mut killed = Vec::new();
+    for o in m.drain_outputs() {
+        if let MachineOutput::ThreadExited { tag, killed: k, .. } = o {
+            if k {
+                killed.push(tag);
+            } else {
+                completed.push(tag);
+            }
+        }
+    }
+    let mut want_killed: Vec<u64> = (1..=100).filter(|&t| doomed(t)).collect();
+    want_killed.push(late.0);
+    assert_eq!(killed, want_killed, "each kill exits exactly once");
+    let want_completed: Vec<u64> = std::iter::once(0)
+        .chain((1..=100).filter(|&t| !doomed(t) && t != late.0))
+        .collect();
+    assert_eq!(completed, want_completed, "survivors run in queue order");
+    assert_eq!(
+        m.job_cpu_time(pri) + m.job_cpu_time(sec),
+        ms(10) + ms(want_completed.len() as u64 - 1),
+        "killed threads consumed nothing"
+    );
+}
+
+#[test]
+fn reinstalled_quota_keeps_one_refill_per_period() {
+    // One core, 10% quota over 100ms, removed at 40ms and re-installed at
+    // 50ms: the job must still get 10ms per period, not one refill from
+    // each installation.
+    let mut m = Machine::new(zero_cost_config(1));
+    let job = m.create_job(TenantClass::Secondary, CoreMask::all(1));
+    let progress = Arc::new(AtomicU64::new(0));
+    m.spawn_thread(
+        SimTime::ZERO,
+        job,
+        Box::new(ComputeLoop::new(ms(1), progress)),
+        0,
+    );
+    let quota = Some(CpuRateQuota::percent(10.0));
+    m.set_job_quota(SimTime::ZERO, job, quota);
+    m.set_job_quota(SimTime::from_millis(40), job, None);
+    m.set_job_quota(SimTime::from_millis(50), job, quota);
+    m.advance_to(SimTime::from_millis(200));
+    let before = m.job_cpu_time(job);
+    m.advance_to(SimTime::from_millis(1_200));
+    assert_eq!(m.job_cpu_time(job) - before, ms(100));
+}
+
 #[test]
 fn quota_throttles_whole_job_mid_period() {
     // One core, 10% quota over 100ms: the job may run 10ms per period.
