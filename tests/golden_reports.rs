@@ -108,8 +108,12 @@ fn walk(path: &str, got: &Value, want: &Value) -> Result<(), String> {
 }
 
 fn check_golden(name: &str) {
-    let spec = golden_case(name);
-    let report = run_spec(&spec, &RunOptions::serial()).expect("golden case runs");
+    check_golden_spec(name, &golden_case(name));
+}
+
+/// Runs `spec` serially and compares its report with `tests/golden/{name}.json`.
+fn check_golden_spec(name: &str, spec: &ScenarioSpec) {
+    let report = run_spec(spec, &RunOptions::serial()).expect("golden case runs");
     let text = report.to_json();
     let fixture_path = golden_dir().join(format!("{name}.json"));
 
@@ -223,6 +227,21 @@ fn golden_cluster_small() {
     check_golden("cluster-small");
 }
 
+/// The paper topology (4 TLAs, 44 index boxes, HDFS, `FullPerfIso`) at a
+/// 10 + 20 ms window and one seed: `golden_case`'s 150 + 400 ms window
+/// would cost several seconds of release time per run on 75 machines.
+#[test]
+fn golden_fig09() {
+    let mut spec = spec::named("fig09").expect("registered scenario");
+    spec.scale = ScaleSpec::Custom {
+        warmup_ms: 10,
+        measure_ms: 20,
+    };
+    spec.seeds = 1;
+    spec.validate().expect("golden case validates");
+    check_golden_spec("fig09", &spec);
+}
+
 /// The arbitration fixture is the acceptance surface for multi-primary
 /// boxes: both colocated services must appear with their own measured
 /// tails, and both must actually complete queries under the bully.
@@ -307,6 +326,7 @@ fn golden_fixtures_parse_as_reports() {
         "graph-hedged",
         "dual-primary-arbitration",
         "cluster-small",
+        "fig09",
     ] {
         let path = golden_dir().join(format!("{name}.json"));
         let text = std::fs::read_to_string(&path)
