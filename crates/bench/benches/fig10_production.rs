@@ -5,7 +5,7 @@
 //! Paper result (shape): CPU utilization averages ~70 % over the hour while
 //! the TLA-level p99 stays flat as QPS moves.
 //!
-//! Substitution (documented in DESIGN.md): the hour is sampled per minute
+//! Substitution: the hour is sampled per minute
 //! on a few representative machines (steady-state DES slices) and
 //! extrapolated to the fleet; the reported p99 here is per-machine. The
 //! experiment is the registry's `fig10` scenario.

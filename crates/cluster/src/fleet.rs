@@ -9,7 +9,7 @@
 //! minute, a handful of representative machines run a short DES slice at
 //! that minute's load (from the [`qtrace::DiurnalCurve`]) with the ML
 //! trainer colocated under blind isolation; per-minute results extrapolate
-//! fleet-wide. DESIGN.md documents this substitution.
+//! fleet-wide.
 //!
 //! # Parallelism
 //!

@@ -1002,19 +1002,44 @@ impl BoxSim {
     pub fn advance_to(&mut self, t: SimTime) {
         assert!(t >= self.now, "time went backwards");
         while let Some(next) = self.next_event_time().filter(|&n| n <= t) {
-            self.now = next;
-            self.machine.advance_to(next);
-            self.disk.advance_to(next);
-            self.advance_services(next);
-            while let Some((_, ev)) = self.app.pop_before(next) {
-                self.handle_app_event(ev);
-            }
-            self.settle();
+            self.process_instant(next);
         }
         self.now = t;
         self.machine.advance_to(t);
         self.disk.advance_to(t);
         self.advance_services(t);
+        self.settle();
+    }
+
+    /// Processes this box's own events in time order up to and including
+    /// `horizon`, stopping after the first instant that leaves
+    /// [`BoxEvent`]s to drain (and doing nothing while events from an
+    /// earlier instant are still held).
+    ///
+    /// Unlike [`BoxSim::advance_to`], the clock stays at the last instant
+    /// processed instead of moving on to `horizon`, so a run-ahead box is
+    /// in the same state as one advanced to each of its event instants in
+    /// turn: a later `advance_to` or injection at any instant up to
+    /// `horizon` continues exactly as it would have.
+    pub fn run_ahead(&mut self, horizon: SimTime) {
+        while let Some(next) = self.next_event_time().filter(|&n| n <= horizon) {
+            if next > self.now && self.has_events() {
+                break;
+            }
+            self.process_instant(next);
+        }
+    }
+
+    /// One pass over everything due at `at`, which must be this box's
+    /// next event time (the body shared by `advance_to` and `run_ahead`).
+    fn process_instant(&mut self, at: SimTime) {
+        self.now = at;
+        self.machine.advance_to(at);
+        self.disk.advance_to(at);
+        self.advance_services(at);
+        while let Some((_, ev)) = self.app.pop_before(at) {
+            self.handle_app_event(ev);
+        }
         self.settle();
     }
 
@@ -2078,6 +2103,139 @@ mod tests {
             measure: SimDuration::from_millis(1_500),
             trace: TraceConfig::default(),
         }
+    }
+
+    /// Everything observable about a box's end state, for exact
+    /// comparison (`Debug` prints floats in round-trip form).
+    fn end_state(b: &BoxSim) -> String {
+        format!(
+            "{:?} {:?} {:?} {:?} {:?} {} {:?}",
+            b.now(),
+            b.breakdown(),
+            b.machine_stats(),
+            b.controller_stats(),
+            b.secondary_cpu_time(),
+            b.workers_spawned(),
+            b.resilience_report(),
+        )
+    }
+
+    /// `run_ahead` plus drains must replay `advance_to` at every event
+    /// instant exactly: the same events at the same instants, the clock
+    /// at the last instant processed after every call, and a
+    /// bit-identical end state. Horizons mix injection instants (the
+    /// cluster's deliveries), window cuts, and output instants hit
+    /// exactly.
+    #[test]
+    fn run_ahead_matches_advance_to_at_every_event_instant() {
+        let cfg = || {
+            BoxConfig::paper_box(
+                SecondaryKind {
+                    cpu_bully: Some(BullyIntensity::High),
+                    disk_bully: None,
+                    hdfs: true,
+                },
+                Some(PerfIsoConfig::paper_cluster()),
+                11,
+            )
+        };
+        let end = SimTime::from_millis(40);
+        let arrivals: Vec<(SimTime, QuerySpec)> = {
+            let trace = TraceGenerator::new(TraceConfig {
+                queries: 200,
+                ..TraceConfig::default()
+            })
+            .generate(5);
+            let mut client = OpenLoopClient::new(trace, 2_000.0, 6);
+            std::iter::from_fn(|| client.pop())
+                .take_while(|(at, _)| *at <= end)
+                .collect()
+        };
+        assert!(arrivals.len() > 40, "{} arrivals", arrivals.len());
+
+        // Reference: advance to each of the box's event instants in turn,
+        // injecting at arrivals, and drain after every call.
+        let mut a = BoxSim::new(cfg());
+        let mut want: Vec<(SimTime, String)> = Vec::new();
+        let mut event_instants = std::collections::BTreeSet::new();
+        let mut pending = arrivals.iter().peekable();
+        loop {
+            let t_box = a.next_event_time().unwrap_or(SimTime::MAX);
+            let t_arr = pending.peek().map_or(SimTime::MAX, |(at, _)| *at);
+            let t = t_box.min(t_arr);
+            if t > end {
+                break;
+            }
+            if t_box == t {
+                event_instants.insert(t);
+            }
+            if t_arr == t {
+                let (at, spec) = pending.next().expect("peeked");
+                a.inject_query(*at, spec.clone());
+            } else {
+                a.advance_to(t);
+            }
+            assert_eq!(a.now(), t);
+            want.extend(a.drain_events().iter().map(|ev| (t, format!("{ev:?}"))));
+        }
+        let outputs: Vec<SimTime> = want.iter().map(|(t, _)| *t).collect();
+        assert!(outputs.len() > 40, "{} outputs", outputs.len());
+
+        let mut horizons: Vec<SimTime> = arrivals
+            .iter()
+            .map(|(at, _)| *at)
+            .chain((1..=end.as_micros() / 170).map(|k| SimTime::from_micros(170 * k)))
+            .chain(outputs.iter().copied().step_by(5))
+            .chain([end])
+            .collect();
+        horizons.sort_unstable();
+        horizons.dedup();
+        assert!(horizons.iter().any(|h| outputs.contains(h)));
+
+        let mut b = BoxSim::new(cfg());
+        let mut got: Vec<(SimTime, String)> = Vec::new();
+        let mut pending = arrivals.iter().peekable();
+        let mut injected_at = SimTime::ZERO;
+        for h in horizons {
+            loop {
+                b.run_ahead(h);
+                assert!(b.now() <= h, "clock {} passed horizon {h}", b.now());
+                if !b.has_events() {
+                    // Every event instant up to `h` is processed and the
+                    // clock sits at the last one (or the last injection).
+                    assert!(b.next_event_time().is_none_or(|n| n > h));
+                    let last_event = event_instants.range(..=h).next_back().copied();
+                    assert_eq!(
+                        b.now(),
+                        last_event.map_or(injected_at, |e| e.max(injected_at))
+                    );
+                    break;
+                }
+                // Held output: the clock stops at that event instant, with
+                // everything due there processed.
+                assert!(event_instants.contains(&b.now()));
+                assert!(b.next_event_time().is_none_or(|n| n > b.now()));
+                let t = b.now();
+                got.extend(b.drain_events().iter().map(|ev| (t, format!("{ev:?}"))));
+            }
+            while pending.peek().is_some_and(|(at, _)| *at == h) {
+                let (at, spec) = pending.next().expect("peeked");
+                b.inject_query(*at, spec.clone());
+                injected_at = h;
+                got.extend(b.drain_events().iter().map(|ev| (h, format!("{ev:?}"))));
+            }
+        }
+        assert_eq!(got, want, "event sequences differ");
+        assert_eq!(end_state(&b), end_state(&a));
+        // Both continue identically from there.
+        let tail = end + SimDuration::from_millis(30);
+        a.advance_to(tail);
+        b.advance_to(tail);
+        assert_eq!(
+            format!("{:?}", b.drain_events()),
+            format!("{:?}", a.drain_events())
+        );
+        assert_eq!(end_state(&b), end_state(&a));
     }
 
     #[test]

@@ -12,7 +12,7 @@ fn main() {
     let report = s
         .cluster_sim(3, 1)
         .expect("cluster scenario")
-        .run_traced(50_000);
+        .run_traced(5_000);
     eprintln!(
         "completed={} degraded={}",
         report.completed, report.degraded

@@ -118,7 +118,7 @@ impl EgressShaper {
     /// should re-poll at that time; the message is *not* dequeued.
     pub(crate) fn try_start(&mut self, now: SimTime) -> StartDecision {
         if self.busy_until > now {
-            return StartDecision::BusyUntil(self.busy_until);
+            return StartDecision::Busy;
         }
         if let Some(msg) = self.high.pop_front() {
             return StartDecision::Start(msg);
@@ -154,8 +154,8 @@ impl EgressShaper {
 pub(crate) enum StartDecision {
     /// Nothing queued.
     Empty,
-    /// NIC serializing until the given instant.
-    BusyUntil(SimTime),
+    /// NIC serializing until `busy_until`.
+    Busy,
     /// Low-class tokens available at the given instant.
     TokensAt(SimTime),
     /// This message starts now.
@@ -243,7 +243,7 @@ mod tests {
     }
 
     #[test]
-    fn busy_nic_reports_when_free() {
+    fn busy_nic_starts_nothing_until_free() {
         let mut s = EgressShaper::new(GBE10);
         s.busy_until = SimTime::from_micros(100);
         s.enqueue(EgressMsg {
@@ -252,9 +252,10 @@ mod tests {
             token: 1,
             dest: 0,
         });
+        assert!(matches!(s.try_start(SimTime::ZERO), StartDecision::Busy));
         assert!(matches!(
-            s.try_start(SimTime::ZERO),
-            StartDecision::BusyUntil(t) if t == SimTime::from_micros(100)
+            s.try_start(SimTime::from_micros(100)),
+            StartDecision::Start(m) if m.token == 1
         ));
     }
 }

@@ -1,5 +1,8 @@
 //! The network simulator: nodes, messages, deliveries.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use simcore::{dist::Exp, dist::Sample, EventQueue, SimDuration, SimRng, SimTime};
 
 use crate::shaper::{EgressMsg, EgressShaper, StartDecision, TrafficClass};
@@ -78,6 +81,9 @@ pub struct NetSim {
     now: SimTime,
     shapers: Vec<EgressShaper>,
     timers: EventQueue<NetTimer>,
+    /// Per destination node, the landing times of its scheduled
+    /// `Deliver` timers (earliest on top).
+    inbound: Vec<BinaryHeap<Reverse<SimTime>>>,
     deliveries: Vec<Delivery>,
     jitter: Exp,
     rng: SimRng,
@@ -94,6 +100,7 @@ impl NetSim {
                 .map(|_| EgressShaper::new(cfg.nic_bandwidth))
                 .collect(),
             timers: EventQueue::with_capacity(256),
+            inbound: (0..nodes).map(|_| BinaryHeap::new()).collect(),
             deliveries: Vec::new(),
             jitter: Exp::from_mean(cfg.jitter_mean.as_secs_f64().max(1e-9)),
             rng: SimRng::seed_from_u64(seed),
@@ -104,6 +111,11 @@ impl NetSim {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
+    }
+
+    /// The fabric parameters.
+    pub fn config(&self) -> NetConfig {
+        self.cfg
     }
 
     /// Number of messages sent so far.
@@ -149,10 +161,7 @@ impl NetSim {
         let at = at.max(self.now);
         // Self-delivery skips the NIC entirely (loopback).
         if from == to {
-            self.timers.push(
-                at + SimDuration::from_micros(2),
-                NetTimer::Deliver { to, from, token },
-            );
+            self.schedule_delivery(at + SimDuration::from_micros(2), to, from, token);
             return;
         }
         self.timers.push(
@@ -172,6 +181,22 @@ impl NetSim {
     /// Time of the next internal event, if any.
     pub fn next_timer_at(&self) -> Option<SimTime> {
         self.timers.peek_time()
+    }
+
+    /// Landing time of the earliest delivery already scheduled to `node`.
+    ///
+    /// Messages not yet on the wire (sends still to be enqueued, or
+    /// queued behind a busy NIC) are not counted: they land no earlier
+    /// than their serialization start plus [`NetConfig::base_latency`].
+    /// A loopback is scheduled as it is sent, 2 µs after its send time.
+    pub fn next_delivery_to(&self, node: NodeId) -> Option<SimTime> {
+        self.inbound[node.0 as usize].peek().map(|r| r.0)
+    }
+
+    fn schedule_delivery(&mut self, land: SimTime, to: NodeId, from: NodeId, token: u64) {
+        self.inbound[to.0 as usize].push(Reverse(land));
+        self.timers
+            .push(land, NetTimer::Deliver { to, from, token });
     }
 
     /// Takes all pending deliveries.
@@ -208,6 +233,10 @@ impl NetSim {
                 }
                 NetTimer::Egress { node } => self.pump(node),
                 NetTimer::Deliver { to, from, token } => {
+                    // Deliveries to one node pop in landing order, so this
+                    // one is the earliest recorded for it.
+                    let landed = self.inbound[to.0 as usize].pop();
+                    debug_assert_eq!(landed, Some(Reverse(at)));
                     self.deliveries.push(Delivery {
                         to,
                         from,
@@ -223,10 +252,12 @@ impl NetSim {
     /// Tries to start serializing the next eligible message on `node`.
     fn pump(&mut self, node: NodeId) {
         match self.shapers[node.0 as usize].try_start(self.now) {
-            StartDecision::Empty => {}
-            StartDecision::BusyUntil(at) | StartDecision::TokensAt(at) => {
-                // Re-poll when the NIC frees or tokens arrive. Guard against
-                // scheduling in the past due to float rounding.
+            // A busy NIC needs no re-poll of its own: the `Start` that
+            // made it busy already queued one at the instant it frees.
+            StartDecision::Empty | StartDecision::Busy => {}
+            StartDecision::TokensAt(at) => {
+                // Re-poll when tokens arrive. Guard against scheduling in
+                // the past due to float rounding.
                 self.timers
                     .push(at.max(self.now), NetTimer::Egress { node });
             }
@@ -235,14 +266,7 @@ impl NetSim {
                 self.shapers[node.0 as usize].busy_until = self.now + ser;
                 let jitter = SimDuration::from_secs_f64(self.jitter.sample(&mut self.rng));
                 let land = self.now + ser + self.cfg.base_latency + jitter;
-                self.timers.push(
-                    land,
-                    NetTimer::Deliver {
-                        to: NodeId(msg.dest),
-                        from: node,
-                        token: msg.token,
-                    },
-                );
+                self.schedule_delivery(land, NodeId(msg.dest), node, msg.token);
                 // Re-poll when serialization finishes.
                 self.timers.push(self.now + ser, NetTimer::Egress { node });
             }
@@ -289,6 +313,78 @@ mod tests {
         // At least the base latency, at most a few hundred microseconds.
         assert!(d[0].at >= SimTime::from_micros(40));
         assert!(d[0].at < SimTime::from_millis(2), "landed at {}", d[0].at);
+    }
+
+    /// A busy NIC is re-polled once, by the `Start` that made it busy: a
+    /// burst of k sends from one node must not queue one re-poll per
+    /// blocked message on top of it.
+    #[test]
+    fn burst_queues_one_repoll_not_one_per_message() {
+        let mut n = NetSim::new(NetConfig::default(), 2, 8);
+        for k in 0..10 {
+            n.send(
+                SimTime::ZERO,
+                NodeId(0),
+                NodeId(1),
+                1024,
+                TrafficClass::High,
+                k,
+            );
+        }
+        n.advance_to(SimTime::ZERO);
+        // The first message's delivery plus the NIC-free re-poll.
+        assert_eq!(n.timers.len(), 2);
+        // Every message still leaves: jitter may reorder the landings.
+        let mut tokens: Vec<u64> = drain_all(&mut n).iter().map(|x| x.token).collect();
+        tokens.sort_unstable();
+        assert_eq!(tokens, (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn next_delivery_to_tracks_scheduled_landings() {
+        let mut n = NetSim::new(NetConfig::default(), 3, 9);
+        n.send(
+            SimTime::ZERO,
+            NodeId(0),
+            NodeId(1),
+            1024,
+            TrafficClass::High,
+            1,
+        );
+        n.send(
+            SimTime::ZERO,
+            NodeId(2),
+            NodeId(1),
+            1024,
+            TrafficClass::High,
+            2,
+        );
+        n.send(
+            SimTime::ZERO,
+            NodeId(2),
+            NodeId(2),
+            1024,
+            TrafficClass::High,
+            3,
+        );
+        // Only the loopback is scheduled before the enqueues run.
+        assert_eq!(n.next_delivery_to(NodeId(1)), None);
+        assert_eq!(n.next_delivery_to(NodeId(2)), Some(SimTime::from_micros(2)));
+        n.advance_to(SimTime::ZERO);
+        let first = n
+            .next_delivery_to(NodeId(1))
+            .expect("two landings scheduled");
+        assert!(first >= SimTime::ZERO + n.config().base_latency);
+        n.advance_to(first);
+        let mut got = Vec::new();
+        n.drain_deliveries_into(&mut got);
+        assert!(got.iter().all(|d| d.at <= first));
+        let second = n.next_delivery_to(NodeId(1)).expect("one landing left");
+        assert!(second >= first);
+        let rest = drain_all(&mut n);
+        assert_eq!(got.len() + rest.len(), 3);
+        assert_eq!(n.next_delivery_to(NodeId(1)), None);
+        assert_eq!(n.next_delivery_to(NodeId(2)), None);
     }
 
     #[test]
