@@ -22,10 +22,9 @@
 //! 109,699 global steps instead of 1,454,386, and its median wall time
 //! on a 2-core Xeon VM fell from 1.44 s to 0.81 s.
 //!
-//! The window-start run-aheads are independent of one another, so they
-//! fan out across a persistent [`WorkerPool`] of
-//! [`ClusterConfig::threads`] threads when enough boxes have work; the
-//! parallel run is bit-identical to the serial one.
+//! The loop runs on one thread. A window opens with about 21 box
+//! run-aheads of 60–80 µs in total, about as long as waking a parked
+//! thread, so handing them to helper threads did not pay on 2 cores.
 
 use std::collections::HashMap;
 
@@ -38,7 +37,6 @@ use simcpu::MachineConfig;
 use simnet::{Delivery, NetConfig, NetSim, NodeId, TrafficClass};
 use telemetry::{CpuBreakdown, LatencyRecorder, TelemetryMode};
 
-use crate::pool::WorkerPool;
 use crate::report::{ClusterReport, LayerStats};
 use crate::topology::Topology;
 
@@ -69,9 +67,6 @@ pub struct ClusterConfig {
     pub tla_cost: SimDuration,
     /// RNG seed.
     pub seed: u64,
-    /// Threads for the window-start box run-aheads: `0` = all available
-    /// cores, `1` = serial. Results are bit-identical across thread counts.
-    pub threads: usize,
     /// Cluster-wide fault timeline; each index box receives its slice
     /// (staged config rollouts reach only the leading boxes).
     pub fault: Option<std::sync::Arc<FaultPlan>>,
@@ -99,7 +94,6 @@ impl ClusterConfig {
             mla_agg_cost_us: 260.0,
             tla_cost: SimDuration::from_micros(80),
             seed,
-            threads: 0,
             fault: None,
             telemetry: TelemetryMode::Exact,
             resilience: None,
@@ -163,20 +157,12 @@ pub struct ClusterSim {
     tla_lat: LatencyRecorder,
     completed: u64,
     degraded: u64,
-    /// Persistent run-ahead workers (`None` when the run is serial).
-    pool: Option<WorkerPool>,
-    /// Reusable buffers: the window-start `(box, horizon)` run-aheads,
-    /// the boxes one step touches, fabric deliveries and box events.
-    scratch_entries: Vec<(u32, SimTime)>,
+    /// Reusable buffers: the boxes one step touches, fabric deliveries
+    /// and box events.
     scratch_boxes: Vec<usize>,
     scratch_deliveries: Vec<Delivery>,
     scratch_events: Vec<BoxEvent>,
 }
-
-/// Minimum number of boxes with work at a window start before the
-/// run-aheads fan out to worker threads; below this the hand-off
-/// overhead beats the win.
-const PARALLEL_RUN_AHEAD_THRESHOLD: usize = 8;
 
 /// A box's next event time, `SimTime::MAX` when it has none.
 fn next_event_or_max(b: &BoxSim) -> SimTime {
@@ -249,11 +235,6 @@ impl ClusterSim {
             tla_lat: cfg.telemetry.recorder(),
             completed: 0,
             degraded: 0,
-            pool: match crate::fleet::effective_threads(cfg.threads) {
-                0 | 1 => None,
-                threads => Some(WorkerPool::new(threads)),
-            },
-            scratch_entries: Vec::with_capacity(n_index as usize),
             scratch_boxes: Vec::with_capacity(n_index as usize),
             scratch_deliveries: Vec::with_capacity(64),
             scratch_events: Vec::with_capacity(64),
@@ -398,49 +379,25 @@ impl ClusterSim {
             .map_or(last, |d| d.min(last))
     }
 
-    /// Runs every box with work ahead to its horizon, handing the calls
-    /// to the persistent pool when enough boxes have work (boxes never
-    /// observe each other between routed deliveries, so the result is the
-    /// same as running them one by one).
+    /// Runs every box with work ahead to its horizon. No box holds output
+    /// when a window opens, and a run-ahead never touches the fabric, so
+    /// each box's horizon is the same whichever box runs first.
     fn start_window(&mut self, last: SimTime) {
-        let mut entries = std::mem::take(&mut self.scratch_entries);
-        entries.clear();
         for i in 0..self.boxes.len() {
-            let h = self.horizon(i, last);
-            if self.next_at[i] <= h {
-                entries.push((i as u32, h));
-            }
+            self.run_box(i, last);
         }
-        match self.pool.as_mut() {
-            Some(pool) if entries.len() >= PARALLEL_RUN_AHEAD_THRESHOLD => {
-                pool.run_ahead(&mut self.boxes, &entries);
-            }
-            _ => {
-                for &(i, h) in &entries {
-                    self.boxes[i as usize].run_ahead(h);
-                }
-            }
-        }
-        for &(i, _) in &entries {
-            self.after_run(i as usize);
-        }
-        self.scratch_entries = entries;
     }
 
     /// Runs box `i` ahead to its horizon unless it holds output already
-    /// (it then waits for its drain) or has nothing due by then.
+    /// (it then waits for its drain) or has nothing due by then; refreshes
+    /// its cached next event, and holds it if it stopped with output to
+    /// route.
     fn run_box(&mut self, i: usize, last: SimTime) {
         let h = self.horizon(i, last);
         if self.boxes[i].has_events() || self.next_at[i] > h {
             return;
         }
         self.boxes[i].run_ahead(h);
-        self.after_run(i);
-    }
-
-    /// Book-keeping after box `i` ran ahead: refresh its cached next
-    /// event, and hold it if it stopped with output to route.
-    fn after_run(&mut self, i: usize) {
         self.refresh(i);
         if self.boxes[i].has_events() {
             self.held.push(i);

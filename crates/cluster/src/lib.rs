@@ -17,9 +17,10 @@
 //! 650-machine production experiment of Fig 10 by per-minute steady-state
 //! sampling.
 
+#![forbid(unsafe_code)]
+
 pub mod clustersim;
 pub mod fleet;
-mod pool;
 pub mod report;
 pub mod topology;
 

@@ -36,7 +36,7 @@ pub enum Command {
 /// The PerfIso service.
 ///
 /// Generic over [`SystemInterface`] so the same controller drives the
-/// simulator and (behind the `host` feature) a real Linux machine.
+/// simulator and the unit tests' mock.
 #[derive(Clone, Debug)]
 pub struct PerfIso {
     cfg: PerfIsoConfig,

@@ -24,7 +24,7 @@
 //!
 //! The controller talks to the OS through [`system::SystemInterface`], so
 //! the same logic drives the discrete-event simulator (crate `scenarios`)
-//! and, behind the `host` feature, a real Linux host ([`host`]).
+//! and the unit tests' [`system::MockSystem`].
 //!
 //! # Quickstart
 //!
@@ -41,12 +41,12 @@
 //! assert_eq!(sys.secondary_affinity.count(), 48 - 8);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod blind;
 pub mod config;
 pub mod controller;
 pub mod dwrr;
-#[cfg(feature = "host")]
-pub mod host;
 pub mod memory;
 pub mod recovery;
 pub mod system;

@@ -10,7 +10,7 @@ fn main() {
     s.validate().expect("still a valid spec");
     eprintln!("running {} ({})", s.name, s.target.describe());
     let report = s
-        .cluster_sim(3, 1)
+        .cluster_sim(3)
         .expect("cluster scenario")
         .run_traced(5_000);
     eprintln!(

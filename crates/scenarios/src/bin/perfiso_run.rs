@@ -232,11 +232,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     println!(
         "\n{} seed(s) in {wall:.2}s wall ({} sweep)",
         report.seeds.len(),
-        if opts.threads == 1 {
-            "serial"
-        } else {
-            "parallel"
-        },
+        sweep_label(&opts, report.seeds.len()),
     );
     if let Some(path) = out {
         std::fs::write(&path, report.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -265,17 +261,22 @@ fn run_sweep_cmd(spec: &ScenarioSpec, opts: &RunOptions, out: Option<&str>) -> R
         "\n{} cells x {} seed(s) in {wall:.2}s wall ({} sweep)",
         sweep.cells.len(),
         sweep.seeds.len(),
-        if opts.threads == 1 {
-            "serial"
-        } else {
-            "parallel"
-        },
+        sweep_label(opts, sweep.cells.len() * sweep.seeds.len()),
     );
     if let Some(path) = out {
         std::fs::write(path, sweep.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote {path}");
     }
     Ok(())
+}
+
+/// Whether `jobs` independent runs fanned out over worker threads.
+fn sweep_label(opts: &RunOptions, jobs: usize) -> &'static str {
+    if opts.workers(jobs) > 1 {
+        "parallel"
+    } else {
+        "serial"
+    }
 }
 
 fn print_sweep(sweep: &SweepReport) {

@@ -923,10 +923,14 @@ impl ScenarioSpec {
 
     /// The cluster configuration for one seed.
     ///
+    /// The cluster runs on one thread. `_threads` is unused; it stays only
+    /// because the benchmark replay (`e2ebench/src/replay.rs`) passes it,
+    /// and goes with the benchmark's next change.
+    ///
     /// # Errors
     ///
     /// Fails on validation errors or a non-cluster target.
-    pub fn cluster_config(&self, seed: u64, threads: usize) -> Result<ClusterConfig, SpecError> {
+    pub fn cluster_config(&self, seed: u64, _threads: usize) -> Result<ClusterConfig, SpecError> {
         self.validate()?;
         let TargetSpec::Cluster {
             columns,
@@ -956,7 +960,6 @@ impl ScenarioSpec {
                 .to_plan(effective.as_ref())
                 .map(std::sync::Arc::new),
             perfiso: effective,
-            threads,
             telemetry: self.telemetry.mode(),
             resilience: self.resilience.to_policy(),
             ..ClusterConfig::paper_cluster(self.secondary.clone(), seed)
@@ -968,8 +971,8 @@ impl ScenarioSpec {
     /// # Errors
     ///
     /// Fails on validation errors or a non-cluster target.
-    pub fn cluster_sim(&self, seed: u64, threads: usize) -> Result<ClusterSim, SpecError> {
-        Ok(ClusterSim::new(self.cluster_config(seed, threads)?))
+    pub fn cluster_sim(&self, seed: u64) -> Result<ClusterSim, SpecError> {
+        Ok(ClusterSim::new(self.cluster_config(seed, 1)?))
     }
 
     /// The fleet-sweep configuration for one seed.

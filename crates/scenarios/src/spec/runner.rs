@@ -10,7 +10,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cluster::fleet::{effective_threads, run_fleet, FleetReport};
-use cluster::{ClusterReport, ClusterSim};
+use cluster::ClusterReport;
 use indexserve::boxsim::{run_multi, run_standalone, ServicePlan};
 use indexserve::BoxReport;
 use serde::{Deserialize, Serialize};
@@ -41,6 +41,12 @@ impl RunOptions {
     /// All cores, with the given repetition override.
     pub fn parallel(seeds: Option<u32>) -> Self {
         RunOptions { seeds, threads: 0 }
+    }
+
+    /// Worker threads a sweep of `jobs` independent runs fans out over:
+    /// the thread knob, capped at one worker per job.
+    pub fn workers(&self, jobs: usize) -> usize {
+        effective_threads(self.threads).min(jobs.max(1))
     }
 }
 
@@ -236,7 +242,8 @@ fn summarize(runs: &[SeedReport]) -> Summary {
     summary
 }
 
-/// Runs one seed of the scenario.
+/// Runs one seed of the scenario; `inner_threads` feeds the fleet's
+/// slice sweep.
 fn run_seed(spec: &ScenarioSpec, seed: u64, inner_threads: usize) -> SeedReport {
     match &spec.target {
         TargetSpec::SingleBox { .. } => {
@@ -254,8 +261,7 @@ fn run_seed(spec: &ScenarioSpec, seed: u64, inner_threads: usize) -> SeedReport 
             SeedReport::SingleBox(run_multi(cfg, &plans, scale.warmup, scale.measure))
         }
         TargetSpec::Cluster { .. } => {
-            let cfg = spec.cluster_config(seed, inner_threads).expect("validated");
-            SeedReport::Cluster(ClusterSim::new(cfg).run())
+            SeedReport::Cluster(spec.cluster_sim(seed).expect("validated").run())
         }
         TargetSpec::Fleet { .. } => {
             let cfg = spec.fleet_config(seed, inner_threads).expect("validated");
@@ -269,9 +275,10 @@ fn run_seed(spec: &ScenarioSpec, seed: u64, inner_threads: usize) -> SeedReport 
 ///
 /// Parallel and serial execution produce bit-identical reports: seeds
 /// never observe each other, and the floating-point reduction happens in
-/// one fixed order. When the seed sweep itself is parallel, the inner
-/// cluster/fleet simulations run serially (their own parallelism is also
-/// bit-identical, so this only affects wall-clock, never results).
+/// one fixed order. Only the fleet has inner parallelism (its slice
+/// sweep); when the seed sweep itself is parallel, each fleet runs its
+/// slices serially (the slice sweep is also bit-identical, so this only
+/// affects wall-clock, never results).
 ///
 /// # Errors
 ///
@@ -285,9 +292,9 @@ pub fn run_spec(spec: &ScenarioSpec, opts: &RunOptions) -> Result<Report, SpecEr
     }
     let seeds = spec.seed_list(opts.seeds);
     let n = seeds.len();
-    let workers = effective_threads(opts.threads).min(n);
+    let workers = opts.workers(n);
     // Avoid oversubscription: parallelize across seeds *or* inside the
-    // one simulation, never both.
+    // one fleet, never both.
     let inner_threads = if workers > 1 { 1 } else { opts.threads };
     let runs = fan_out(n, workers, |idx| run_seed(spec, seeds[idx], inner_threads));
     let summary = summarize(&runs);
@@ -370,7 +377,7 @@ pub fn run_sweep(spec: &ScenarioSpec, opts: &RunOptions) -> Result<SweepReport, 
     let seeds = spec.seed_list(opts.seeds);
     let (n_cells, n_seeds) = (cells.len(), seeds.len());
     let n_jobs = n_cells * n_seeds;
-    let workers = effective_threads(opts.threads).min(n_jobs.max(1));
+    let workers = opts.workers(n_jobs);
     let inner_threads = if workers > 1 { 1 } else { opts.threads };
     let results = fan_out(n_jobs, workers, |idx| {
         let (c, s) = (idx / n_seeds, idx % n_seeds);
@@ -474,6 +481,17 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
         }
+    }
+
+    #[test]
+    fn workers_cap_the_thread_knob_at_the_job_count() {
+        let opts = |threads| RunOptions {
+            seeds: None,
+            threads,
+        };
+        assert_eq!(opts(0).workers(1), 1);
+        assert_eq!(opts(4).workers(6), 4);
+        assert_eq!(opts(1).workers(6), 1);
     }
 
     #[test]

@@ -30,9 +30,10 @@ pub enum Step {
 
 /// A pull-based description of a thread's lifetime.
 ///
-/// Programs must be [`Send`]: whole machines (and the boxes embedding
-/// them) migrate across worker threads when the cluster and fleet drivers
-/// fan simulation slices out in parallel.
+/// Programs are [`Send`], so whole machines (and the boxes embedding
+/// them) may move between threads. No caller moves one today: the fleet
+/// sweep and the seed sweep build each box on the worker thread that
+/// runs it.
 pub trait ThreadProgram: Send {
     /// Returns the next step. Called once at spawn and again after each step
     /// completes (compute finished, block woken, sleep expired).

@@ -18,8 +18,8 @@ fn small(name: &str, seed: u64) -> ScenarioBuilder {
 
 fn run(builder: ScenarioBuilder) -> ClusterReport {
     let spec = builder.build().expect("valid spec");
-    // All cores: with one seed the thread knob reaches the cluster's box
-    // advance, which is bit-identical to serial by the pool's guarantee.
+    // The default options: one seed runs inline, and the cluster itself
+    // always runs on one thread.
     let report = run_spec(&spec, &RunOptions::parallel(None)).expect("runnable spec");
     report.runs[0].as_cluster().expect("cluster target").clone()
 }

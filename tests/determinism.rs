@@ -1,8 +1,7 @@
 //! Reproducibility: every simulation in the workspace is deterministic in
 //! its seed, distinct seeds genuinely decorrelate runs, and parallel
-//! execution — the fleet slice sweep, the cluster's worker pool, and the
-//! spec runner's multi-seed fan-out — is bit-identical to serial
-//! execution.
+//! execution — the fleet slice sweep and the spec runner's multi-seed
+//! fan-out — is bit-identical to serial execution.
 
 use cluster::fleet::FleetReport;
 use proptest::prelude::*;
@@ -305,14 +304,13 @@ fn fleet_production_parallel_equals_serial_and_rerun() {
     );
 }
 
-/// The cluster simulator's persistent worker pool (engaged whenever ≥ 8
-/// boxes are due at one instant and more than one worker is configured)
-/// must match the serial run byte for byte — forced to 4 workers here so
-/// the pool path executes even on a single-core machine. The second spec
-/// keeps every box busy with a CPU bully and fires a chaos timeline
-/// (controller crash, then a box restart) inside the measured window.
+/// The cluster's lookahead loop is deterministic in its seed: two runs of
+/// the same spec serialize to the same bytes. No golden fixture covers a
+/// chaos cluster, so the second spec keeps every box busy with a CPU
+/// bully and fires a chaos timeline (controller crash, then a box
+/// restart) inside the measured window.
 #[test]
-fn cluster_parallel_equals_serial() {
+fn cluster_rerun_is_identical() {
     use cluster::Topology;
     use scenarios::spec::FaultEvent;
 
@@ -341,28 +339,19 @@ fn cluster_parallel_equals_serial() {
         .expect("valid spec");
 
     for spec in [plain, chaos] {
-        let serial = spec.cluster_sim(spec.seed, 1).expect("cluster").run();
-        let parallel = spec.cluster_sim(spec.seed, 4).expect("cluster").run();
+        let first = spec.cluster_sim(spec.seed).expect("cluster").run();
+        let rerun = spec.cluster_sim(spec.seed).expect("cluster").run();
 
-        assert_eq!(serial.completed, parallel.completed);
-        assert_eq!(serial.degraded, parallel.degraded);
-        assert_eq!(serial.tla.p99, parallel.tla.p99);
-        assert_eq!(serial.mla.p99, parallel.mla.p99);
-        assert_eq!(serial.local.p99, parallel.local.p99);
         assert_eq!(
-            serial.mean_utilization.to_bits(),
-            parallel.mean_utilization.to_bits()
-        );
-        assert_eq!(
-            serial.faults.is_empty(),
+            first.faults.is_empty(),
             spec.fault.is_empty(),
             "{}: the fault timeline must fire exactly when one is set",
             spec.name
         );
         assert_eq!(
-            serde_json::to_string(&serial).expect("serializes"),
-            serde_json::to_string(&parallel).expect("serializes"),
-            "{}: parallel cluster report diverged from serial",
+            serde_json::to_string(&first).expect("serializes"),
+            serde_json::to_string(&rerun).expect("serializes"),
+            "{}: cluster report unstable across reruns",
             spec.name
         );
     }
