@@ -46,7 +46,7 @@ pub enum BlockedAction {
 /// Services with internal timers (e.g. a service graph pumping its own
 /// fabric) expose them via [`ServicePort::next_timer_at`] /
 /// [`ServicePort::advance_to`].
-pub trait ServicePort: Send {
+pub trait ServicePort {
     /// Display name (per-service report rows, chaos registry).
     fn name(&self) -> &str;
 

@@ -1,25 +1,18 @@
 //! Experiment descriptions and drivers shared by the integration tests,
-//! examples, benches, and the `perfiso-run` CLI.
+//! examples, and the `perfiso-run` CLI.
 //!
 //! The [`spec`] module is the one way to describe and run an experiment:
 //! a declarative [`spec::ScenarioSpec`] (workload × secondary ×
-//! [`Policy`] × target), a registry of named paper scenarios, and a
-//! multi-seed runner whose parallel sweeps are bit-identical to serial
-//! ones. [`singlebox`] keeps thin one-call helpers (`standalone`,
-//! `blind_isolation`, …) for the common single-box cells; each builds a
-//! spec under the hood.
+//! [`Policy`] × target), a registry of named paper scenarios whose sweeps
+//! are the figures' policy × load × secondary grids, and a multi-seed
+//! runner whose parallel sweeps are bit-identical to serial ones.
 //!
-//! Runs are scaled by [`Scale`]: the default keeps test runtimes modest;
-//! setting the `PERFISO_SCALE` environment variable to a multiplier
-//! lengthens the measured windows for tighter percentiles (parsed once,
-//! see [`singlebox::scale_multiplier`]).
+//! Runs are scaled by [`spec::ScaleSpec`]: the default keeps test runtimes
+//! modest; setting the `PERFISO_SCALE` environment variable to a
+//! multiplier lengthens the paper-figure windows for tighter percentiles
+//! (parsed once, see [`spec::scale_multiplier`]).
 
 pub mod policies;
-pub mod singlebox;
 pub mod spec;
 
 pub use policies::Policy;
-pub use singlebox::{
-    blind_isolation, cycle_cap, no_isolation, run_with_policy, scale_multiplier, standalone,
-    static_cores, Scale,
-};

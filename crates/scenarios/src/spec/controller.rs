@@ -11,17 +11,22 @@
 //! [`SpecError`](super::SpecError) long before a simulator is built.
 //!
 //! [`SweepSpec`] turns one scenario into a grid: each [`SweepAxis`] names
-//! a knob and the values to try, and the cross product expands into one
-//! cell per combination (first axis slowest, row-major), each cell being a
-//! full [`ScenarioSpec`] with the corresponding controller overrides
-//! merged in. `run --sweep` in `perfiso-run` executes every cell over
-//! every seed and emits per-cell reports plus a cross-cell summary table.
+//! a knob (a controller override, the fault downtime, or the load,
+//! policy or secondary mix a paper figure varies) and the values to try,
+//! and the cross product expands into one cell per combination (first
+//! axis slowest, row-major), each cell being a full [`ScenarioSpec`] with
+//! the corresponding values written in. `run --sweep` in `perfiso-run`
+//! executes every cell over every seed and emits per-cell reports plus a
+//! cross-cell summary table.
 
+use indexserve::SecondaryKind;
 use perfiso::{CpuPolicy, IoLimit, PerfIsoConfig, TenantLimitConfig};
 use serde::{Deserialize, Serialize};
 use simcore::SimDuration;
+use workloads::BullyIntensity;
 
-use super::ScenarioSpec;
+use super::{FaultEvent, ScenarioSpec, TargetSpec};
+use crate::Policy;
 
 /// Grid-size cap: a sweep larger than this is almost certainly a typo
 /// (e.g. a microseconds value in a milliseconds axis).
@@ -176,7 +181,7 @@ impl ControllerSpec {
     }
 }
 
-/// One sweep dimension: a controller knob and the values to try.
+/// One sweep dimension: a spec field and the values to try.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum SweepAxis {
     /// Buffer-core counts for blind isolation.
@@ -202,10 +207,14 @@ pub enum SweepAxis {
     },
     /// Controller-crash downtimes, in CPU-poll periods: each cell rewrites
     /// the `downtime_polls` of every `ControllerCrash` event in the
-    /// scenario's fault timeline (applied by [`SweepSpec::expand`], not by
-    /// [`SweepAxis::apply`], because it edits the fault spec rather than
-    /// the controller overrides).
+    /// scenario's fault timeline.
     FaultDowntimePolls(Vec<u32>),
+    /// Offered loads in queries/second (single-box targets only).
+    Qps(Vec<f64>),
+    /// Isolation policies, replacing the scenario's policy.
+    Policy(Vec<Policy>),
+    /// Secondary tenant mixes, replacing the scenario's secondary.
+    Secondary(Vec<SecondaryKind>),
 }
 
 impl SweepAxis {
@@ -221,6 +230,9 @@ impl SweepAxis {
             SweepAxis::EgressLowMbps(_) => "egress_low_mbps".into(),
             SweepAxis::TenantIoMbps { service, .. } => format!("io_mbps[{service}]"),
             SweepAxis::FaultDowntimePolls(_) => "fault_downtime_polls".into(),
+            SweepAxis::Qps(_) => "qps".into(),
+            SweepAxis::Policy(_) => "policy".into(),
+            SweepAxis::Secondary(_) => "secondary".into(),
         }
     }
 
@@ -233,8 +245,10 @@ impl SweepAxis {
             | SweepAxis::MemoryPollIntervalUs(v)
             | SweepAxis::SecondaryMemoryLimitMb(v)
             | SweepAxis::EgressLowMbps(v) => v.len(),
-            SweepAxis::MemoryKillWatermark(v) => v.len(),
+            SweepAxis::MemoryKillWatermark(v) | SweepAxis::Qps(v) => v.len(),
             SweepAxis::TenantIoMbps { mbps, .. } => mbps.len(),
+            SweepAxis::Policy(v) => v.len(),
+            SweepAxis::Secondary(v) => v.len(),
         }
     }
 
@@ -256,17 +270,20 @@ impl SweepAxis {
             | SweepAxis::MemoryPollIntervalUs(v)
             | SweepAxis::SecondaryMemoryLimitMb(v)
             | SweepAxis::EgressLowMbps(v) => v[i].to_string(),
-            SweepAxis::MemoryKillWatermark(v) => format!("{}", v[i]),
+            SweepAxis::MemoryKillWatermark(v) | SweepAxis::Qps(v) => format!("{}", v[i]),
             SweepAxis::TenantIoMbps { mbps, .. } => mbps[i].to_string(),
+            SweepAxis::Policy(v) => v[i].label(),
+            SweepAxis::Secondary(v) => secondary_label(&v[i]),
         }
     }
 
-    /// Writes the `i`-th value into `ctl`.
+    /// Writes the `i`-th value into the field of `spec` this axis sweeps.
     ///
     /// # Panics
     ///
     /// Panics when `i` is out of range.
-    pub fn apply(&self, i: usize, ctl: &mut ControllerSpec) {
+    pub fn apply(&self, i: usize, spec: &mut ScenarioSpec) {
+        let ctl = &mut spec.controller;
         match self {
             SweepAxis::BufferCores(v) => ctl.buffer_cores = Some(v[i]),
             SweepAxis::CpuPollIntervalUs(v) => ctl.cpu_poll_interval_us = Some(v[i]),
@@ -283,14 +300,48 @@ impl SweepAxis {
                     iops: None,
                 });
             }
-            // Edits the fault timeline, not the controller overrides;
-            // handled directly by `SweepSpec::expand`.
-            SweepAxis::FaultDowntimePolls(_) => {}
+            SweepAxis::FaultDowntimePolls(v) => {
+                for ev in &mut spec.fault.events {
+                    if let FaultEvent::ControllerCrash { downtime_polls, .. } = ev {
+                        *downtime_polls = v[i];
+                    }
+                }
+            }
+            // `ScenarioSpec::validate` rejects this axis on other targets.
+            SweepAxis::Qps(v) => {
+                if let TargetSpec::SingleBox { qps } = &mut spec.target {
+                    *qps = v[i];
+                }
+            }
+            SweepAxis::Policy(v) => spec.policy = v[i],
+            SweepAxis::Secondary(v) => spec.secondary = v[i].clone(),
         }
     }
 }
 
-/// A parameter grid over controller knobs.
+/// A short label for a secondary mix, e.g. `cpu-high+hdfs`.
+fn secondary_label(s: &SecondaryKind) -> String {
+    let mut parts = Vec::new();
+    match s.cpu_bully {
+        Some(BullyIntensity::Mid) => parts.push("cpu-mid".to_string()),
+        Some(BullyIntensity::High) => parts.push("cpu-high".to_string()),
+        Some(BullyIntensity::Custom(n)) => parts.push(format!("cpu-{n}")),
+        None => {}
+    }
+    if let Some(d) = &s.disk_bully {
+        parts.push(format!("disk-q{}", d.depth));
+    }
+    if s.hdfs {
+        parts.push("hdfs".to_string());
+    }
+    if parts.is_empty() {
+        "none".to_string()
+    } else {
+        parts.join("+")
+    }
+}
+
+/// A parameter grid over spec fields.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SweepSpec {
     /// The sweep dimensions; the grid is their cross product.
@@ -348,8 +399,8 @@ impl SweepSpec {
     }
 
     /// Expands the grid over `base` in row-major order (first axis
-    /// slowest). Each cell is `base` with the axis values merged into its
-    /// controller overrides and the sweep itself removed; callers validate
+    /// slowest). Each cell is `base` with the axis values written in (see
+    /// [`SweepAxis::apply`]) and the sweep itself removed; callers validate
     /// the cells.
     pub fn expand(&self, base: &ScenarioSpec) -> Vec<SweepCell> {
         let mut cells = Vec::with_capacity(self.cell_count());
@@ -359,15 +410,7 @@ impl SweepSpec {
             spec.sweep = None;
             let mut params = Vec::with_capacity(self.axes.len());
             for (axis, &i) in self.axes.iter().zip(idx.iter()) {
-                if let SweepAxis::FaultDowntimePolls(v) = axis {
-                    for ev in &mut spec.fault.events {
-                        if let super::FaultEvent::ControllerCrash { downtime_polls, .. } = ev {
-                            *downtime_polls = v[i];
-                        }
-                    }
-                } else {
-                    axis.apply(i, &mut spec.controller);
-                }
+                axis.apply(i, &mut spec);
                 params.push((axis.key(), axis.value_label(i)));
             }
             let label = params

@@ -1,7 +1,7 @@
 //! The unified, declarative experiment API.
 //!
-//! Every experiment in the workspace — a paper figure, an integration
-//! test, a bench table, or an ad-hoc sweep — is described by one
+//! Every experiment in the workspace — a paper figure and its grid, an
+//! integration test, an example, or an ad-hoc sweep — is described by one
 //! [`ScenarioSpec`]: a workload (offered load + measurement window), a
 //! secondary tenant mix, an isolation [`Policy`], and a [`TargetSpec`]
 //! selecting the single-box driver, the 75-machine cluster, or the fleet
@@ -71,12 +71,13 @@ use cluster::{BoxShape, ClusterConfig, ClusterSim, Topology};
 use indexserve::boxsim::RunPlan;
 use indexserve::tags::MAX_SERVICES;
 use indexserve::{BoxConfig, BoxSim, HostedSpec, SecondaryKind, ServiceConfig};
+use std::sync::OnceLock;
+
 use qtrace::{DiurnalCurve, OpenLoopClient, TraceConfig, TraceGenerator};
 use serde::{Deserialize, Serialize};
 use simcore::SimDuration;
 use workloads::{BullyIntensity, DiskBully, MlTrainer};
 
-use crate::singlebox::Scale;
 use crate::Policy;
 
 /// Paper-server core count, used by policy validation.
@@ -189,12 +190,46 @@ impl std::fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
+/// The cached `PERFISO_SCALE` multiplier.
+static SCALE_MULTIPLIER: OnceLock<f64> = OnceLock::new();
+
+/// The `PERFISO_SCALE` run-length multiplier, parsed once per process.
+///
+/// # Panics
+///
+/// Panics (once, with the offending value) when the variable is set but
+/// is not a positive finite number — a silent fallback to 1.0 would make
+/// a typo in an invocation indistinguishable from the default.
+pub fn scale_multiplier() -> f64 {
+    *SCALE_MULTIPLIER.get_or_init(|| match std::env::var("PERFISO_SCALE") {
+        Err(_) => 1.0,
+        Ok(v) => match v.trim().parse::<f64>() {
+            Ok(m) if m.is_finite() && m > 0.0 => m,
+            _ => panic!(
+                "invalid PERFISO_SCALE value {v:?}: expected a positive finite \
+                 multiplier (e.g. 0.5 or 4)"
+            ),
+        },
+    })
+}
+
+/// Concrete run lengths, resolved from a [`ScaleSpec`].
+#[derive(Clone, Copy, Debug)]
+pub struct Scale {
+    /// Warm-up excluded from statistics.
+    pub warmup: SimDuration,
+    /// Measured window.
+    pub measure: SimDuration,
+}
+
 /// Measurement-window selection.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub enum ScaleSpec {
-    /// Short windows for tests (maps to [`Scale::quick`]).
+    /// Short windows for tests: 400 ms warm-up, 1.6 s measured.
     Quick,
-    /// Bench windows, honouring `PERFISO_SCALE` (maps to [`Scale::bench`]).
+    /// Paper-figure windows: 500 ms warm-up, 6 s measured times the
+    /// `PERFISO_SCALE` multiplier (see [`scale_multiplier`]; floored at
+    /// 0.1 so a tiny multiplier cannot produce a degenerate window).
     Bench,
     /// Explicit warm-up and measured window, in milliseconds.
     Custom {
@@ -208,24 +243,17 @@ pub enum ScaleSpec {
 impl ScaleSpec {
     /// The concrete run lengths.
     pub fn to_scale(self) -> Scale {
-        match self {
-            ScaleSpec::Quick => Scale::quick(),
-            ScaleSpec::Bench => Scale::bench(),
+        let (warmup_ms, measure_ms) = match self {
+            ScaleSpec::Quick => (400, 1_600),
+            ScaleSpec::Bench => (500, (6_000.0 * scale_multiplier().max(0.1)) as u64),
             ScaleSpec::Custom {
                 warmup_ms,
                 measure_ms,
-            } => Scale {
-                warmup: SimDuration::from_millis(warmup_ms),
-                measure: SimDuration::from_millis(measure_ms),
-            },
-        }
-    }
-
-    /// A custom scale from concrete run lengths (millisecond floor).
-    pub fn from_scale(scale: Scale) -> Self {
-        ScaleSpec::Custom {
-            warmup_ms: scale.warmup.as_millis(),
-            measure_ms: scale.measure.as_millis(),
+            } => (warmup_ms, measure_ms),
+        };
+        Scale {
+            warmup: SimDuration::from_millis(warmup_ms),
+            measure: SimDuration::from_millis(measure_ms),
         }
     }
 }
@@ -644,6 +672,15 @@ impl ScenarioSpec {
                     "fault_downtime_polls axis needs a controller-crash fault event".into(),
                 ));
             }
+            // Only a single-box target has one offered load to rewrite.
+            if sweep.axes.iter().any(|a| matches!(a, SweepAxis::Qps(_)))
+                && !matches!(self.target, TargetSpec::SingleBox { .. })
+            {
+                return Err(SpecError::InvalidSweep(format!(
+                    "qps axis needs a single-box target, not {}",
+                    self.target.kind()
+                )));
+            }
             for cell in sweep.expand(self) {
                 cell.spec
                     .validate()
@@ -1001,7 +1038,7 @@ impl ScenarioSpec {
         // the same way it scales single-box bench windows, so the full
         // production day stays affordable in CI.
         let slice_ms = if self.scale == ScaleSpec::Bench {
-            ((slice_ms as f64 * crate::singlebox::scale_multiplier()) as u64).max(1)
+            ((slice_ms as f64 * scale_multiplier()) as u64).max(1)
         } else {
             slice_ms
         };
@@ -1595,6 +1632,112 @@ mod tests {
         let legacy_spec = ScenarioSpec::from_json(legacy).unwrap();
         assert!(legacy_spec.controller.is_default());
         assert!(legacy_spec.sweep.is_none());
+    }
+
+    #[test]
+    fn scale_env_var_is_honoured() {
+        // No env var in the test environment: default 6s.
+        let s = ScaleSpec::Bench.to_scale();
+        assert!(s.measure >= SimDuration::from_millis(500));
+        // And the multiplier is cached: repeated calls agree bit-for-bit.
+        assert_eq!(scale_multiplier().to_bits(), scale_multiplier().to_bits());
+    }
+
+    #[test]
+    fn policy_to_secondary_mapping() {
+        let spec = ScenarioSpec::builder("standalone")
+            .single_box(500.0)
+            .policy(Policy::Standalone)
+            .custom_scale(200, 400)
+            .seed(1)
+            .build()
+            .unwrap();
+        let report = run_spec(&spec, &RunOptions::serial()).unwrap();
+        assert_eq!(
+            report.box_reports()[0].secondary_cpu,
+            SimDuration::ZERO,
+            "standalone has no bully"
+        );
+    }
+
+    #[test]
+    fn figure_axes_rewrite_only_their_field() {
+        let base = ScenarioSpec::builder("axes")
+            .cpu_bully(BullyIntensity::High)
+            .policy(Policy::Blind { buffer_cores: 8 })
+            .build()
+            .unwrap();
+        let axes = [
+            SweepAxis::Qps(vec![1_000.0, 4_000.0]),
+            SweepAxis::Policy(vec![Policy::NoIsolation, Policy::CycleCap(0.25)]),
+            SweepAxis::Secondary(vec![
+                SecondaryKind::cpu(BullyIntensity::Mid),
+                SecondaryKind::disk(DiskBully::default()),
+            ]),
+        ];
+        for axis in &axes {
+            let swept = ScenarioSpec {
+                sweep: Some(SweepSpec::one(axis.clone())),
+                ..base.clone()
+            };
+            assert_eq!(ScenarioSpec::from_json(&swept.to_json()).unwrap(), swept);
+            let cells = swept.expand_sweep().expect("every cell validates");
+            assert_eq!(cells.len(), 2);
+            for (i, cell) in cells.iter().enumerate() {
+                let mut spec = cell.spec.clone();
+                match axis {
+                    SweepAxis::Qps(v) => {
+                        assert_eq!(spec.target, TargetSpec::SingleBox { qps: v[i] });
+                        spec.target = base.target.clone();
+                    }
+                    SweepAxis::Policy(v) => {
+                        assert_eq!(spec.policy, v[i]);
+                        spec.policy = base.policy;
+                    }
+                    SweepAxis::Secondary(v) => {
+                        assert_eq!(spec.secondary, v[i]);
+                        spec.secondary = base.secondary.clone();
+                    }
+                    _ => unreachable!(),
+                }
+                assert_eq!(spec, base, "[{}] rewrote another field", cell.label);
+            }
+        }
+    }
+
+    #[test]
+    fn figure_axes_reject_invalid_cells_and_targets() {
+        let err = ScenarioSpec::builder("x")
+            .cpu_bully(BullyIntensity::High)
+            .policy(Policy::Blind { buffer_cores: 8 })
+            .sweep_axis(SweepAxis::Policy(vec![
+                Policy::Blind { buffer_cores: 8 },
+                Policy::Standalone,
+            ]))
+            .build();
+        match err {
+            Err(SpecError::InvalidSweep(msg)) => {
+                assert!(msg.contains("cell [policy=standalone]"), "{msg:?}")
+            }
+            other => panic!("expected InvalidSweep, got {other:?}"),
+        }
+        let cluster = ScenarioSpec::builder("c").cluster(Topology::small(), 600.0);
+        let fleet = ScenarioSpec::builder("f").fleet(2, 1, 100);
+        for b in [cluster, fleet] {
+            let err = b
+                .policy(Policy::Blind { buffer_cores: 8 })
+                .sweep_axis(SweepAxis::Qps(vec![1_000.0, 2_000.0]))
+                .build();
+            match err {
+                Err(SpecError::InvalidSweep(msg)) => {
+                    assert!(
+                        msg.starts_with("qps axis needs a single-box target"),
+                        "{msg:?}"
+                    )
+                }
+                other => panic!("expected InvalidSweep, got {other:?}"),
+            }
+        }
     }
 
     #[test]

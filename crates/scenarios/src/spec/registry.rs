@@ -3,11 +3,13 @@
 //! Every figure of the evaluation (and the repo's guided-tour scenarios)
 //! is registered here as a ready-to-run [`ScenarioSpec`]; `perfiso-run
 //! list` prints this table and `perfiso-run run <name>` executes one
-//! entry. Comparison figures (Fig 4–8 contrast several policies) register
-//! their *headline* cell — the bench targets under `crates/bench` compose
-//! multiple specs into the full side-by-side tables.
+//! entry. A figure's spec is its *headline* cell, and its sweep is the
+//! figure's grid of loads, policies or secondary mixes:
+//! `perfiso-run run fig05 --sweep` runs every cell of Fig 5, and `--out`
+//! keeps each cell's full report.
 
 use cluster::Topology;
+use indexserve::SecondaryKind;
 use workloads::{BullyIntensity, DiskBully};
 
 use super::{
@@ -77,9 +79,15 @@ fn fanout_graph() -> ServiceGraphSpec {
     }
 }
 
+/// The paper's two single-box loads (§6.1): average and peak QPS.
+fn paper_loads() -> SweepAxis {
+    SweepAxis::Qps(vec![2_000.0, 4_000.0])
+}
+
 /// All named scenarios, in presentation order.
 pub fn registry() -> Vec<ScenarioSpec> {
     let b = |name: &str| ScenarioSpec::builder(name).seed(42);
+    let hdfs_with = |s: SecondaryKind| SecondaryKind { hdfs: true, ..s };
     vec![
         b("quickstart")
             .describe("high CPU bully under blind isolation (the guided tour)")
@@ -93,6 +101,7 @@ pub fn registry() -> Vec<ScenarioSpec> {
             .describe("IndexServe alone at average load (the §6.1.1 baseline)")
             .single_box(2_000.0)
             .policy(Policy::Standalone)
+            .sweep_axis(paper_loads())
             .scale(ScaleSpec::Bench)
             .build()
             .expect("registry spec"),
@@ -101,6 +110,11 @@ pub fn registry() -> Vec<ScenarioSpec> {
             .single_box(2_000.0)
             .cpu_bully(BullyIntensity::High)
             .policy(Policy::NoIsolation)
+            .sweep_axis(SweepAxis::Secondary(vec![
+                SecondaryKind::cpu(BullyIntensity::Mid),
+                SecondaryKind::cpu(BullyIntensity::High),
+            ]))
+            .sweep_axis(paper_loads())
             .scale(ScaleSpec::Bench)
             .build()
             .expect("registry spec"),
@@ -109,6 +123,8 @@ pub fn registry() -> Vec<ScenarioSpec> {
             .single_box(2_000.0)
             .cpu_bully(BullyIntensity::High)
             .policy(Policy::Blind { buffer_cores: 8 })
+            .sweep_axis(SweepAxis::BufferCores(vec![2, 4, 8, 12, 16]))
+            .sweep_axis(paper_loads())
             .scale(ScaleSpec::Bench)
             .build()
             .expect("registry spec"),
@@ -117,6 +133,12 @@ pub fn registry() -> Vec<ScenarioSpec> {
             .single_box(2_000.0)
             .cpu_bully(BullyIntensity::High)
             .policy(Policy::StaticCores(8))
+            .sweep_axis(SweepAxis::Policy(vec![
+                Policy::StaticCores(24),
+                Policy::StaticCores(16),
+                Policy::StaticCores(8),
+            ]))
+            .sweep_axis(paper_loads())
             .scale(ScaleSpec::Bench)
             .build()
             .expect("registry spec"),
@@ -125,6 +147,12 @@ pub fn registry() -> Vec<ScenarioSpec> {
             .single_box(2_000.0)
             .cpu_bully(BullyIntensity::High)
             .policy(Policy::CycleCap(0.45))
+            .sweep_axis(SweepAxis::Policy(vec![
+                Policy::CycleCap(0.45),
+                Policy::CycleCap(0.25),
+                Policy::CycleCap(0.05),
+            ]))
+            .sweep_axis(paper_loads())
             .scale(ScaleSpec::Bench)
             .build()
             .expect("registry spec"),
@@ -133,6 +161,13 @@ pub fn registry() -> Vec<ScenarioSpec> {
             .single_box(4_000.0)
             .cpu_bully(BullyIntensity::High)
             .policy(Policy::Blind { buffer_cores: 8 })
+            .sweep_axis(SweepAxis::Policy(vec![
+                Policy::NoIsolation,
+                Policy::Blind { buffer_cores: 8 },
+                Policy::StaticCores(8),
+                Policy::CycleCap(0.05),
+            ]))
+            .sweep_axis(paper_loads())
             .scale(ScaleSpec::Bench)
             .build()
             .expect("registry spec"),
@@ -142,6 +177,11 @@ pub fn registry() -> Vec<ScenarioSpec> {
             .cpu_bully(BullyIntensity::High)
             .hdfs()
             .policy(Policy::FullPerfIso)
+            .sweep_axis(SweepAxis::Secondary(vec![
+                hdfs_with(SecondaryKind::none()),
+                hdfs_with(SecondaryKind::cpu(BullyIntensity::High)),
+                hdfs_with(SecondaryKind::disk(DiskBully::default())),
+            ]))
             .custom_scale(400, 1_200)
             .seeds(2)
             .build()
@@ -498,10 +538,34 @@ mod tests {
             "graph-hedged runs the full resilience policy"
         );
         assert_eq!(hedged.workload.class_label(), "service-graph");
-        for sweep in ["poll-sensitivity", "mem-kill", "tenant-io-limits"] {
+        for sweep in [
+            "standalone",
+            "fig04",
+            "fig05",
+            "fig06",
+            "fig07",
+            "fig08",
+            "fig09",
+            "poll-sensitivity",
+            "mem-kill",
+            "tenant-io-limits",
+        ] {
             let spec = named(sweep).unwrap_or_else(|_| panic!("{sweep} missing"));
             let cells = spec.expand_sweep().expect("sweep expands");
             assert!(cells.len() >= 2, "{sweep} should be a real grid");
+        }
+        // Fig 5 contrasts 4 with 8 buffer cores at both loads.
+        let fig05 = named("fig05").unwrap().expand_sweep().unwrap();
+        for b in [4, 8] {
+            for qps in [2_000.0, 4_000.0] {
+                assert!(
+                    fig05
+                        .iter()
+                        .any(|c| c.spec.controller.buffer_cores == Some(b)
+                            && c.spec.target == super::super::TargetSpec::SingleBox { qps }),
+                    "fig05 lacks B={b} at {qps} qps"
+                );
+            }
         }
         for graph in ["graph-chain", "graph-fanout"] {
             let spec = named(graph).unwrap_or_else(|_| panic!("{graph} missing"));

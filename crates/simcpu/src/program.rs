@@ -30,11 +30,11 @@ pub enum Step {
 
 /// A pull-based description of a thread's lifetime.
 ///
-/// Programs are [`Send`], so whole machines (and the boxes embedding
-/// them) may move between threads. No caller moves one today: the fleet
-/// sweep and the seed sweep build each box on the worker thread that
-/// runs it.
-pub trait ThreadProgram: Send {
+/// Programs need not be [`Send`]: a machine (and the box embedding it)
+/// stays on the thread that built it. The fleet sweep and the seed sweep
+/// build each box on the worker thread that runs it, and the cluster runs
+/// every box on one thread.
+pub trait ThreadProgram {
     /// Returns the next step. Called once at spawn and again after each step
     /// completes (compute finished, block woken, sleep expired).
     fn next_step(&mut self, rng: &mut SimRng) -> Step;
@@ -42,7 +42,7 @@ pub trait ThreadProgram: Send {
 
 impl<F> ThreadProgram for F
 where
-    F: FnMut(&mut SimRng) -> Step + Send,
+    F: FnMut(&mut SimRng) -> Step,
 {
     fn next_step(&mut self, rng: &mut SimRng) -> Step {
         self(rng)

@@ -12,7 +12,7 @@
 //! - [`TimeSeries`] — bucketed series for the Fig 10 production timeline.
 //! - [`RunStats`] — mean/std/CI across repeated runs (the paper runs each
 //!   cluster experiment 8 times).
-//! - [`table::Table`] — plain-text tables for the bench harness output.
+//! - [`table::Table`] — plain-text tables for the CLI and example output.
 //! - [`slo`] — the paper's SLO definition: p99 within 1 ms of standalone.
 
 pub mod accounting;

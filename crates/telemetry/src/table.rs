@@ -1,7 +1,7 @@
-//! Plain-text tables for the benchmark harness output.
+//! Plain-text tables for the CLI and example output.
 //!
-//! Each bench target prints its figure's data as an aligned table so that
-//! `cargo bench` output can be compared side-by-side with the paper.
+//! `perfiso-run` prints each figure's grid as an aligned table so that its
+//! output can be compared side-by-side with the paper.
 
 /// A simple column-aligned text table.
 ///

@@ -2,28 +2,34 @@
 //!
 //! The workload the paper's introduction motivates: a search index server
 //! provisioned for peak but running at average load, plus a backlog of
-//! CPU-hungry batch work. This example sweeps the evaluated policies at
-//! both loads — one `ScenarioSpec` per cell, via the
-//! [`scenarios::run_with_policy`] helper — and prints the decision
-//! table an operator would want: tail-latency impact vs batch progress.
+//! CPU-hungry batch work. This example runs two registry grids at test
+//! scale — the `fig08` policy comparison against a 48-thread CPU bully
+//! and the `standalone` baseline, both at 2 000 and 4 000 QPS — and
+//! prints the decision table an operator would want: tail-latency impact
+//! vs batch progress.
 //!
 //! Run with: `cargo run --release --example colocate_batch`
 
-use indexserve::BoxReport;
-use scenarios::{run_with_policy, Policy, Scale};
+use scenarios::spec::{self, run_sweep, RunOptions, ScaleSpec, SweepReport, TargetSpec};
 use telemetry::table::{ms, pct, Table};
-use workloads::BullyIntensity;
 
-fn cell(policy: Policy, qps: f64, seed: u64) -> BoxReport {
-    run_with_policy(policy, BullyIntensity::High, qps, seed, Scale::quick())
+/// Runs a registry scenario's grid at test scale, seed 17.
+fn grid(name: &str) -> SweepReport {
+    let mut spec = spec::named(name).expect("registered scenario");
+    spec.scale = ScaleSpec::Quick;
+    spec.seed = 17;
+    run_sweep(&spec, &RunOptions::parallel(None)).expect("grid runs")
 }
 
 fn main() {
-    let seed = 17;
     println!("Sweeping isolation policies (48-thread CPU bully)...\n");
-
-    for qps in [2_000.0, 4_000.0] {
-        let base = cell(Policy::Standalone, qps, seed);
+    let policies = grid("fig08");
+    for baseline in grid("standalone").cells {
+        let target = &baseline.report.spec.target;
+        let TargetSpec::SingleBox { qps } = *target else {
+            unreachable!("the standalone grid runs single boxes")
+        };
+        let base = baseline.report.box_reports()[0];
         let mut t = Table::new(&[
             "policy",
             "p99 (ms)",
@@ -33,18 +39,17 @@ fn main() {
             "machine util",
             "verdict",
         ]);
-        for policy in [
-            Policy::NoIsolation,
-            Policy::CycleCap(0.05),
-            Policy::StaticCores(8),
-            Policy::Blind { buffer_cores: 8 },
-        ] {
-            let r = cell(policy, qps, seed);
+        for cell in policies
+            .cells
+            .iter()
+            .filter(|c| c.report.spec.target == *target)
+        {
+            let r = cell.report.box_reports()[0];
             let d = r.latency.p99.saturating_sub(base.latency.p99);
             let slo =
                 telemetry::slo::RelativeSlo::paper_default(base.latency.p99).check(r.latency.p99);
             t.row_owned(vec![
-                policy.label(),
+                cell.report.spec.policy.label(),
                 ms(r.latency.p99),
                 ms(d),
                 pct(r.drop_ratio()),

@@ -4,24 +4,31 @@
 //! Builds the paper's single production server (48 logical cores, striped
 //! SSD + HDD volumes), runs Bing-style IndexServe at average load, throws a
 //! 48-thread CPU bully at it, and shows the p99 with and without PerfIso.
-//! Every configuration is one declarative `ScenarioSpec`; the same cells
-//! are runnable from the CLI (`perfiso-run run quickstart`).
+//! Every configuration is one declarative `ScenarioSpec`; the blind
+//! isolation cell is the registry's `quickstart` scenario
+//! (`perfiso-run run quickstart`).
 //!
 //! Run with: `cargo run --release --example quickstart`
 
 use indexserve::BoxReport;
-use scenarios::{run_with_policy, Policy, Scale};
-use simcore::SimDuration;
+use scenarios::spec::{run_spec, RunOptions, ScenarioSpec};
+use scenarios::Policy;
 use workloads::BullyIntensity;
 
 fn main() {
     let qps = 2_000.0;
-    let scale = Scale {
-        warmup: SimDuration::from_millis(500),
-        measure: SimDuration::from_secs(4),
-    };
     let cell = |policy: Policy| -> BoxReport {
-        run_with_policy(policy, BullyIntensity::High, qps, 42, scale)
+        let mut b = ScenarioSpec::builder("quickstart")
+            .single_box(qps)
+            .policy(policy)
+            .custom_scale(500, 4_000)
+            .seed(42);
+        if policy != Policy::Standalone {
+            b = b.cpu_bully(BullyIntensity::High);
+        }
+        let report =
+            run_spec(&b.build().expect("valid spec"), &RunOptions::serial()).expect("spec runs");
+        report.box_reports()[0].clone()
     };
 
     println!("IndexServe standalone at {qps} QPS ...");

@@ -16,8 +16,9 @@
 //! - [`workloads`] — secondary tenants: CPU bully, disk bully, HDFS
 //!   client model, ML-trainer batch job.
 //! - [`cluster`] — the 75-node TLA/MLA topology and the 650-node fleet.
-//! - [`scenarios`] — shared experiment drivers used by tests, examples,
-//!   and the per-figure bench targets in `crates/bench`.
+//! - [`scenarios`] — the declarative scenario specs, the registry of
+//!   paper figures (each with its grid as a sweep) and the `perfiso-run`
+//!   CLI that runs them; tests and examples build on the same specs.
 
 pub use autopilot;
 pub use cluster;

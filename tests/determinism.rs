@@ -4,24 +4,33 @@
 //! fan-out — is bit-identical to serial execution.
 
 use cluster::fleet::FleetReport;
+use indexserve::BoxReport;
 use proptest::prelude::*;
 use scenarios::spec::{self, run_spec, RunOptions, ScenarioSpec};
-use scenarios::{blind_isolation, standalone, Policy, Scale};
+use scenarios::Policy;
 use simcore::SimDuration;
 use telemetry::LogHistogram;
 use workloads::BullyIntensity;
 
-fn tiny() -> Scale {
-    Scale {
-        warmup: SimDuration::from_millis(200),
-        measure: SimDuration::from_millis(600),
+/// Runs one 2 000 QPS single-box cell on a 200 + 600 ms window; any policy
+/// but standalone faces the 48-thread CPU bully.
+fn tiny(policy: Policy, seed: u64) -> BoxReport {
+    let mut b = ScenarioSpec::builder("det-box")
+        .single_box(2_000.0)
+        .policy(policy)
+        .custom_scale(200, 600)
+        .seed(seed);
+    if policy != Policy::Standalone {
+        b = b.cpu_bully(BullyIntensity::High);
     }
+    let report = run_spec(&b.build().expect("valid spec"), &RunOptions::serial()).expect("runs");
+    report.box_reports()[0].clone()
 }
 
 #[test]
 fn identical_seeds_identical_reports() {
-    let a = standalone(2_000.0, 1234, tiny());
-    let b = standalone(2_000.0, 1234, tiny());
+    let a = tiny(Policy::Standalone, 1234);
+    let b = tiny(Policy::Standalone, 1234);
     assert_eq!(a.latency.p50, b.latency.p50);
     assert_eq!(a.latency.p99, b.latency.p99);
     assert_eq!(a.latency.count, b.latency.count);
@@ -32,8 +41,8 @@ fn identical_seeds_identical_reports() {
 
 #[test]
 fn identical_seeds_identical_controller_decisions() {
-    let a = blind_isolation(8, 2_000.0, 77, tiny());
-    let b = blind_isolation(8, 2_000.0, 77, tiny());
+    let a = tiny(Policy::Blind { buffer_cores: 8 }, 77);
+    let b = tiny(Policy::Blind { buffer_cores: 8 }, 77);
     let (sa, sb) = (a.controller.expect("ran"), b.controller.expect("ran"));
     assert_eq!(sa.cpu_polls, sb.cpu_polls);
     assert_eq!(sa.affinity_updates, sb.affinity_updates);
@@ -42,8 +51,8 @@ fn identical_seeds_identical_controller_decisions() {
 
 #[test]
 fn different_seeds_decorrelate() {
-    let a = standalone(2_000.0, 1, tiny());
-    let b = standalone(2_000.0, 2, tiny());
+    let a = tiny(Policy::Standalone, 1);
+    let b = tiny(Policy::Standalone, 2);
     // Same bands, different samples.
     assert_ne!(
         (a.latency.p50, a.latency.p99, a.breakdown.primary),

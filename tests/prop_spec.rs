@@ -252,6 +252,10 @@ fn sweep_strategy() -> impl Strategy<Value = Option<SweepSpec>> {
             service: "hdfs-client".into(),
             mbps,
         }),
+        proptest::collection::vec(prop_oneof![Just(0.0f64), 100.0f64..5_000.0], 0..3)
+            .prop_map(SweepAxis::Qps),
+        proptest::collection::vec(policy_strategy(), 0..3).prop_map(SweepAxis::Policy),
+        proptest::collection::vec(secondary_strategy(), 0..3).prop_map(SweepAxis::Secondary),
     ];
     proptest::option::of(proptest::collection::vec(axis, 0..3).prop_map(|axes| SweepSpec { axes }))
 }
