@@ -15,8 +15,9 @@
 //!
 //! Every `(minute, machine)` slice is an independent DES run with its own
 //! seed (`mix64(cfg.seed) ^ (m << 8) ^ s`), so the sweep fans slices out across
-//! [`FleetConfig::threads`] worker threads. Results are collected by slice
-//! index and reduced serially in index order, making the parallel report
+//! [`FleetConfig::threads`] worker threads through [`fan_out`], which the
+//! scenario runner's seed sweep shares. Results come back in slice order
+//! and are reduced serially in that order, making the parallel report
 //! **bit-identical** to `threads: 1`: the per-slice computations never
 //! observe each other, and the floating-point reduction happens in one
 //! fixed order regardless of which worker finished first.
@@ -146,9 +147,9 @@ pub struct FleetReport {
 impl FleetReport {
     /// True when every simulation-derived field matches bit-for-bit
     /// (wall-clock measurements excluded) — the equality the parallel ==
-    /// serial guarantee promises. The determinism test, the fleet bench,
-    /// and this module's own unit test all gate on this one walk so a new
-    /// field cannot be forgotten by one of them.
+    /// serial guarantee promises. The determinism tests and this module's
+    /// own unit tests all gate on this one walk so a new field cannot be
+    /// forgotten by one of them.
     pub fn bits_eq(&self, other: &FleetReport) -> bool {
         fn series_eq(a: &TimeSeries, b: &TimeSeries) -> bool {
             a.len() == b.len()
@@ -229,6 +230,49 @@ pub fn effective_threads(threads: usize) -> usize {
     }
 }
 
+/// Runs `n` independent jobs across `workers` threads (work-stealing by
+/// atomic index) and returns the results in job order. With one worker
+/// the jobs run inline; either way `results[i]` is `job(i)`, so callers'
+/// reductions are bit-identical across thread counts.
+pub fn fan_out<T: Send>(n: usize, workers: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let mut results: Vec<Option<T>> = Vec::with_capacity(n);
+    results.resize_with(n, || None);
+    if workers <= 1 {
+        for (i, slot) in results.iter_mut().enumerate() {
+            *slot = Some(job(i));
+        }
+    } else {
+        let next = AtomicUsize::new(0);
+        let job = &job;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut out = Vec::new();
+                        loop {
+                            let idx = next.fetch_add(1, Ordering::Relaxed);
+                            if idx >= n {
+                                break;
+                            }
+                            out.push((idx, job(idx)));
+                        }
+                        out
+                    })
+                })
+                .collect();
+            for handle in handles {
+                for (idx, r) in handle.join().expect("fan-out worker panicked") {
+                    results[idx] = Some(r);
+                }
+            }
+        });
+    }
+    results
+        .into_iter()
+        .map(|r| r.expect("every job produced a result"))
+        .collect()
+}
+
 /// Number of queries to pre-generate for one slice at `qps`.
 fn slice_queries(qps: f64, total: SimDuration) -> usize {
     (qps * total.as_secs_f64() * 1.05) as usize + 8
@@ -271,39 +315,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
     };
 
     let workers = effective_threads(cfg.threads).min(n_slices.max(1));
-    let mut results: Vec<Option<SliceResult>> = Vec::with_capacity(n_slices);
-    results.resize_with(n_slices, || None);
-    if workers <= 1 {
-        for (idx, slot) in results.iter_mut().enumerate() {
-            *slot = Some(run_slice(idx));
-        }
-    } else {
-        // Work-stealing by atomic index: load balance freely, then scatter
-        // results back by slice index so the reduction order is fixed.
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut out = Vec::new();
-                        loop {
-                            let idx = next.fetch_add(1, Ordering::Relaxed);
-                            if idx >= n_slices {
-                                break;
-                            }
-                            out.push((idx, run_slice(idx)));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (idx, r) in handle.join().expect("fleet worker panicked") {
-                    results[idx] = Some(r);
-                }
-            }
-        });
-    }
+    let results = fan_out(n_slices, workers, run_slice);
 
     // Serial reduction in slice-index order: identical arithmetic to the
     // fully serial sweep, so parallel output is bit-for-bit the same.
@@ -333,7 +345,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
         let mut minute_p99 = SimDuration::ZERO;
         let mut minute_prog = 0.0;
         for _ in 0..cfg.sampled_machines {
-            let mut r = results.next().flatten().expect("slice result present");
+            let mut r = results.next().expect("slice result present");
             minute_util += r.utilization / cfg.sampled_machines as f64;
             minute_p99 = minute_p99.max(r.p99);
             minute_prog += r.minibatches_per_min / cfg.sampled_machines as f64;

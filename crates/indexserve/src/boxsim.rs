@@ -8,8 +8,8 @@
 //! timers.
 //!
 //! [`BoxSim`] is an embeddable component (the cluster simulator runs 44 of
-//! them); [`run_standalone`] wraps it with an open-loop client and produces
-//! the per-figure measurements.
+//! them); [`run_multi`] wraps it with one open-loop client per hosted
+//! service and produces the per-figure measurements.
 
 use std::sync::Arc;
 
@@ -1752,7 +1752,8 @@ impl SystemInterface for SysAdapter<'_> {
     }
 }
 
-/// The replay plan for a standalone run.
+/// The replay plan for a single-service box run: one service's load plus
+/// the measurement window [`run_multi`] takes.
 #[derive(Clone, Debug)]
 pub struct RunPlan {
     /// Offered load in queries/second.
@@ -1763,19 +1764,6 @@ pub struct RunPlan {
     pub measure: SimDuration,
     /// Trace-generation parameters (the query count is derived).
     pub trace: TraceConfig,
-}
-
-impl RunPlan {
-    /// A plan replaying at `qps` for the given measured duration after a
-    /// proportional warm-up.
-    pub fn at_qps(qps: f64, measure: SimDuration) -> Self {
-        RunPlan {
-            qps,
-            warmup: SimDuration::from_millis(500),
-            measure,
-            trace: TraceConfig::default(),
-        }
-    }
 }
 
 /// Per-service measurement row of a multi-service box run.
@@ -1897,11 +1885,7 @@ impl RunRecorders {
 
 /// Builds the per-service report rows; empty unless the box was
 /// configured with an explicit roster (so classic reports are unchanged).
-fn service_rows(
-    sim: &BoxSim,
-    rec: &mut RunRecorders,
-    qps_of: impl Fn(usize) -> f64,
-) -> Vec<ServiceReport> {
+fn service_rows(sim: &BoxSim, rec: &mut RunRecorders, plans: &[ServicePlan]) -> Vec<ServiceReport> {
     if sim.cfg.hosted.is_empty() {
         return Vec::new();
     }
@@ -1910,88 +1894,19 @@ fn service_rows(
         .enumerate()
         .map(|(i, r)| ServiceReport {
             name: sim.service_name(i).to_string(),
-            qps: qps_of(i),
+            qps: plans[i].qps,
             latency: r.summary(),
             cpu_time: sim.service_cpu_time(i),
         })
         .collect()
 }
 
-/// Runs one standalone single-box experiment.
-pub fn run_standalone(cfg: BoxConfig, plan: &RunPlan) -> BoxReport {
-    let total = plan.warmup + plan.measure;
-    let n_queries = (plan.qps * total.as_secs_f64() * 1.05) as usize + 16;
-    let trace = TraceGenerator::new(TraceConfig {
-        queries: n_queries,
-        ..plan.trace.clone()
-    })
-    .generate(cfg.seed ^ 0x7ACE);
-    let mut client = OpenLoopClient::new(trace, plan.qps, cfg.seed ^ 0xC1);
-    let mut sim = BoxSim::new(cfg);
-
-    let warmup_end = SimTime::ZERO + plan.warmup;
-    let end = SimTime::ZERO + total;
-    let mut rec = RunRecorders::new(sim.service_count(), warmup_end, sim.cfg.telemetry);
-    let mut warm_snapshot: Option<(CpuBreakdown, SimDuration)> = None;
-    let mut queries_measured = 0u64;
-    let mut workers_at_warm = 0u64;
-    let mut events: Vec<BoxEvent> = Vec::with_capacity(64);
-
-    while let Some(at) = client.next_arrival_time() {
-        if at > end {
-            break;
-        }
-        if warm_snapshot.is_none() && at >= warmup_end {
-            sim.advance_to(warmup_end);
-            rec.drain(&mut sim, &mut events);
-            warm_snapshot = Some((sim.breakdown(), sim.secondary_cpu_time()));
-            workers_at_warm = sim.workers_spawned();
-        }
-        let (_, spec) = client.pop().expect("peeked");
-        sim.inject_query(at, spec);
-        rec.drain(&mut sim, &mut events);
-        if at >= warmup_end {
-            queries_measured += 1;
-        }
-    }
-    if warm_snapshot.is_none() {
-        sim.advance_to(warmup_end);
-        rec.drain(&mut sim, &mut events);
-        warm_snapshot = Some((sim.breakdown(), sim.secondary_cpu_time()));
-        workers_at_warm = sim.workers_spawned();
-    }
-    // Let the tail drain one timeout beyond the end so nothing hangs.
-    sim.advance_to(end + sim.max_timeout());
-    rec.drain(&mut sim, &mut events);
-
-    let (warm_bd, warm_sec_cpu) = warm_snapshot.expect("snapshot taken");
-    let final_bd = sim.breakdown();
-    let services = service_rows(&sim, &mut rec, |i| if i == 0 { plan.qps } else { 0.0 });
-    BoxReport {
-        qps: plan.qps,
-        latency: rec.overall.summary(),
-        latency_sketch: rec.overall.sketch_summary(),
-        breakdown: final_bd.since(&warm_bd),
-        secondary_cpu: sim.secondary_cpu_time().saturating_sub(warm_sec_cpu),
-        avg_fanout: if queries_measured == 0 {
-            0.0
-        } else {
-            (sim.workers_spawned() - workers_at_warm) as f64 / queries_measured as f64
-        },
-        machine: sim.machine_stats(),
-        controller: sim.controller_stats(),
-        faults: sim.take_fault_records(),
-        services,
-        resilience: sim.resilience_report(),
-    }
-}
-
-/// Runs one multi-primary box experiment: every hosted service gets its
-/// own open-loop client at its own offered load, arrivals are merged in
-/// time order (ties break toward the lower slot), and the report carries
-/// both the merged and the per-service latency views — the measurement
-/// surface for PerfIso arbitrating between colocated latency-sensitive
-/// services.
+/// Runs one box experiment: every hosted service gets its own open-loop
+/// client at its own offered load, arrivals are merged in time order
+/// (ties break toward the lower slot), and the report carries both the
+/// merged and the per-service latency views — the measurement surface for
+/// PerfIso arbitrating between colocated latency-sensitive services. A
+/// classic single-service box takes one plan.
 ///
 /// # Panics
 ///
@@ -2072,7 +1987,7 @@ pub fn run_multi(
 
     let (warm_bd, warm_sec_cpu) = warm_snapshot.expect("snapshot taken");
     let final_bd = sim.breakdown();
-    let services = service_rows(&sim, &mut rec, |i| plans[i].qps);
+    let services = service_rows(&sim, &mut rec, plans);
     BoxReport {
         qps: plans.iter().map(|p| p.qps).sum(),
         latency: rec.overall.summary(),
@@ -2096,13 +2011,14 @@ pub fn run_multi(
 mod tests {
     use super::*;
 
-    fn quick_plan(qps: f64) -> RunPlan {
-        RunPlan {
-            qps,
-            warmup: SimDuration::from_millis(300),
-            measure: SimDuration::from_millis(1_500),
-            trace: TraceConfig::default(),
-        }
+    /// One service at `qps` on a 300 + 1,500 ms window.
+    fn quick_run(cfg: BoxConfig, qps: f64) -> BoxReport {
+        run_multi(
+            cfg,
+            &[ServicePlan::at_qps(qps)],
+            SimDuration::from_millis(300),
+            SimDuration::from_millis(1_500),
+        )
     }
 
     /// Everything observable about a box's end state, for exact
@@ -2241,7 +2157,7 @@ mod tests {
     #[test]
     fn standalone_box_completes_queries() {
         let cfg = BoxConfig::paper_box(SecondaryKind::none(), None, 42);
-        let r = run_standalone(cfg, &quick_plan(2_000.0));
+        let r = quick_run(cfg, 2_000.0);
         assert!(r.latency.count > 2_000, "completed {}", r.latency.count);
         assert!(r.drop_ratio() < 0.005, "drops {}", r.drop_ratio());
         // Standalone at 2000 QPS: mostly idle machine.
@@ -2256,13 +2172,13 @@ mod tests {
 
     #[test]
     fn bully_without_isolation_hurts_tail() {
-        let base = run_standalone(
+        let base = quick_run(
             BoxConfig::paper_box(SecondaryKind::none(), None, 7),
-            &quick_plan(2_000.0),
+            2_000.0,
         );
-        let colo = run_standalone(
+        let colo = quick_run(
             BoxConfig::paper_box(SecondaryKind::cpu(BullyIntensity::High), None, 7),
-            &quick_plan(2_000.0),
+            2_000.0,
         );
         assert!(
             colo.latency.p99 > base.latency.p99 + SimDuration::from_millis(3),
@@ -2275,17 +2191,17 @@ mod tests {
 
     #[test]
     fn blind_isolation_protects_tail() {
-        let base = run_standalone(
+        let base = quick_run(
             BoxConfig::paper_box(SecondaryKind::none(), None, 9),
-            &quick_plan(2_000.0),
+            2_000.0,
         );
-        let iso = run_standalone(
+        let iso = quick_run(
             BoxConfig::paper_box(
                 SecondaryKind::cpu(BullyIntensity::High),
                 Some(PerfIsoConfig::default()),
                 9,
             ),
-            &quick_plan(2_000.0),
+            2_000.0,
         );
         let degradation = iso.latency.p99.saturating_sub(base.latency.p99);
         assert!(
@@ -2310,7 +2226,7 @@ mod tests {
             Some(PerfIsoConfig::paper_cluster()),
             11,
         );
-        let r = run_standalone(cfg, &quick_plan(1_000.0));
+        let r = quick_run(cfg, 1_000.0);
         assert!(r.latency.count > 1_000);
         assert!(r.drop_ratio() < 0.01);
     }

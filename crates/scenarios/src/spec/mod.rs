@@ -353,7 +353,8 @@ pub struct ServiceLoadSpec {
 /// Which driver executes the scenario.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum TargetSpec {
-    /// One production server ([`indexserve::boxsim::run_standalone`]).
+    /// One production server ([`indexserve::boxsim::run_multi`] with one
+    /// service).
     SingleBox {
         /// Offered load in queries/second.
         qps: f64,

@@ -1,17 +1,14 @@
 //! Executes a [`ScenarioSpec`] over its seeds and reduces the results.
 //!
-//! Repetitions fan out across worker threads with the same
-//! work-stealing-by-atomic-index scheme as the fleet sweep: every seed is
-//! an independent simulation, results are scattered back by seed index,
-//! and the reduction runs serially in seed order — so the parallel report
-//! is **bit-identical** to the serial one regardless of which worker
-//! finishes first.
+//! Repetitions fan out across worker threads through the fleet sweep's
+//! [`fan_out`]: every seed is an independent simulation, results come
+//! back in seed order, and the reduction runs serially in that order — so
+//! the parallel report is **bit-identical** to the serial one regardless
+//! of which worker finishes first.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use cluster::fleet::{effective_threads, run_fleet, FleetReport};
+use cluster::fleet::{effective_threads, fan_out, run_fleet, FleetReport};
 use cluster::ClusterReport;
-use indexserve::boxsim::{run_multi, run_standalone, ServicePlan};
+use indexserve::boxsim::{run_multi, ServicePlan};
 use indexserve::BoxReport;
 use serde::{Deserialize, Serialize};
 use simcore::SimDuration;
@@ -187,49 +184,6 @@ impl Report {
     }
 }
 
-/// Runs `n` independent jobs across `workers` threads (work-stealing by
-/// atomic index) and returns the results in job order. With one worker
-/// the jobs run inline; either way `results[i]` is `job(i)`, so callers'
-/// reductions are bit-identical across thread counts.
-fn fan_out<T: Send>(n: usize, workers: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let mut results: Vec<Option<T>> = Vec::with_capacity(n);
-    results.resize_with(n, || None);
-    if workers <= 1 {
-        for (i, slot) in results.iter_mut().enumerate() {
-            *slot = Some(job(i));
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        let job = &job;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut out = Vec::new();
-                        loop {
-                            let idx = next.fetch_add(1, Ordering::Relaxed);
-                            if idx >= n {
-                                break;
-                            }
-                            out.push((idx, job(idx)));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (idx, r) in handle.join().expect("sweep worker panicked") {
-                    results[idx] = Some(r);
-                }
-            }
-        });
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every job produced a result"))
-        .collect()
-}
-
 /// Reduces per-seed reports into cross-seed statistics, in input order.
 fn summarize(runs: &[SeedReport]) -> Summary {
     let mut summary = Summary::default();
@@ -249,7 +203,11 @@ fn run_seed(spec: &ScenarioSpec, seed: u64, inner_threads: usize) -> SeedReport 
         TargetSpec::SingleBox { .. } => {
             let plan = spec.run_plan().expect("validated");
             let cfg = spec.box_config(seed).expect("validated");
-            SeedReport::SingleBox(run_standalone(cfg, &plan))
+            let service = ServicePlan {
+                qps: plan.qps,
+                trace: plan.trace,
+            };
+            SeedReport::SingleBox(run_multi(cfg, &[service], plan.warmup, plan.measure))
         }
         TargetSpec::MultiBox { services } => {
             let cfg = spec.box_config(seed).expect("validated");

@@ -4,7 +4,6 @@
 //!
 //! - [`LatencyRecorder`] — query-latency percentiles (p50/p95/p99), exact
 //!   by default or sketch-backed via [`TelemetryMode`].
-//! - [`LogHistogram`] — HDR-style log-bucketed histogram for streaming use.
 //! - [`Sketch`] — mergeable bounded-memory quantile sketch with a
 //!   guaranteed relative error, for production-scale fleets.
 //! - [`CpuBreakdown`] — the Primary/Secondary/OS/Idle utilization split shown
@@ -16,7 +15,6 @@
 //! - [`slo`] — the paper's SLO definition: p99 within 1 ms of standalone.
 
 pub mod accounting;
-pub mod histogram;
 pub mod recorder;
 pub mod resilience;
 pub mod runstats;
@@ -26,7 +24,6 @@ pub mod slo;
 pub mod table;
 
 pub use accounting::{CpuBreakdown, TenantClass};
-pub use histogram::LogHistogram;
 pub use recorder::{LatencyRecorder, TelemetryMode};
 pub use resilience::ResilienceStats;
 pub use runstats::RunStats;

@@ -1,8 +1,8 @@
 //! Streaming, mergeable percentile sketch for fleet-scale telemetry.
 //!
-//! [`Sketch`] is a DDSketch-style log-bucketed quantile estimator built on
-//! the same bucket geometry as [`crate::LogHistogram`] (64 sub-buckets per
-//! octave), but it stores only the *occupied window* of buckets — a run
+//! [`Sketch`] is a DDSketch-style log-bucketed quantile estimator: 64
+//! sub-buckets per power of two over 44 octaves (1 ns to about 4.8
+//! hours). It stores only the *occupied window* of buckets — a run
 //! from the first to the last non-empty bucket — instead of the full
 //! 2816-slot table. A production box whose latencies span one decade keeps
 //! a few hundred `u64` counters no matter how many billions of samples it
@@ -19,7 +19,34 @@
 use serde::{Deserialize, Serialize};
 use simcore::SimDuration;
 
-use crate::histogram::{bucket_index, bucket_midpoint, NUM_BUCKETS};
+const SUB_BUCKET_BITS: u32 = 6;
+const SUB_BUCKETS: usize = 1 << SUB_BUCKET_BITS; // 64
+const OCTAVES: usize = 44; // covers 1ns .. ~4.8 hours
+const NUM_BUCKETS: usize = OCTAVES * SUB_BUCKETS;
+
+fn bucket_index(value_ns: u64) -> usize {
+    let v = value_ns.max(1);
+    let msb = 63 - v.leading_zeros();
+    if msb < SUB_BUCKET_BITS {
+        // Small values map directly into the first octave's sub-buckets.
+        return v as usize;
+    }
+    let octave = (msb - SUB_BUCKET_BITS + 1) as usize;
+    let sub = (v >> (octave as u32 - 1)) as usize & (SUB_BUCKETS - 1);
+    let idx = octave * SUB_BUCKETS + sub;
+    idx.min(NUM_BUCKETS - 1)
+}
+
+fn bucket_midpoint(idx: usize) -> u64 {
+    if idx < SUB_BUCKETS {
+        return idx as u64;
+    }
+    let octave = idx / SUB_BUCKETS;
+    let sub = idx % SUB_BUCKETS;
+    let base = (SUB_BUCKETS as u64 + sub as u64) << (octave as u32 - 1);
+    let width = 1u64 << (octave as u32 - 1);
+    base + width / 2
+}
 
 /// A bounded-memory quantile sketch with a relative-error guarantee.
 ///
@@ -374,6 +401,22 @@ mod tests {
         assert_eq!(back.stored_buckets(), s.stored_buckets());
         for q in [0.5, 0.95, 0.99] {
             assert_eq!(back.percentile(q), s.percentile(q));
+        }
+    }
+
+    proptest! {
+        /// Bucket index is monotone non-decreasing in the value.
+        #[test]
+        fn prop_bucket_monotone(a in 1u64..u64::MAX / 2) {
+            prop_assert!(bucket_index(a) <= bucket_index(a + 1));
+        }
+
+        /// A bucket's midpoint maps back into the same bucket.
+        #[test]
+        fn prop_midpoint_roundtrip(v in 1u64..1_000_000_000_000u64) {
+            let idx = bucket_index(v);
+            let mid = bucket_midpoint(idx);
+            prop_assert_eq!(bucket_index(mid.max(1)), idx);
         }
     }
 

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use scenarios::spec::{self, run_spec, RunOptions, ScenarioSpec};
 use scenarios::Policy;
 use simcore::SimDuration;
-use telemetry::LogHistogram;
+use telemetry::Sketch;
 use workloads::BullyIntensity;
 
 /// Runs one 2 000 QPS single-box cell on a 200 + 600 ms window; any policy
@@ -369,25 +369,28 @@ fn cluster_rerun_is_identical() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Merging per-worker histograms equals recording into one — the
-    /// reduction the parallel fleet driver depends on, checked here at the
-    /// workspace level over arbitrary splits.
+    /// Tree-merging per-part sketches equals recording every sample into
+    /// one sketch — the reduction `run_fleet` applies to its slices'
+    /// sketches, checked here at the workspace level over arbitrary splits.
     #[test]
-    fn prop_histogram_merge_equals_single(
+    fn prop_sketch_merge_equals_single(
         vals in proptest::collection::vec(1u64..50_000_000_000u64, 1..300),
         pieces in 1usize..6,
+        drops in 0u64..5,
     ) {
-        let mut whole = LogHistogram::new();
-        let mut parts: Vec<LogHistogram> = (0..pieces).map(|_| LogHistogram::new()).collect();
+        let mut whole = Sketch::new();
+        let mut parts: Vec<Sketch> = (0..pieces).map(|_| Sketch::new()).collect();
         for (i, &v) in vals.iter().enumerate() {
             whole.record(SimDuration::from_nanos(v));
             parts[i % pieces].record(SimDuration::from_nanos(v));
         }
-        let mut merged = LogHistogram::new();
-        for p in &parts {
-            merged.merge(p);
+        for d in 0..drops {
+            whole.record_dropped();
+            parts[d as usize % pieces].record_dropped();
         }
+        let merged = Sketch::merge_tree(parts).expect("at least one part");
         prop_assert_eq!(merged.count(), whole.count());
+        prop_assert_eq!(merged.dropped(), whole.dropped());
         prop_assert_eq!(merged.min(), whole.min());
         prop_assert_eq!(merged.max(), whole.max());
         for q in [0.5, 0.9, 0.95, 0.99, 1.0] {
