@@ -32,7 +32,7 @@ use indexserve::{BoxConfig, BoxEvent, BoxSim, FaultPlan, SecondaryKind, ServiceC
 use perfiso::PerfIsoConfig;
 use qtrace::{OpenLoopClient, QuerySpec, TraceConfig, TraceGenerator};
 use simcore::dist::{LogNormal, Sample};
-use simcore::{SimDuration, SimRng, SimTime};
+use simcore::{RequestTable, SimDuration, SimRng, SimTime};
 use simcpu::MachineConfig;
 use simnet::{Delivery, NetConfig, NetSim, NodeId, TrafficClass};
 use telemetry::{CpuBreakdown, LatencyRecorder, TelemetryMode};
@@ -119,6 +119,7 @@ fn parse_token(token: u64) -> (u64, u64, u64) {
     )
 }
 
+/// A request between its TLA arrival and its response reaching the TLA.
 #[derive(Debug)]
 struct RequestState {
     tla: u32,
@@ -128,7 +129,6 @@ struct RequestState {
     mla_col: u32,
     pending_cols: u32,
     degraded: bool,
-    done: bool,
     measured: bool,
 }
 
@@ -142,7 +142,9 @@ pub struct ClusterSim {
     /// The boxes holding undrained output; each waits at its own clock.
     held: Vec<usize>,
     net: NetSim,
-    requests: Vec<RequestState>,
+    /// Unfinished requests by dense id; the id rides in every message
+    /// token.
+    requests: RequestTable<RequestState>,
     /// Per-box map from local query index to request id.
     qmap: Vec<HashMap<u64, u64>>,
     /// Specs awaiting fan-out deliveries, with a remaining-use count.
@@ -224,7 +226,7 @@ impl ClusterSim {
             next_at,
             held: Vec::with_capacity(n_index as usize),
             net,
-            requests: Vec::new(),
+            requests: RequestTable::new(),
             qmap,
             specs: HashMap::new(),
             rr_tla: 0,
@@ -243,17 +245,17 @@ impl ClusterSim {
     }
 
     /// Runs the experiment and produces the Fig 9-style report.
-    pub fn run(self) -> ClusterReport {
+    pub fn run(mut self) -> ClusterReport {
         self.run_impl(None)
     }
 
     /// Like [`ClusterSim::run`] but reports loop progress to stderr every
     /// `every` global steps (diagnostic aid).
-    pub fn run_traced(self, every: u64) -> ClusterReport {
+    pub fn run_traced(mut self, every: u64) -> ClusterReport {
         self.run_impl(Some(every.max(1)))
     }
 
-    fn run_impl(mut self, trace_every: Option<u64>) -> ClusterReport {
+    fn run_impl(&mut self, trace_every: Option<u64>) -> ClusterReport {
         let total = self.cfg.warmup + self.cfg.measure;
         let end = SimTime::ZERO + total;
         let n_queries = (self.cfg.qps_total * total.as_secs_f64() * 1.02) as usize + 8;
@@ -490,8 +492,7 @@ impl ClusterSim {
         let mla_col = self.rr_mla[row as usize] % topo.columns;
         self.rr_mla[row as usize] += 1;
 
-        let req = self.requests.len() as u64;
-        self.requests.push(RequestState {
+        let req = self.requests.insert(RequestState {
             tla,
             tla_arrival: now,
             mla_arrival: SimTime::ZERO,
@@ -499,7 +500,6 @@ impl ClusterSim {
             mla_col,
             pending_cols: topo.columns,
             degraded: false,
-            done: false,
             measured: now >= SimTime::ZERO + self.cfg.warmup,
         });
         // One use at the MLA plus one per remote column.
@@ -512,6 +512,13 @@ impl ClusterSim {
             TrafficClass::High,
             msg_token(1, req, 0),
         );
+    }
+
+    /// The state of a request the caller knows is unfinished: every
+    /// message and box event before the TLA response names a request that
+    /// has not yet reached its TLA.
+    fn request(&self, req: u64) -> &RequestState {
+        self.requests.get(req).expect("request is unfinished")
     }
 
     fn take_spec(&mut self, req: u64) -> QuerySpec {
@@ -531,7 +538,10 @@ impl ClusterSim {
             // TLA → MLA: fan out to every column of the row.
             1 => {
                 let (row, _) = topo.index_position(to).expect("MLA is an index machine");
-                self.requests[req as usize].mla_arrival = now;
+                self.requests
+                    .get_mut(req)
+                    .expect("request is unfinished")
+                    .mla_arrival = now;
                 for col in 0..topo.columns {
                     let node = topo.index_node(row, col);
                     if node == to {
@@ -565,18 +575,17 @@ impl ClusterSim {
             }
             // Column → MLA: one shard response.
             3 => {
-                let dropped = aux & DROP_FLAG != 0;
-                let (pending, row, mla_col) = {
-                    let r = &mut self.requests[req as usize];
-                    if dropped {
-                        r.degraded = true;
-                    }
-                    r.pending_cols = r.pending_cols.saturating_sub(1);
-                    (r.pending_cols, r.row, r.mla_col)
+                // A response for a finished request changes nothing.
+                let Some(r) = self.requests.get_mut(req) else {
+                    return;
                 };
-                if pending == 0 && !self.requests[req as usize].done {
+                if aux & DROP_FLAG != 0 {
+                    r.degraded = true;
+                }
+                r.pending_cols = r.pending_cols.saturating_sub(1);
+                if r.pending_cols == 0 {
+                    let flat = topo.index_flat(r.row, r.mla_col);
                     let cost = SimDuration::from_micros_f64(self.agg_dist.sample(&mut self.rng));
-                    let flat = topo.index_flat(row, mla_col);
                     self.boxes[flat].spawn_primary_aux(now, cost, req);
                     self.refresh(flat);
                     self.drain_box(flat, now);
@@ -585,8 +594,9 @@ impl ClusterSim {
             // MLA → TLA: the response is ready after the TLA's own cost.
             4 => {
                 let done_at = now + self.cfg.tla_cost;
-                let r = &mut self.requests[req as usize];
-                r.done = true;
+                let Some(r) = self.requests.finish(req) else {
+                    return;
+                };
                 self.completed += 1;
                 if r.degraded {
                     self.degraded += 1;
@@ -612,7 +622,7 @@ impl ClusterSim {
                         continue;
                     };
                     let (measured, row, mla_col) = {
-                        let r = &self.requests[req as usize];
+                        let r = self.request(req);
                         (r.measured, r.row, r.mla_col)
                     };
                     if measured {
@@ -636,7 +646,7 @@ impl ClusterSim {
                 }
                 BoxEvent::AuxDone(req) => {
                     let (measured, mla_arrival, row, mla_col, tla) = {
-                        let r = &self.requests[req as usize];
+                        let r = self.request(req);
                         (r.measured, r.mla_arrival, r.row, r.mla_col, r.tla)
                     };
                     if measured {
@@ -725,6 +735,23 @@ mod tests {
             "same-instant deliveries must keep send order: {a:?}"
         );
         assert_eq!(a, run(77), "delivery sequence must be reproducible");
+    }
+
+    #[test]
+    fn finished_requests_retire() {
+        let mut sim = ClusterSim::new(small_config(SecondaryKind::none(), 3));
+        let report = sim.run_impl(None);
+        // Every request reached its TLA and retired, and ids stayed dense.
+        assert_eq!(sim.requests.window(), 0);
+        assert_eq!(sim.requests.next_id(), report.completed);
+        assert!(report.completed > 300, "completed {}", report.completed);
+        // Requests take about 15 ms at 600 QPS, so the table never held
+        // more than a few dozen of them.
+        assert!(
+            sim.requests.capacity() <= 32,
+            "capacity {}",
+            sim.requests.capacity()
+        );
     }
 
     #[test]

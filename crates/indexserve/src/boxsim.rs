@@ -1845,19 +1845,26 @@ impl ServicePlan {
     }
 }
 
-/// Latency recorders for one box run: the merged stream plus one
-/// recorder per hosted service.
+/// Latency recorders for one box run: the merged stream plus, on a box
+/// with an explicit roster, one recorder per hosted service.
 struct RunRecorders {
     overall: LatencyRecorder,
+    /// Empty on a classic box, whose report has no per-service rows.
     per_service: Vec<LatencyRecorder>,
     warmup_end: SimTime,
 }
 
 impl RunRecorders {
-    fn new(services: usize, warmup_end: SimTime, mode: TelemetryMode) -> Self {
+    fn new(sim: &BoxSim, warmup_end: SimTime) -> Self {
+        let mode = sim.cfg.telemetry;
+        let rows = if sim.cfg.hosted.is_empty() {
+            0
+        } else {
+            sim.service_count()
+        };
         RunRecorders {
             overall: mode.recorder(),
-            per_service: (0..services).map(|_| mode.recorder()).collect(),
+            per_service: (0..rows).map(|_| mode.recorder()).collect(),
             warmup_end,
         }
     }
@@ -1869,13 +1876,13 @@ impl RunRecorders {
         for ev in events.drain(..) {
             if let BoxEvent::QueryDone(out) = ev {
                 if out.arrival >= self.warmup_end {
-                    let svc = &mut self.per_service[out.service as usize];
-                    if out.dropped {
-                        self.overall.record_dropped();
-                        svc.record_dropped();
-                    } else {
-                        self.overall.record(out.latency);
-                        svc.record(out.latency);
+                    let svc = self.per_service.get_mut(out.service as usize);
+                    for r in std::iter::once(&mut self.overall).chain(svc) {
+                        if out.dropped {
+                            r.record_dropped();
+                        } else {
+                            r.record(out.latency);
+                        }
                     }
                 }
             }
@@ -1886,9 +1893,6 @@ impl RunRecorders {
 /// Builds the per-service report rows; empty unless the box was
 /// configured with an explicit roster (so classic reports are unchanged).
 fn service_rows(sim: &BoxSim, rec: &mut RunRecorders, plans: &[ServicePlan]) -> Vec<ServiceReport> {
-    if sim.cfg.hosted.is_empty() {
-        return Vec::new();
-    }
     rec.per_service
         .iter_mut()
         .enumerate()
@@ -1943,7 +1947,7 @@ pub fn run_multi(
         })
         .collect();
 
-    let mut rec = RunRecorders::new(sim.service_count(), warmup_end, sim.cfg.telemetry);
+    let mut rec = RunRecorders::new(&sim, warmup_end);
     let mut warm_snapshot: Option<(CpuBreakdown, SimDuration)> = None;
     let mut queries_measured = 0u64;
     let mut workers_at_warm = 0u64;

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use qtrace::QuerySpec;
 use serde::{Deserialize, Serialize};
 use simcore::dist::{LogNormal, Sample};
-use simcore::{SimDuration, SimRng, SimTime};
+use simcore::{RequestTable, SimDuration, SimRng, SimTime};
 use simcpu::{JobId, Machine, Program, ThreadId};
 
 use crate::cache::CacheModel;
@@ -122,12 +122,12 @@ pub struct QueryOutcome {
     pub service: u8,
 }
 
+/// An unfinished query; the table drops it when the query finishes.
 #[derive(Debug)]
 struct QueryState {
     spec: QuerySpec,
     arrival: SimTime,
     started: bool,
-    finished: bool,
     pending_workers: u32,
     live_tids: Vec<ThreadId>,
 }
@@ -137,7 +137,8 @@ struct QueryState {
 pub struct IndexServe {
     cfg: Arc<ServiceConfig>,
     job: JobId,
-    queries: Vec<QueryState>,
+    /// Unfinished queries by dense index; finished ones read as finished.
+    queries: RequestTable<QueryState>,
     admission_queue: VecDeque<u64>,
     in_flight: u32,
     outcomes: Vec<QueryOutcome>,
@@ -155,8 +156,6 @@ pub struct IndexServe {
     /// Recycled `live_tids` vectors: finished queries return their vector
     /// here so steady-state arrivals never allocate one.
     tid_pool: Vec<Vec<ThreadId>>,
-    /// Scratch for the timeout kill sweep (replaces a per-timeout clone).
-    kill_scratch: Vec<ThreadId>,
     /// Stage cost distributions, prebuilt from the config once: the spawn
     /// paths sample them per stage, and `LogNormal::from_median` costs a
     /// runtime `ln` that has no place in the per-query hot loop.
@@ -186,7 +185,7 @@ impl IndexServe {
         IndexServe {
             cfg,
             job,
-            queries: Vec::new(),
+            queries: RequestTable::new(),
             admission_queue: VecDeque::new(),
             in_flight: 0,
             outcomes: Vec::new(),
@@ -196,7 +195,6 @@ impl IndexServe {
             shed_admissions: 0,
             service,
             tid_pool: Vec::new(),
-            kill_scratch: Vec::new(),
             parse_dist,
             worker_jitter,
             rank_dist,
@@ -251,12 +249,10 @@ impl IndexServe {
     /// Handles a query arrival; returns the dense query index (schedule the
     /// timeout for `arrival + cfg.timeout` against it).
     pub fn on_arrival(&mut self, now: SimTime, spec: QuerySpec, machine: &mut Machine) -> u64 {
-        let qidx = self.queries.len() as u64;
-        self.queries.push(QueryState {
+        let qidx = self.queries.insert(QueryState {
             spec,
             arrival: now,
             started: false,
-            finished: false,
             pending_workers: 0,
             live_tids: self.tid_pool.pop().unwrap_or_default(),
         });
@@ -269,10 +265,19 @@ impl IndexServe {
         qidx
     }
 
+    /// The state of a query the caller knows is unfinished.
+    fn query(&self, qidx: u64) -> &QueryState {
+        self.queries.get(qidx).expect("query is unfinished")
+    }
+
+    /// Mutable [`IndexServe::query`].
+    fn query_mut(&mut self, qidx: u64) -> &mut QueryState {
+        self.queries.get_mut(qidx).expect("query is unfinished")
+    }
+
     fn start_query(&mut self, now: SimTime, qidx: u64, machine: &mut Machine) {
         self.in_flight += 1;
-        let q = &mut self.queries[qidx as usize];
-        q.started = true;
+        self.query_mut(qidx).started = true;
         // Stage 1: parse. A single compute burst is the inline one-shot
         // program — no box, no script, no arena traffic.
         let burst = self.parse_dist.sample(&mut self.rng);
@@ -282,7 +287,7 @@ impl IndexServe {
             Program::compute_once(SimDuration::from_micros_f64(burst)),
             self.tag(Stage::Parse, qidx, 0),
         );
-        self.queries[qidx as usize].live_tids.push(tid);
+        self.query_mut(qidx).live_tids.push(tid);
     }
 
     /// The compensation multiplier at current pressure.
@@ -311,7 +316,7 @@ impl IndexServe {
         qidx: u64,
         machine: &mut Machine,
     ) -> Option<QueryOutcome> {
-        if self.queries[qidx as usize].finished {
+        if self.queries.is_finished(qidx) {
             return None;
         }
         match stage {
@@ -320,7 +325,7 @@ impl IndexServe {
                 None
             }
             Stage::Worker => {
-                let q = &mut self.queries[qidx as usize];
+                let q = self.query_mut(qidx);
                 q.pending_workers = q.pending_workers.saturating_sub(1);
                 if q.pending_workers == 0 {
                     self.spawn_rank(now, qidx, machine);
@@ -331,7 +336,7 @@ impl IndexServe {
                 self.spawn_agg(now, qidx, machine);
                 None
             }
-            Stage::Aggregate => Some(self.complete(now, qidx, machine)),
+            Stage::Aggregate => self.complete(now, qidx, machine),
         }
     }
 
@@ -343,15 +348,15 @@ impl IndexServe {
         // CPU contention" (§6.1.2).
         let comp = self.compensation();
         let (fanout, rounds, base_burst_ns, miss_prob) = {
-            let q = &self.queries[qidx as usize];
+            let q = &self.query(qidx).spec;
             (
-                ((q.spec.fanout as f64 * comp).round() as u32).max(1),
-                q.spec.rounds,
-                q.spec.burst_ns as f64 / comp,
-                self.cfg.cache.miss_prob(q.spec.doc_rank),
+                ((q.fanout as f64 * comp).round() as u32).max(1),
+                q.rounds,
+                q.burst_ns as f64 / comp,
+                self.cfg.cache.miss_prob(q.doc_rank),
             )
         };
-        self.queries[qidx as usize].pending_workers = fanout;
+        self.query_mut(qidx).pending_workers = fanout;
         self.workers_spawned += fanout as u64;
         let jitter = self.worker_jitter;
         for w in 0..fanout {
@@ -368,12 +373,12 @@ impl IndexServe {
                 }
             }
             let tid = writer.finish();
-            self.queries[qidx as usize].live_tids.push(tid);
+            self.query_mut(qidx).live_tids.push(tid);
         }
     }
 
     fn spawn_rank(&mut self, now: SimTime, qidx: u64, machine: &mut Machine) {
-        let heavy = self.queries[qidx as usize].spec.heavy;
+        let heavy = self.query(qidx).spec.heavy;
         let rounds = if heavy {
             self.cfg.rank_rounds * 3
         } else {
@@ -392,7 +397,7 @@ impl IndexServe {
             writer.block(round as u64);
         }
         let tid = writer.finish();
-        self.queries[qidx as usize].live_tids.push(tid);
+        self.query_mut(qidx).live_tids.push(tid);
     }
 
     fn spawn_agg(&mut self, now: SimTime, qidx: u64, machine: &mut Machine) {
@@ -405,21 +410,22 @@ impl IndexServe {
             self.tag(Stage::Aggregate, qidx, 0),
             true,
         );
-        self.queries[qidx as usize].live_tids.push(tid);
+        self.query_mut(qidx).live_tids.push(tid);
     }
 
-    fn complete(&mut self, now: SimTime, qidx: u64, machine: &mut Machine) -> QueryOutcome {
-        let arrival = self.queries[qidx as usize].arrival;
+    fn complete(&mut self, now: SimTime, qidx: u64, machine: &mut Machine) -> Option<QueryOutcome> {
+        let q = self.queries.finish(qidx)?;
         let outcome = QueryOutcome {
             qidx,
-            arrival,
-            latency: now.since(arrival),
+            arrival: q.arrival,
+            latency: now.since(q.arrival),
             dropped: false,
             service: self.service,
         };
-        self.finish(now, qidx, machine);
+        self.recycle_tids(q.live_tids);
+        self.release_slot(now, machine);
         self.outcomes.push(outcome);
-        outcome
+        Some(outcome)
     }
 
     /// Handles the query's deadline. Returns an outcome when the query was
@@ -430,34 +436,22 @@ impl IndexServe {
         qidx: u64,
         machine: &mut Machine,
     ) -> Option<QueryOutcome> {
-        let q = &self.queries[qidx as usize];
-        if q.finished {
-            return None;
-        }
-        let arrival = q.arrival;
-        let was_started = q.started;
-        // Abandon: kill whatever is still running for this query. The kill
-        // sweep runs on a reused scratch buffer so timeouts (and the
-        // controller actions they race with) never allocate.
-        let mut tids = std::mem::take(&mut self.kill_scratch);
-        tids.clear();
-        tids.extend_from_slice(&self.queries[qidx as usize].live_tids);
-        for &tid in &tids {
+        let q = self.queries.finish(qidx)?;
+        // Abandon: kill whatever is still running for this query.
+        for &tid in &q.live_tids {
             machine.kill_thread(now, tid);
         }
-        self.kill_scratch = tids;
-        if was_started {
-            self.finish(now, qidx, machine);
+        self.recycle_tids(q.live_tids);
+        if q.started {
+            self.release_slot(now, machine);
         } else {
             // Still waiting for admission: remove from the queue.
-            self.queries[qidx as usize].finished = true;
-            self.recycle_tids(qidx);
             self.admission_queue.retain(|&x| x != qidx);
         }
         let outcome = QueryOutcome {
             qidx,
-            arrival,
-            latency: now.since(arrival),
+            arrival: q.arrival,
+            latency: now.since(q.arrival),
             dropped: true,
             service: self.service,
         };
@@ -467,8 +461,9 @@ impl IndexServe {
 
     /// Fails every unfinished query at once (the process died): each one is
     /// killed and reported dropped, exactly as if its deadline fired now.
+    /// The sweep covers only the ids the table has not retired.
     pub fn fail_all(&mut self, now: SimTime, machine: &mut Machine) {
-        for qidx in 0..self.queries.len() as u64 {
+        for qidx in self.queries.unretired() {
             self.on_timeout(now, qidx, machine);
         }
     }
@@ -477,15 +472,14 @@ impl IndexServe {
     /// restarting): the query is dropped immediately with zero latency and
     /// never touches the machine. Returns the dense query index.
     pub fn refuse_arrival(&mut self, now: SimTime, spec: QuerySpec) -> u64 {
-        let qidx = self.queries.len() as u64;
-        self.queries.push(QueryState {
+        let qidx = self.queries.insert(QueryState {
             spec,
             arrival: now,
             started: false,
-            finished: true,
             pending_workers: 0,
             live_tids: Vec::new(),
         });
+        self.queries.finish(qidx);
         self.outcomes.push(QueryOutcome {
             qidx,
             arrival: now,
@@ -496,26 +490,25 @@ impl IndexServe {
         qidx
     }
 
-    /// True when the query has burned too much of its deadline waiting to
-    /// be worth starting.
-    fn past_start_budget(&self, now: SimTime, qidx: u64) -> bool {
-        let elapsed = now.since(self.queries[qidx as usize].arrival);
-        elapsed + self.cfg.min_start_budget > self.cfg.timeout
+    /// True when a query that arrived at `arrival` has burned too much of
+    /// its deadline waiting to be worth starting.
+    fn past_start_budget(&self, now: SimTime, arrival: SimTime) -> bool {
+        now.since(arrival) + self.cfg.min_start_budget > self.cfg.timeout
     }
 
     /// Sheds an unstarted query: emits the dropped outcome immediately and
     /// lets the (stale) timeout event no-op later.
     fn shed(&mut self, now: SimTime, qidx: u64) {
-        let q = &mut self.queries[qidx as usize];
-        debug_assert!(!q.started && !q.finished);
-        q.finished = true;
-        let arrival = q.arrival;
-        self.recycle_tids(qidx);
+        let Some(q) = self.queries.finish(qidx) else {
+            return;
+        };
+        debug_assert!(!q.started);
+        self.recycle_tids(q.live_tids);
         self.shed_admissions += 1;
         self.outcomes.push(QueryOutcome {
             qidx,
-            arrival,
-            latency: now.since(arrival),
+            arrival: q.arrival,
+            latency: now.since(q.arrival),
             dropped: true,
             service: self.service,
         });
@@ -523,27 +516,23 @@ impl IndexServe {
 
     /// Returns a finished query's `live_tids` vector to the pool (bounded
     /// by the admission cap so the pool cannot grow without limit).
-    fn recycle_tids(&mut self, qidx: u64) {
-        let mut v = std::mem::take(&mut self.queries[qidx as usize].live_tids);
+    fn recycle_tids(&mut self, mut v: Vec<ThreadId>) {
         if self.tid_pool.len() < self.cfg.max_concurrent as usize + 8 {
             v.clear();
             self.tid_pool.push(v);
         }
     }
 
-    /// Marks a query done, releases its admission slot, and starts the next
-    /// queued arrival that still has deadline budget, shedding the rest.
-    fn finish(&mut self, now: SimTime, qidx: u64, machine: &mut Machine) {
-        let q = &mut self.queries[qidx as usize];
-        debug_assert!(!q.finished);
-        q.finished = true;
-        self.recycle_tids(qidx);
+    /// Releases a finished started query's admission slot and starts the
+    /// next queued arrival that still has deadline budget, shedding the
+    /// rest.
+    fn release_slot(&mut self, now: SimTime, machine: &mut Machine) {
         self.in_flight = self.in_flight.saturating_sub(1);
         while let Some(next) = self.admission_queue.pop_front() {
-            if self.queries[next as usize].finished {
+            let Some(arrival) = self.queries.get(next).map(|q| q.arrival) else {
                 continue;
-            }
-            if self.past_start_budget(now, next) {
+            };
+            if self.past_start_budget(now, arrival) {
                 self.shed(now, next);
                 continue;
             }
@@ -702,6 +691,117 @@ mod tests {
         assert_eq!(s.in_flight(), 0);
         let dropped: Vec<_> = s.drain_outcomes();
         assert_eq!(dropped.len(), 1);
+    }
+
+    /// A query with 8–15 workers; every tenth is heavy.
+    fn varied_spec(id: u64) -> QuerySpec {
+        QuerySpec {
+            id,
+            fanout: 8 + (id % 8) as u8,
+            rounds: 4,
+            burst_ns: 90_000,
+            doc_rank: 1 + (id % 997) as u32,
+            heavy: id.is_multiple_of(10),
+        }
+    }
+
+    /// The gap between arrivals at 2 000 QPS.
+    const GAP_US: u64 = 500;
+
+    /// Offers `n` queries at 2 000 QPS to a 48-core machine and fires each
+    /// deadline on time. Returns the machine and service stopped at the
+    /// last arrival (the newest queries still in flight), which query ids
+    /// have reported an outcome, and the largest window the query table
+    /// held.
+    fn stream_at_2000_qps(n: u64) -> (Machine, IndexServe, Vec<bool>, usize) {
+        let mut m = Machine::new(MachineConfig::small(48));
+        let job = m.create_job(TenantClass::Primary, CoreMask::all(48));
+        let mut s = IndexServe::new(Arc::new(ServiceConfig::default()), job, 7);
+        let timeout = s.config().timeout;
+        let mut deadlines: VecDeque<(SimTime, u64)> = VecDeque::new();
+        let mut reported = vec![false; n as usize];
+        let mut high = 0;
+        for i in 0..n {
+            let at = SimTime::from_micros(GAP_US * i);
+            while let Some(&(due, q)) = deadlines.front().filter(|(due, _)| *due <= at) {
+                deadlines.pop_front();
+                settle(&mut m, &mut s, due);
+                s.on_timeout(due, q, &mut m);
+            }
+            settle(&mut m, &mut s, at);
+            let q = s.on_arrival(at, varied_spec(i), &mut m);
+            assert_eq!(q, i, "ids stay dense");
+            deadlines.push_back((at + timeout, q));
+            for o in s.drain_outcomes() {
+                let seen = std::mem::replace(&mut reported[o.qidx as usize], true);
+                assert!(!seen, "query {} reported twice", o.qidx);
+            }
+            high = high.max(s.queries.window());
+        }
+        (m, s, reported, high)
+    }
+
+    #[test]
+    fn query_table_window_follows_in_flight_work() {
+        let n = 10_000;
+        let (_, s, reported, high) = stream_at_2000_qps(n);
+        // Each query finishes by its deadline, so no more than one
+        // deadline's worth of arrivals is ever unretired.
+        let bound = (s.config().timeout.as_micros() / GAP_US) as usize + 1;
+        assert!(high <= bound, "window {high} above {bound}");
+        // Queries take a few milliseconds here, and the table's storage
+        // stays at a small multiple of the queries in flight.
+        assert!(high <= 64, "window {high}");
+        assert!(s.queries.capacity() <= 128, "{}", s.queries.capacity());
+        let open = reported.iter().filter(|r| !**r).count();
+        assert!(open > 0 && open < high, "{open} queries in flight");
+        assert_eq!(s.queries.next_id(), n);
+    }
+
+    #[test]
+    fn retired_query_ids_are_no_ops() {
+        let (mut m, mut s, reported, _) = stream_at_2000_qps(10_000);
+        let now = m.now();
+        assert!(reported[0] && s.queries.is_finished(0));
+        assert!(s.queries.unretired().start > 0, "query 0 retired");
+        let spawns = m.stats().spawns;
+        let load = (s.in_flight(), s.admission_queue_len());
+        assert!(s.on_timeout(now, 0, &mut m).is_none());
+        for stage in [Stage::Parse, Stage::Worker, Stage::Rank, Stage::Aggregate] {
+            assert!(s.on_stage_exited(now, stage, 0, &mut m).is_none());
+        }
+        assert!(!s.has_outcomes());
+        assert_eq!(m.stats().spawns, spawns, "nothing spawned for query 0");
+        assert_eq!((s.in_flight(), s.admission_queue_len()), load);
+    }
+
+    #[test]
+    fn fail_all_after_retirement_drops_exactly_the_unfinished() {
+        let n = 10_000;
+        let (mut m, mut s, mut reported, _) = stream_at_2000_qps(n);
+        let now = m.now();
+        // A burst past the admission cap leaves queries queued as well as
+        // running when the process dies.
+        let burst = 200;
+        for i in n..n + burst {
+            s.on_arrival(now, varied_spec(i), &mut m);
+        }
+        reported.resize((n + burst) as usize, false);
+        assert!(s.admission_queue_len() > 0);
+        let open: Vec<u64> = (0..n + burst).filter(|&q| !reported[q as usize]).collect();
+        assert!(open.len() > burst as usize, "streamed queries in flight");
+        assert!(s.queries.unretired().start > 0, "finished queries retired");
+        s.fail_all(now, &mut m);
+        let mut dropped: Vec<u64> = s
+            .drain_outcomes()
+            .iter()
+            .inspect(|o| assert!(o.dropped, "query {} not dropped", o.qidx))
+            .map(|o| o.qidx)
+            .collect();
+        dropped.sort_unstable();
+        assert_eq!(dropped, open);
+        assert_eq!(s.queries.window(), 0);
+        assert_eq!((s.in_flight(), s.admission_queue_len()), (0, 0));
     }
 
     #[test]

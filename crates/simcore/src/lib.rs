@@ -4,8 +4,9 @@
 //! The crate deliberately stays small and dependency-free (apart from
 //! [`rand`]): it provides virtual time ([`SimTime`], [`SimDuration`]), a
 //! deterministic event queue ([`queue::EventQueue`]), a seeded RNG wrapper
-//! ([`rng::SimRng`]), and the statistical distributions used to model
-//! workloads ([`dist`]).
+//! ([`rng::SimRng`]), the statistical distributions used to model
+//! workloads ([`dist`]), and the dense-id request table whose memory
+//! follows in-flight work ([`table::RequestTable`]).
 //!
 //! Higher-level simulators (CPU, disk, network, cluster) define their own
 //! event payload types and drive their own loops; `simcore` only guarantees
@@ -29,6 +30,7 @@ pub mod ids;
 pub mod mask;
 pub mod queue;
 pub mod rng;
+pub mod table;
 pub mod time;
 pub(crate) mod wheel;
 
@@ -36,4 +38,5 @@ pub use ids::{CoreId, JobId, ThreadId};
 pub use mask::CoreMask;
 pub use queue::EventQueue;
 pub use rng::SimRng;
+pub use table::RequestTable;
 pub use time::{SimDuration, SimTime};

@@ -56,6 +56,12 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Makes room for `pending` events in total: the queue allocates
+    /// nothing more until more than that many are pending at once.
+    pub fn reserve_total(&mut self, pending: usize) {
+        self.wheel.reserve_total(pending);
+    }
+
     /// Schedules `payload` at time `at`.
     #[inline]
     pub fn push(&mut self, at: SimTime, payload: E) {

@@ -145,6 +145,12 @@ impl<E> Wheel<E> {
         w
     }
 
+    /// Grows the slab to hold `pending` events without further growth.
+    pub fn reserve_total(&mut self, pending: usize) {
+        self.nodes
+            .reserve_exact(pending.saturating_sub(self.nodes.len()));
+    }
+
     #[inline]
     pub fn len(&self) -> usize {
         self.len

@@ -103,6 +103,15 @@ struct Volume {
     recheck_at: Option<SimTime>,
 }
 
+impl Volume {
+    /// Disk timers the volume keeps pending: one service completion per
+    /// busy channel plus a token recheck.
+    fn timer_cells(&self) -> usize {
+        let channels: u32 = self.devices.iter().map(|d| d.spec.channels()).sum();
+        channels as usize + 1
+    }
+}
+
 #[derive(Debug)]
 enum DiskTimer {
     ServiceDone {
@@ -159,7 +168,7 @@ impl DiskSim {
             now: SimTime::ZERO,
             volumes: Vec::new(),
             owners: Vec::new(),
-            timers: EventQueue::with_capacity(256),
+            timers: EventQueue::new(),
             completions: Vec::new(),
             rng: SimRng::seed_from_u64(seed),
         }
@@ -184,6 +193,9 @@ impl DiskSim {
             window_ops: WindowCounter::new(STAT_BUCKET, STAT_BUCKETS),
             recheck_at: None,
         });
+        // The volumes' channels bound the timers pending at once.
+        let cells = self.volumes.iter().map(Volume::timer_cells).sum();
+        self.timers.reserve_total(cells);
         id
     }
 

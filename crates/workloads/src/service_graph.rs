@@ -30,7 +30,7 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use simcore::dist::{LogNormal, Sample};
-use simcore::{SimDuration, SimRng, SimTime};
+use simcore::{RequestTable, SimDuration, SimRng, SimTime};
 use simcpu::{JobId, Machine, Program, ThreadId};
 use simnet::{NetConfig, NetSim, NodeId, TrafficClass};
 use telemetry::ResilienceStats;
@@ -192,13 +192,12 @@ pub struct GraphOutcome {
     pub dropped: bool,
 }
 
-/// Per-request execution state. Vectors are recycled through a pool when
-/// the request retires, keeping the steady-state arrival path
-/// allocation-free.
+/// Per-request execution state, held while the request is unfinished.
+/// Vectors are recycled through a pool when the request retires, keeping
+/// the steady-state arrival path allocation-free.
 #[derive(Debug, Default)]
 struct RequestState {
     arrival: SimTime,
-    done: bool,
     /// Retry attempt counter (0 = the original attempt).
     attempt: u32,
     /// True between an attempt failing and its retry starting.
@@ -254,7 +253,8 @@ pub struct GraphEngine {
     in_degree: Vec<u32>,
     /// Sink count (stages with no out-edges).
     n_sinks: u32,
-    requests: Vec<RequestState>,
+    /// Unfinished requests by dense index; retired ones read as finished.
+    requests: RequestTable<RequestState>,
     /// Retired request-state vectors awaiting reuse.
     pool: Vec<RequestState>,
     outcomes: Vec<GraphOutcome>,
@@ -353,7 +353,7 @@ impl GraphEngine {
             roots,
             in_degree,
             n_sinks,
-            requests: Vec::new(),
+            requests: RequestTable::new(),
             pool: Vec::new(),
             outcomes: Vec::new(),
             deliveries: Vec::new(),
@@ -416,11 +416,19 @@ impl GraphEngine {
         self.policy.as_deref().and_then(|p| p.retry.as_ref())
     }
 
+    /// The state of a request the caller knows is unfinished.
+    fn req(&self, ridx: u64) -> &RequestState {
+        self.requests.get(ridx).expect("request is unfinished")
+    }
+
+    /// Mutable [`GraphEngine::req`].
+    fn req_mut(&mut self, ridx: u64) -> &mut RequestState {
+        self.requests.get_mut(ridx).expect("request is unfinished")
+    }
+
     fn fresh_request(&mut self, arrival: SimTime) -> u64 {
-        let ridx = self.requests.len() as u64;
         let mut st = self.pool.pop().unwrap_or_default();
         st.arrival = arrival;
-        st.done = false;
         st.attempt = 0;
         st.waiting_retry = false;
         st.deadline = arrival + self.graph.timeout;
@@ -432,9 +440,8 @@ impl GraphEngine {
         st.pending_inputs.clear();
         st.pending_inputs.extend_from_slice(&self.in_degree);
         st.live_tids.clear();
-        self.requests.push(st);
         self.live += 1;
-        ridx
+        self.requests.insert(st)
     }
 
     /// Admits a request: every root stage activates immediately.
@@ -443,7 +450,7 @@ impl GraphEngine {
         let ridx = self.fresh_request(now);
         for i in 0..self.roots.len() {
             let stage = self.roots[i];
-            if self.requests[ridx as usize].done {
+            if self.requests.is_finished(ridx) {
                 break;
             }
             self.activate_stage(now, ridx, stage, machine);
@@ -470,17 +477,17 @@ impl GraphEngine {
             .is_some_and(|p| p.propagate_deadlines)
         {
             let est = SimDuration::from_micros_f64(self.graph.stages[stage as usize].compute_us);
-            if now + est > self.requests[ridx as usize].deadline {
+            if now + est > self.req(ridx).deadline {
                 self.stats.deadline_cancels += 1;
                 self.fail_attempt(now, ridx, machine);
                 return;
             }
         }
         let fan_out = self.graph.stages[stage as usize].fan_out;
-        self.requests[ridx as usize].pending_workers[stage as usize] = fan_out;
+        self.req_mut(ridx).pending_workers[stage as usize] = fan_out;
         self.spawn_set(now, ridx, stage, false, machine);
         if !self.hedge_delays.is_empty() {
-            let attempt = self.requests[ridx as usize].attempt;
+            let attempt = self.req(ridx).attempt;
             let at = now + self.hedge_delays[stage as usize];
             self.push_timer(
                 at,
@@ -514,7 +521,7 @@ impl GraphEngine {
             let tag = self.tag(ridx, stage, w);
             let tid =
                 machine.spawn_program_with(now, self.job, Program::compute_once(d), tag, boosted);
-            self.requests[ridx as usize].live_tids.push((tid, tag));
+            self.req_mut(ridx).live_tids.push((tid, tag));
             self.workers_spawned += 1;
         }
     }
@@ -551,7 +558,8 @@ impl GraphEngine {
         machine: &mut Machine,
     ) {
         let (ridx, stage) = Self::parse_tag(tag);
-        let Some(req) = self.requests.get_mut(ridx as usize) else {
+        let Some(req) = self.requests.get_mut(ridx) else {
+            // The request already finished.
             return;
         };
         let Some(pos) = req.live_tids.iter().position(|(t, _)| *t == tid) else {
@@ -560,9 +568,6 @@ impl GraphEngine {
             return;
         };
         req.live_tids.swap_remove(pos);
-        if req.done {
-            return;
-        }
         let hedged = !self.hedge_delays.is_empty() && (tag & HEDGE_BIT as u64) != 0;
         if hedged {
             let hw = &mut req.hedge_workers[stage as usize];
@@ -602,7 +607,7 @@ impl GraphEngine {
                 }
             }
         }
-        let attempt = self.requests[ridx as usize].attempt;
+        let attempt = self.req(ridx).attempt;
         let mut sent = false;
         for (eidx, e) in self.graph.edges.iter().enumerate() {
             if e.from != stage {
@@ -620,7 +625,7 @@ impl GraphEngine {
         }
         if !sent {
             // Sink stage: the request completes when every sink is done.
-            let req = &mut self.requests[ridx as usize];
+            let req = self.req_mut(ridx);
             req.pending_sinks -= 1;
             if req.pending_sinks == 0 {
                 self.retire(now, ridx, false);
@@ -633,10 +638,10 @@ impl GraphEngine {
     /// retries active the host timer only covers attempt 0 — later
     /// attempts run on the engine's own deadline timers.
     pub fn on_timeout(&mut self, now: SimTime, ridx: u64, machine: &mut Machine) {
-        let Some(req) = self.requests.get(ridx as usize) else {
+        let Some(req) = self.requests.get(ridx) else {
             return;
         };
-        if req.done || req.attempt > 0 {
+        if req.attempt > 0 {
             return;
         }
         self.fail_attempt(now, ridx, machine);
@@ -649,7 +654,7 @@ impl GraphEngine {
         if !self.breakers.is_empty() {
             let mut opened = 0u64;
             {
-                let req = &self.requests[ridx as usize];
+                let req = self.requests.get(ridx).expect("request is unfinished");
                 for (eidx, e) in self.graph.edges.iter().enumerate() {
                     if req.pending_workers[e.to as usize] > 0 && self.breakers[eidx].on_failure(now)
                     {
@@ -661,23 +666,23 @@ impl GraphEngine {
         }
         // kill_thread reports the exit back through on_thread_exited;
         // emptying live_tids first makes those exits no-ops.
-        let req = &mut self.requests[ridx as usize];
+        let req = self.req_mut(ridx);
         let mut tids = std::mem::take(&mut req.live_tids);
         for (tid, _) in tids.drain(..) {
             machine.kill_thread(now, tid);
         }
-        self.requests[ridx as usize].live_tids = tids;
+        self.req_mut(ridx).live_tids = tids;
         let budget = self
             .retry_policy()
             .map(|r| r.budget.min(RetryPolicy::MAX_BUDGET));
-        let attempt = self.requests[ridx as usize].attempt;
+        let attempt = self.req(ridx).attempt;
         match budget {
             Some(budget) if attempt < budget => {
                 let delay = {
                     let r = self.retry_policy().expect("budget implies policy");
                     r.delay(self.seed, ridx, attempt + 1)
                 };
-                let req = &mut self.requests[ridx as usize];
+                let req = self.req_mut(ridx);
                 req.attempt += 1;
                 req.waiting_retry = true;
                 // Clear stage state so stale deliveries of the dead
@@ -700,36 +705,33 @@ impl GraphEngine {
     /// Fails every unfinished request (the hosting process died).
     /// Requests already waiting out a retry backoff keep waiting — the
     /// retry models the client's resubmission, which the crash does not
-    /// cancel.
+    /// cancel. The sweep covers only the ids the table has not retired.
     pub fn fail_all(&mut self, now: SimTime, machine: &mut Machine) {
-        for ridx in 0..self.requests.len() as u64 {
-            let req = &self.requests[ridx as usize];
-            if req.done || req.waiting_retry {
+        for ridx in self.requests.unretired() {
+            if self.requests.get(ridx).is_none_or(|r| r.waiting_retry) {
                 continue;
             }
             self.fail_attempt(now, ridx, machine);
         }
     }
 
-    /// Records the request's outcome and recycles its state. The slot
-    /// left behind in `requests` is a tombstone with `done = true`, so
-    /// late thread exits and fabric deliveries are ignored safely.
+    /// Records the request's outcome and recycles its state. The finished
+    /// id reads as finished from now on, so late thread exits and fabric
+    /// deliveries are ignored safely.
     fn retire(&mut self, now: SimTime, ridx: u64, dropped: bool) {
-        let req = &mut self.requests[ridx as usize];
-        debug_assert!(!req.done, "double retire of request {ridx}");
-        req.done = true;
+        let st = self.requests.finish(ridx);
+        debug_assert!(st.is_some(), "double retire of request {ridx}");
+        let Some(st) = st else {
+            return;
+        };
         self.live = self.live.saturating_sub(1);
         self.outcomes.push(GraphOutcome {
             ridx,
-            arrival: req.arrival,
-            latency: now.since(req.arrival),
+            arrival: st.arrival,
+            latency: now.since(st.arrival),
             dropped,
         });
-        if req.live_tids.is_empty() {
-            let st = std::mem::take(req);
-            self.requests[ridx as usize].done = true;
-            self.pool.push(st);
-        }
+        self.pool.push(st);
     }
 
     /// Next internal event: the earlier of the fabric and the engine's
@@ -779,8 +781,10 @@ impl GraphEngine {
             // A host that overshoots the fabric timer (machine already
             // advanced past d.at) still activates in machine time.
             let at = d.at.max(machine.now());
-            let req = &mut self.requests[ridx as usize];
-            if req.done || req.waiting_retry || req.attempt != attempt {
+            let Some(req) = self.requests.get_mut(ridx) else {
+                continue;
+            };
+            if req.waiting_retry || req.attempt != attempt {
                 continue;
             }
             let inputs = &mut req.pending_inputs[stage as usize];
@@ -819,29 +823,29 @@ impl GraphEngine {
             TimerKind::RetryStart { ridx, attempt } => {
                 let valid = self
                     .requests
-                    .get(ridx as usize)
-                    .is_some_and(|r| !r.done && r.attempt == attempt && r.waiting_retry);
+                    .get(ridx)
+                    .is_some_and(|r| r.attempt == attempt && r.waiting_retry);
                 if !valid {
                     return;
                 }
                 let deadline = at + self.graph.timeout;
                 {
                     let n_sinks = self.n_sinks;
-                    let req = &mut self.requests[ridx as usize];
+                    let req = self.req_mut(ridx);
                     req.waiting_retry = false;
                     req.deadline = deadline;
                     req.pending_sinks = n_sinks;
                     req.pending_inputs.clear();
                 }
                 let in_degree = std::mem::take(&mut self.in_degree);
-                self.requests[ridx as usize]
+                self.req_mut(ridx)
                     .pending_inputs
                     .extend_from_slice(&in_degree);
                 self.in_degree = in_degree;
                 self.push_timer(deadline, TimerKind::AttemptTimeout { ridx, attempt });
                 for i in 0..self.roots.len() {
                     let stage = self.roots[i];
-                    if self.requests[ridx as usize].done {
+                    if self.requests.is_finished(ridx) {
                         break;
                     }
                     self.activate_stage(at, ridx, stage, machine);
@@ -850,8 +854,8 @@ impl GraphEngine {
             TimerKind::AttemptTimeout { ridx, attempt } => {
                 let valid = self
                     .requests
-                    .get(ridx as usize)
-                    .is_some_and(|r| !r.done && r.attempt == attempt && !r.waiting_retry);
+                    .get(ridx)
+                    .is_some_and(|r| r.attempt == attempt && !r.waiting_retry);
                 if valid {
                     self.fail_attempt(at, ridx, machine);
                 }
@@ -861,9 +865,8 @@ impl GraphEngine {
                 stage,
                 attempt,
             } => {
-                let eligible = self.requests.get(ridx as usize).is_some_and(|r| {
-                    !r.done
-                        && !r.waiting_retry
+                let eligible = self.requests.get(ridx).is_some_and(|r| {
+                    !r.waiting_retry
                         && r.attempt == attempt
                         && r.pending_workers[stage as usize] > 0
                         && r.hedge_workers[stage as usize] == 0
@@ -872,7 +875,7 @@ impl GraphEngine {
                     return;
                 }
                 let fan_out = self.graph.stages[stage as usize].fan_out;
-                self.requests[ridx as usize].hedge_workers[stage as usize] = fan_out;
+                self.req_mut(ridx).hedge_workers[stage as usize] = fan_out;
                 self.stats.hedges_launched += 1;
                 self.spawn_set(at, ridx, stage, true, machine);
             }
@@ -980,6 +983,82 @@ mod tests {
             .iter()
             .all(|o| o.latency >= SimDuration::from_millis(2)));
         assert!(engine.resilience_stats().is_empty());
+    }
+
+    /// Runs the machine and the engine's fabric up to `until`, routing
+    /// thread exits back into the engine.
+    fn run_until(engine: &mut GraphEngine, machine: &mut Machine, until: SimTime) {
+        let mut outs = Vec::new();
+        loop {
+            let next = [machine.next_timer_at(), engine.next_timer_at()]
+                .into_iter()
+                .flatten()
+                .min()
+                .filter(|&t| t <= until);
+            let now = next.unwrap_or(until);
+            machine.advance_to(now);
+            engine.advance_to(now, machine);
+            machine.drain_outputs_into(&mut outs);
+            for out in outs.drain(..) {
+                if let simcpu::MachineOutput::ThreadExited { tid, tag, .. } = out {
+                    engine.on_thread_exited(now, tag, tid, machine);
+                }
+            }
+            if next.is_none() {
+                break;
+            }
+        }
+    }
+
+    #[test]
+    fn request_table_retires_finished_requests() {
+        let g = Arc::new(chain(4));
+        let timeout = g.timeout;
+        let (mut machine, mut engine) = setup(g, None);
+        // 5 000 requests at 1 000 QPS, each deadline fired on time.
+        let n = 5_000u64;
+        let gap = SimDuration::from_millis(1);
+        let mut deadlines = std::collections::VecDeque::new();
+        let mut reported = vec![false; n as usize];
+        let mut outs = Vec::new();
+        let (mut high, mut completed) = (0, 0);
+        for i in 0..n {
+            let at = SimTime::from_millis(i);
+            while let Some(&(due, r)) = deadlines.front().filter(|(due, _)| *due <= at) {
+                deadlines.pop_front();
+                run_until(&mut engine, &mut machine, due);
+                engine.on_timeout(due, r, &mut machine);
+            }
+            run_until(&mut engine, &mut machine, at);
+            assert_eq!(engine.on_arrival(at, &mut machine), i, "ids stay dense");
+            deadlines.push_back((at + timeout, i));
+            engine.drain_outcomes_into(&mut outs);
+            for o in outs.drain(..) {
+                let seen = std::mem::replace(&mut reported[o.ridx as usize], true);
+                assert!(!seen, "request {} reported twice", o.ridx);
+                completed += usize::from(!o.dropped);
+            }
+            high = high.max(engine.requests.window());
+        }
+        assert!(completed + 16 > n as usize, "{completed} completed");
+        // No more than one deadline's worth of arrivals is unretired, and
+        // requests here take a few milliseconds.
+        let bound = (timeout.as_micros() / gap.as_micros()) as usize + 1;
+        assert!(high <= bound, "window {high} above {bound}");
+        assert!(high <= 32, "window {high}");
+        assert!(engine.requests.unretired().start > 0);
+        // The process dies: exactly the unreported requests drop.
+        let open: Vec<u64> = (0..n).filter(|&r| !reported[r as usize]).collect();
+        assert!(!open.is_empty(), "requests in flight");
+        let now = machine.now();
+        engine.fail_all(now, &mut machine);
+        engine.drain_outcomes_into(&mut outs);
+        assert!(outs.iter().all(|o| o.dropped));
+        let mut dropped: Vec<u64> = outs.iter().map(|o| o.ridx).collect();
+        dropped.sort_unstable();
+        assert_eq!(dropped, open);
+        assert_eq!(engine.requests.window(), 0);
+        assert_eq!(engine.in_flight(), 0);
     }
 
     #[test]
