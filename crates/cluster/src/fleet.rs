@@ -23,15 +23,18 @@
 //! fixed order regardless of which worker finished first.
 //!
 //! Shared, immutable inputs — the service config, the PerfIso config, and
-//! one pre-generated trace template per minute — cross threads behind
-//! `Arc`, so a slice allocates no config or Zipf-table state of its own.
+//! one trace generator with its Zipf table — are built once per run, so a
+//! slice allocates no config or Zipf-table state of its own. Each slice
+//! stamps its minute's trace from the shared generator when it starts and
+//! drops it when it ends, so trace memory follows the slices in flight,
+//! not the length of the simulated day.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use indexserve::{BoxConfig, BoxEvent, BoxSim, SecondaryKind, ServiceConfig};
 use perfiso::PerfIsoConfig;
-use qtrace::{DiurnalCurve, OpenLoopClient, QuerySpec, TraceConfig, TraceGenerator};
+use qtrace::{DiurnalCurve, OpenLoopClient, TraceConfig, TraceGenerator};
 use simcore::{SimDuration, SimTime};
 use simcpu::MachineConfig;
 use telemetry::{
@@ -195,9 +198,9 @@ struct SliceResult {
 struct FleetShared {
     service: Arc<ServiceConfig>,
     perfiso: Arc<PerfIsoConfig>,
-    /// One trace template per minute, replayed by all of that minute's
-    /// sampled machines under independent arrival processes.
-    templates: Vec<Arc<Vec<QuerySpec>>>,
+    /// Stamps each minute's trace. All of a minute's sampled machines
+    /// replay the same trace under independent arrival processes.
+    generator: TraceGenerator,
     /// Hardware cycle; sampled machine `s` runs shape `s % len`.
     machines: Vec<MachineConfig>,
     /// Avalanched base seed; slice streams derive from this, see [`mix64`].
@@ -282,23 +285,15 @@ const WARMUP: SimDuration = SimDuration::from_millis(250);
 
 /// Runs the fleet experiment.
 pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
-    let total = WARMUP + cfg.slice;
-    let generator = TraceGenerator::new(TraceConfig {
-        queries: 16,
-        ..Default::default()
-    });
     let stride = cfg.minute_stride.max(1);
     let mixed_seed = mix64(cfg.seed);
     let shared = FleetShared {
         service: Arc::new(ServiceConfig::default()),
         perfiso: Arc::new(cfg.perfiso.clone()),
-        templates: (0..cfg.minutes)
-            .map(|m| {
-                let qps = cfg.curve.qps_at_minute(m * stride);
-                let seed = mixed_seed ^ 0xF1EE7 ^ ((m as u64) << 8);
-                Arc::new(generator.generate_n(seed, slice_queries(qps, total)))
-            })
-            .collect(),
+        generator: TraceGenerator::new(TraceConfig {
+            queries: 16,
+            ..Default::default()
+        }),
         machines: if cfg.shapes.is_empty() {
             vec![MachineConfig::paper_server()]
         } else {
@@ -408,8 +403,11 @@ fn run_fleet_slice(cfg: &FleetConfig, shared: &FleetShared, m: u32, s: u32) -> S
         seed,
         fault: None,
     };
-    let mut client =
-        OpenLoopClient::replay_shared(Arc::clone(&shared.templates[m as usize]), qps, seed ^ 0xC1);
+    let trace = shared.generator.generate_n(
+        shared.mixed_seed ^ 0xF1EE7 ^ ((m as u64) << 8),
+        slice_queries(qps, WARMUP + cfg.slice),
+    );
+    let mut client = OpenLoopClient::new(trace, qps, seed ^ 0xC1);
     let mut sim = BoxSim::new(box_cfg);
     // Spawn the (possibly churned-away or rescaled) trainer into the
     // secondary job.

@@ -1,7 +1,5 @@
 //! Open-loop Poisson replay.
 
-use std::sync::Arc;
-
 use simcore::dist::PoissonProcess;
 use simcore::{SimRng, SimTime};
 
@@ -27,7 +25,7 @@ use crate::gen::QuerySpec;
 /// ```
 #[derive(Clone, Debug)]
 pub struct OpenLoopClient {
-    trace: Arc<Vec<QuerySpec>>,
+    trace: Vec<QuerySpec>,
     next_idx: usize,
     next_at: SimTime,
     process: PoissonProcess,
@@ -41,20 +39,6 @@ impl OpenLoopClient {
     ///
     /// Panics if `qps` is not finite and positive.
     pub fn new(trace: Vec<QuerySpec>, qps: f64, seed: u64) -> Self {
-        Self::replay_shared(Arc::new(trace), qps, seed)
-    }
-
-    /// Like [`OpenLoopClient::new`] but replaying a shared trace.
-    ///
-    /// Arrival times come from this client's seed, so many clients (e.g.
-    /// the sampled machines of one fleet minute) can replay one trace
-    /// template under independent arrival processes without cloning the
-    /// query specs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `qps` is not finite and positive.
-    pub fn replay_shared(trace: Arc<Vec<QuerySpec>>, qps: f64, seed: u64) -> Self {
         let process = PoissonProcess::new(qps);
         let mut rng = SimRng::seed_from_u64(seed ^ 0x00C1_1E17);
         let first_gap = process.next_gap(&mut rng);

@@ -241,14 +241,68 @@ impl Sample for Pareto {
     }
 }
 
-/// Zipf distribution over ranks `1..=n` with exponent `s`, via an exact CDF
-/// table (binary search per sample).
+/// Ranks whose normalized CDF [`ZipfTable`] stores outright. At the trace
+/// generator's 200,000 documents and `s = 0.9` they take 69 % of draws.
+const ZIPF_HEAD: usize = 1 << 14;
+/// Ranks per checkpointed block past the head: a tail draw re-adds fewer
+/// than this many terms.
+const ZIPF_BLOCK: usize = 16;
+
+/// Zipf distribution over ranks `1..=n` with exponent `s`, sampled by
+/// inverting its CDF exactly.
 ///
 /// Used for web-index document popularity, which drives the primary's cache
 /// hit ratio.
+///
+/// # Layout
+///
+/// `cdf[i]` is the running sum `acc[i] = w(1) + … + w(i+1)` of the weights
+/// `w(k) = 1 / k^s`, added in rank order, divided by the full sum. The
+/// table stores that value for the 16,384 hottest ranks only. Past them
+/// it keeps one checkpoint per block of 16 ranks: the running sum before
+/// the block and the normalized value at its last rank. A tail draw
+/// binary-searches the checkpoints for its block, then re-adds the
+/// block's weights from its running sum in the original order. Each
+/// recomputed value is therefore the same `f64` the full table held, and
+/// so is every sampled rank, while 200,000 ranks take 315 kB instead of
+/// 1.6 MB.
+///
+/// # Which rank a draw picks
+///
+/// A draw `u` maps to the first rank whose `cdf` is at least `u`. The
+/// full-table sampler this replaced ran `binary_search_by` over every
+/// `cdf` value. Where no value equals `u`, that search returns the
+/// insertion point, the index of the first value above `u`: the same
+/// rank. Where exactly one value equals `u`, it returns that value's
+/// index, also the same rank, since the CDF never decreases. The two can
+/// differ only when a draw equals a `cdf` value that repeats, where
+/// `binary_search_by` may return any of the equal entries. A draw hits
+/// one given value with probability at most 2⁻⁵³.
 #[derive(Clone, Debug)]
 pub struct ZipfTable {
-    cdf: Vec<f64>,
+    s: f64,
+    n: usize,
+    /// The sum of all `n` weights.
+    total: f64,
+    /// `cdf[i]` for the first `min(n, ZIPF_HEAD)` ranks.
+    head: Vec<f64>,
+    /// One checkpoint per `ZIPF_BLOCK` ranks past the head.
+    tail: Vec<ZipfBlock>,
+}
+
+/// A block of [`ZIPF_BLOCK`] ranks past the head of a [`ZipfTable`].
+#[derive(Clone, Copy, Debug)]
+struct ZipfBlock {
+    /// The running sum of the weights of every rank before the block.
+    sum_before: f64,
+    /// The normalized CDF at the block's last rank.
+    last_cdf: f64,
+}
+
+/// The unnormalized Zipf weight of rank `k`.
+#[inline]
+fn zipf_weight(k: usize, s: f64) -> f64 {
+    1.0 / (k as f64).powf(s)
 }
 
 impl ZipfTable {
@@ -263,34 +317,72 @@ impl ZipfTable {
             s.is_finite() && s >= 0.0,
             "exponent must be non-negative: {s}"
         );
-        let mut cdf = Vec::with_capacity(n);
+        let head_len = n.min(ZIPF_HEAD);
+        let mut head = Vec::with_capacity(head_len);
+        let mut tail: Vec<ZipfBlock> = Vec::with_capacity((n - head_len).div_ceil(ZIPF_BLOCK));
         let mut acc = 0.0;
         for k in 1..=n {
-            acc += 1.0 / (k as f64).powf(s);
-            cdf.push(acc);
+            let i = k - 1;
+            if i >= head_len && (i - head_len).is_multiple_of(ZIPF_BLOCK) {
+                tail.push(ZipfBlock {
+                    sum_before: acc,
+                    last_cdf: 0.0,
+                });
+            }
+            acc += zipf_weight(k, s);
+            match tail.last_mut() {
+                Some(block) => block.last_cdf = acc,
+                None => head.push(acc),
+            }
         }
         let total = acc;
-        for v in &mut cdf {
+        for v in &mut head {
             *v /= total;
         }
-        ZipfTable { cdf }
+        for block in &mut tail {
+            block.last_cdf /= total;
+        }
+        ZipfTable {
+            s,
+            n,
+            total,
+            head,
+            tail,
+        }
     }
 
     /// Samples a rank in `1..=n` (rank 1 is the most popular).
     pub fn sample_rank(&self, rng: &mut SimRng) -> usize {
-        let u = rng.next_f64();
-        match self
-            .cdf
-            .binary_search_by(|c| c.partial_cmp(&u).expect("cdf is finite"))
-        {
-            Ok(i) => i + 1,
-            Err(i) => (i + 1).min(self.cdf.len()),
+        self.rank_at(rng.next_f64())
+    }
+
+    /// The first rank whose CDF is at least `u`; see the type docs.
+    fn rank_at(&self, u: f64) -> usize {
+        let i = self.head.partition_point(|&c| c < u);
+        if i < self.head.len() {
+            return i + 1;
         }
+        let b = self.tail.partition_point(|block| block.last_cdf < u);
+        let Some(block) = self.tail.get(b) else {
+            return self.n;
+        };
+        // The block holds ranks `first + 1..=last`. Its last rank needs no
+        // term: the search above found its CDF, `last_cdf`, at least `u`.
+        let first = self.head.len() + b * ZIPF_BLOCK;
+        let last = self.n.min(first + ZIPF_BLOCK);
+        let mut acc = block.sum_before;
+        for k in first + 1..last {
+            acc += zipf_weight(k, self.s);
+            if acc / self.total >= u {
+                return k;
+            }
+        }
+        last
     }
 
     /// Number of ranks.
     pub fn len(&self) -> usize {
-        self.cdf.len()
+        self.n
     }
 
     /// Always false: the constructor rejects `n == 0`.
@@ -306,7 +398,16 @@ impl ZipfTable {
     /// Panics if `k == 0`.
     pub fn top_k_mass(&self, k: usize) -> f64 {
         assert!(k > 0, "k must be positive");
-        self.cdf[(k - 1).min(self.cdf.len() - 1)]
+        let k = k.min(self.n);
+        if let Some(&c) = self.head.get(k - 1) {
+            return c;
+        }
+        let b = (k - 1 - self.head.len()) / ZIPF_BLOCK;
+        let first = self.head.len() + b * ZIPF_BLOCK;
+        let sum = (first + 1..=k).fold(self.tail[b].sum_before, |acc, r| {
+            acc + zipf_weight(r, self.s)
+        });
+        sum / self.total
     }
 }
 
@@ -337,6 +438,7 @@ impl PoissonProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn moments(d: &impl Sample, seed: u64, n: usize) -> (f64, f64) {
         let mut rng = SimRng::seed_from_u64(seed);
@@ -423,6 +525,137 @@ mod tests {
             last = m;
         }
         assert!((z.top_k_mass(100) - 1.0).abs() < 1e-12);
+    }
+
+    /// The full-table sampler [`ZipfTable`] replaced: every normalized CDF
+    /// value, and `binary_search_by` per draw.
+    struct FullCdfZipf {
+        cdf: Vec<f64>,
+    }
+
+    impl FullCdfZipf {
+        fn new(n: usize, s: f64) -> Self {
+            let mut cdf = Vec::with_capacity(n);
+            let mut acc = 0.0;
+            for k in 1..=n {
+                acc += 1.0 / (k as f64).powf(s);
+                cdf.push(acc);
+            }
+            let total = acc;
+            for v in &mut cdf {
+                *v /= total;
+            }
+            FullCdfZipf { cdf }
+        }
+
+        fn sample_rank(&self, rng: &mut SimRng) -> usize {
+            let u = rng.next_f64();
+            match self
+                .cdf
+                .binary_search_by(|c| c.partial_cmp(&u).expect("cdf is finite"))
+            {
+                Ok(i) => i + 1,
+                Err(i) => (i + 1).min(self.cdf.len()),
+            }
+        }
+    }
+
+    /// Asserts that `draws` samples from the compact and the full table
+    /// agree rank for rank under one seed.
+    fn assert_zipf_draws_match(n: usize, s: f64, seed: u64, draws: usize) {
+        let (compact, full) = (ZipfTable::new(n, s), FullCdfZipf::new(n, s));
+        let mut a = SimRng::seed_from_u64(seed);
+        let mut b = SimRng::seed_from_u64(seed);
+        for d in 0..draws {
+            assert_eq!(
+                compact.sample_rank(&mut a),
+                full.sample_rank(&mut b),
+                "n {n}, s {s}, seed {seed}, draw {d}"
+            );
+        }
+    }
+
+    #[test]
+    fn zipf_draws_match_the_full_table() {
+        for (n, s) in [
+            (200_000, 0.9),
+            (1_000, 1.0),
+            (37, 0.0),
+            (1, 0.9),
+            (ZIPF_HEAD - 1, 0.9),
+            (ZIPF_HEAD, 0.9),
+            (ZIPF_HEAD + 1, 0.9),
+            (100_003, 2.5),
+            (16_400, 3.0),
+            (120_000, 4.0),
+        ] {
+            assert_zipf_draws_match(n, s, 0x21BF ^ n as u64, 200_000);
+        }
+    }
+
+    /// Draws that land on, just below and just above every tail CDF value
+    /// pick the first rank whose CDF is at least the draw. With `s = 3`,
+    /// 41,937 of 250,000 values equal the one before, and with `s = 4`
+    /// every value from rank 9,741 on is the same.
+    #[test]
+    fn zipf_tail_edges_pick_the_first_rank_at_or_above_the_draw() {
+        for (n, s) in [
+            (ZIPF_HEAD + 5 * ZIPF_BLOCK + 3, 0.9),
+            (40_000, 0.9),
+            (16_400, 3.0),
+            (250_000, 3.0),
+            (120_000, 4.0),
+        ] {
+            let (compact, full) = (ZipfTable::new(n, s), FullCdfZipf::new(n, s));
+            for &c in &full.cdf[ZIPF_HEAD - 1..] {
+                for u in [c.next_down(), c, c.next_up()] {
+                    if u < 1.0 {
+                        let expect = full.cdf.partition_point(|&v| v < u) + 1;
+                        assert_eq!(compact.rank_at(u), expect, "n {n}, s {s}, u {u}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zipf_top_k_mass_matches_the_full_table_bit_for_bit() {
+        for (n, s) in [
+            (200_000, 0.9),
+            (ZIPF_HEAD + 7, 1.0),
+            (16_400, 3.0),
+            (37, 0.0),
+        ] {
+            let (compact, full) = (ZipfTable::new(n, s), FullCdfZipf::new(n, s));
+            // Every rank through the first four tail blocks, both sides
+            // of every block edge, and the last rank and one past it.
+            let near = 1..(ZIPF_HEAD + 4 * ZIPF_BLOCK).min(n + 2);
+            let edges = (0..)
+                .map(|b| ZIPF_HEAD + b * ZIPF_BLOCK)
+                .take_while(|&k| k <= n);
+            for k in near.chain(edges.flat_map(|k| [k, k + 1])).chain([n, n + 1]) {
+                assert_eq!(
+                    compact.top_k_mass(k).to_bits(),
+                    full.cdf[(k - 1).min(n - 1)].to_bits(),
+                    "n {n}, s {s}, k {k}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Random sizes, exponents and seeds draw the same ranks from the
+        /// compact and the full table.
+        #[test]
+        fn prop_zipf_draws_match_the_full_table(
+            n in 1usize..60_000,
+            s in 0.0f64..3.0,
+            seed in any::<u64>(),
+        ) {
+            assert_zipf_draws_match(n, s, seed, 4_000);
+        }
     }
 
     #[test]

@@ -241,25 +241,29 @@ impl<E> Wheel<E> {
             let at = if let Some(&back) = self.overdue.last() {
                 Some(self.nodes[back as usize].at)
             } else {
-                self.earliest_slot().map(|(level, slot)| {
-                    let mut min: Option<SimTime> = None;
-                    let mut cur = if level == 0 {
-                        self.heads0[slot]
-                    } else {
-                        self.heads_hi[(level - 1) * SLOTS + slot]
-                    };
-                    while cur != NIL {
-                        let n = &self.nodes[cur as usize];
-                        min = Some(min.map_or(n.at, |m| m.min(n.at)));
-                        cur = n.next;
-                    }
-                    min.expect("occupied slot has nodes")
-                })
+                self.earliest_slot()
+                    .map(|(level, slot)| self.slot_min(level, slot))
             };
             self.peek_at.set(at);
             self.peek_valid.set(true);
         }
         self.peek_at.get()
+    }
+
+    /// The earliest expiry in one occupied slot's list.
+    fn slot_min(&self, level: usize, slot: usize) -> SimTime {
+        let mut cur = if level == 0 {
+            self.heads0[slot]
+        } else {
+            self.heads_hi[(level - 1) * SLOTS + slot]
+        };
+        let mut min = SimTime::MAX;
+        while cur != NIL {
+            let n = &self.nodes[cur as usize];
+            min = min.min(n.at);
+            cur = n.next;
+        }
+        min
     }
 
     /// Removes and returns the earliest event, if any.
@@ -275,6 +279,11 @@ impl<E> Wheel<E> {
     /// list decides due-or-not, unlinks the minimum, and refills the peek
     /// cache with the runner-up — so the terminating call of an advance
     /// loop leaves the next `peek_time` free.
+    ///
+    /// The cursor moves only when an event is due. A miss caches the
+    /// earliest expiry and leaves the cursor at or behind the last popped
+    /// event, which is at or behind the owner's clock, so the owner's next
+    /// push at its own `now` lands in the wheel, not in `overdue`.
     #[inline]
     pub fn pop_before(&mut self, t: SimTime) -> Option<(SimTime, E)> {
         if self.peek_valid.get() {
@@ -315,13 +324,21 @@ impl<E> Wheel<E> {
         if self.occupied[0] & (1 << slot) != 0 {
             return self.pop_open_slot(slot, t);
         }
-        // Find the earliest slot, cascading upper levels down until it is a
-        // level-0 slot, and open it (move the cursor to its base).
+        // Find the earliest slot. If it is in an upper level, due-check its
+        // minimum before cascading, since a cascade moves the cursor.
         let Some((mut level, mut slot)) = self.earliest_slot() else {
             self.peek_at.set(None);
             self.peek_valid.set(true);
             return None;
         };
+        if level > 0 {
+            let at = self.slot_min(level, slot);
+            if at > t {
+                self.peek_at.set(Some(at));
+                self.peek_valid.set(true);
+                return None;
+            }
+        }
         while level > 0 {
             // Lower levels are empty, so everything pending expires at or
             // after this slot's window: advance the cursor to its start and
@@ -334,14 +351,17 @@ impl<E> Wheel<E> {
             level = l;
             slot = s;
         }
+        // Due-check and pop the slot's minimum, and only then open the
+        // slot (move the cursor to its base).
+        let popped = self.pop_open_slot(slot, t)?;
         let base = (self.floor & !SLOT_MASK) | slot as u64;
         debug_assert!(base >= self.floor);
         self.floor = base;
-        self.pop_open_slot(slot, t)
+        Some(popped)
     }
 
-    /// Due-checks and pops the minimum of the open (cursor-resident),
-    /// non-empty level-0 slot.
+    /// Due-checks and pops the minimum of the earliest non-empty level-0
+    /// slot: the open (cursor-resident) slot, or the slot about to open.
     ///
     /// One pass over the slot's short list: find the `(time, seq)`
     /// minimum, its predecessor, and the runner-up expiry. The slot's
@@ -550,6 +570,44 @@ mod tests {
         assert_eq!(w.peek_time(), Some(SimTime::from_millis(2)));
         assert_eq!(w.pop(), Some((SimTime::from_millis(2), 2)));
         assert_eq!(w.pop(), Some((SimTime::from_millis(9), 3)));
+    }
+
+    #[test]
+    fn pushes_at_the_owners_clock_after_a_miss_stay_in_the_wheel() {
+        // An owner advances as the simulators do: it pops what is due by
+        // `t`, sets its clock to `t` once the probe misses, and pushes at
+        // `t` and later. Delays up to 200 ms put events in the upper
+        // levels, so misses also meet slots that would have to cascade.
+        let mut rng = crate::rng::SimRng::seed_from_u64(7);
+        let mut w: Wheel<u64> = Wheel::new();
+        let mut reference = std::collections::BTreeSet::new();
+        let mut seq = 0u64;
+        let mut push = |w: &mut Wheel<u64>, at: u64| {
+            w.push(SimTime::from_nanos(at), seq, seq);
+            reference.insert((at, seq));
+            seq += 1;
+            assert!(w.overdue.is_empty(), "push at {at} ns went overdue");
+        };
+        let mut popped = Vec::new();
+        let mut now = 0u64;
+        for _ in 0..20_000 {
+            let t = now + rng.range_u64(0, 3_000_000);
+            while let Some((at, s)) = w.pop_before(SimTime::from_nanos(t)) {
+                popped.push((at.as_nanos(), s));
+                now = at.as_nanos();
+                if rng.bernoulli(0.5) {
+                    push(&mut w, now + rng.range_u64(0, 1_000_000));
+                }
+            }
+            now = t;
+            push(&mut w, now);
+            let horizon = [50_000, 1_000_000, 200_000_000][rng.index(3)];
+            push(&mut w, now + rng.range_u64(0, horizon));
+        }
+        while let Some((at, s)) = w.pop() {
+            popped.push((at.as_nanos(), s));
+        }
+        assert_eq!(popped, reference.into_iter().collect::<Vec<_>>());
     }
 
     #[test]
