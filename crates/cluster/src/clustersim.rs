@@ -34,7 +34,7 @@ use qtrace::{OpenLoopClient, QuerySpec, TraceConfig, TraceGenerator};
 use simcore::dist::{LogNormal, Sample};
 use simcore::{RequestTable, SimDuration, SimRng, SimTime};
 use simcpu::MachineConfig;
-use simnet::{Delivery, NetConfig, NetSim, NodeId, TrafficClass};
+use simnet::{Delivery, NetConfig, NetSim, NodeId};
 use telemetry::{CpuBreakdown, LatencyRecorder, TelemetryMode};
 
 use crate::report::{ClusterReport, LayerStats};
@@ -246,16 +246,10 @@ impl ClusterSim {
 
     /// Runs the experiment and produces the Fig 9-style report.
     pub fn run(mut self) -> ClusterReport {
-        self.run_impl(None)
+        self.run_impl()
     }
 
-    /// Like [`ClusterSim::run`] but reports loop progress to stderr every
-    /// `every` global steps (diagnostic aid).
-    pub fn run_traced(mut self, every: u64) -> ClusterReport {
-        self.run_impl(Some(every.max(1)))
-    }
-
-    fn run_impl(&mut self, trace_every: Option<u64>) -> ClusterReport {
+    fn run_impl(&mut self) -> ClusterReport {
         let total = self.cfg.warmup + self.cfg.measure;
         let end = SimTime::ZERO + total;
         let n_queries = (self.cfg.qps_total * total.as_secs_f64() * 1.02) as usize + 8;
@@ -276,7 +270,6 @@ impl ClusterSim {
             !lookahead.is_zero(),
             "lookahead windows need a fabric latency"
         );
-        let mut steps = 0u64;
 
         loop {
             let t0 = next_arrival(&client, end).min(self.next_any_event());
@@ -310,22 +303,6 @@ impl ClusterSim {
                     }
                 }
                 self.step(t, last);
-                steps += 1;
-                if trace_every.is_some_and(|every| steps.is_multiple_of(every)) {
-                    let phase = if t <= end { "main" } else { "drain" };
-                    let box_next: Vec<String> = self
-                        .boxes
-                        .iter()
-                        .map(|b| format!("{:?}", b.next_event_time()))
-                        .collect();
-                    eprintln!(
-                        "{phase} loop: step={steps} now={t} completed={} arrival={:?} net={:?} boxes={:?}",
-                        self.completed,
-                        client.next_arrival_time(),
-                        self.net.next_timer_at(),
-                        box_next
-                    );
-                }
             }
             debug_assert!(
                 self.held.is_empty() && self.boxes.iter().all(|b| !b.has_events()),
@@ -509,7 +486,6 @@ impl ClusterSim {
             topo.tla_node(tla),
             topo.index_node(row, mla_col),
             1 << 10,
-            TrafficClass::High,
             msg_token(1, req, 0),
         );
     }
@@ -552,14 +528,8 @@ impl ClusterSim {
                         self.qmap[flat].insert(qidx, req);
                         self.drain_box(flat, now);
                     } else {
-                        self.net.send(
-                            now,
-                            to,
-                            node,
-                            512,
-                            TrafficClass::High,
-                            msg_token(2, req, col as u64),
-                        );
+                        self.net
+                            .send(now, to, node, 512, msg_token(2, req, col as u64));
                     }
                 }
             }
@@ -635,14 +605,8 @@ impl ClusterSim {
                     let mla = topo.index_node(row, mla_col);
                     let from = NodeId(flat as u32);
                     let aux = if out.dropped { DROP_FLAG } else { 0 };
-                    self.net.send(
-                        now,
-                        from,
-                        mla,
-                        2 << 10,
-                        TrafficClass::High,
-                        msg_token(3, req, aux),
-                    );
+                    self.net
+                        .send(now, from, mla, 2 << 10, msg_token(3, req, aux));
                 }
                 BoxEvent::AuxDone(req) => {
                     let (measured, mla_arrival, row, mla_col, tla) = {
@@ -653,14 +617,8 @@ impl ClusterSim {
                         self.mla_lat.record(now.since(mla_arrival));
                     }
                     let mla = topo.index_node(row, mla_col);
-                    self.net.send(
-                        now,
-                        mla,
-                        topo.tla_node(tla),
-                        4 << 10,
-                        TrafficClass::High,
-                        msg_token(4, req, 0),
-                    );
+                    self.net
+                        .send(now, mla, topo.tla_node(tla), 4 << 10, msg_token(4, req, 0));
                 }
             }
         }
@@ -713,7 +671,7 @@ mod tests {
             let mut net = NetSim::new(cfg, 16, seed);
             let t0 = SimTime::from_micros(100);
             for k in 0..8u64 {
-                net.send(t0, NodeId(k as u32), NodeId(15), 256, TrafficClass::High, k);
+                net.send(t0, NodeId(k as u32), NodeId(15), 256, k);
             }
             net.advance_to(SimTime::from_millis(20));
             let mut got = Vec::new();
@@ -740,7 +698,7 @@ mod tests {
     #[test]
     fn finished_requests_retire() {
         let mut sim = ClusterSim::new(small_config(SecondaryKind::none(), 3));
-        let report = sim.run_impl(None);
+        let report = sim.run_impl();
         // Every request reached its TLA and retired, and ids stayed dense.
         assert_eq!(sim.requests.window(), 0);
         assert_eq!(sim.requests.next_id(), report.completed);

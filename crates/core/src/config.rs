@@ -61,8 +61,6 @@ pub struct PerfIsoConfig {
     pub secondary_memory_limit: Option<u64>,
     /// Kill secondaries when machine memory use exceeds this fraction.
     pub memory_kill_watermark: f64,
-    /// Egress cap for secondary (low-class) traffic, bytes/second.
-    pub egress_low_rate: Option<u64>,
     /// Static I/O limits per secondary service (e.g. HDFS replication at
     /// 20 MB/s and HDFS clients at 60 MB/s, §5.3).
     pub tenant_limits: Vec<TenantLimitConfig>,
@@ -77,7 +75,6 @@ impl Default for PerfIsoConfig {
             memory_poll_interval: SimDuration::from_secs(1),
             secondary_memory_limit: None,
             memory_kill_watermark: 0.95,
-            egress_low_rate: None,
             tenant_limits: Vec::new(),
         }
     }
@@ -151,9 +148,6 @@ impl PerfIsoConfig {
                         use the kill watermark instead"
                     .into(),
             );
-        }
-        if let Some(0) = self.egress_low_rate {
-            return Err("egress_low_rate of zero starves the secondary network class".into());
         }
         for t in &self.tenant_limits {
             if t.service.is_empty() {
@@ -236,10 +230,6 @@ mod tests {
             },
             PerfIsoConfig {
                 secondary_memory_limit: Some(0),
-                ..base()
-            },
-            PerfIsoConfig {
-                egress_low_rate: Some(0),
                 ..base()
             },
             PerfIsoConfig {

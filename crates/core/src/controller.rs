@@ -25,8 +25,6 @@ pub enum Command {
     SetBufferCores(u32),
     /// Switch the CPU policy altogether.
     SetCpuPolicy(CpuPolicy),
-    /// Set or clear the egress cap for secondary traffic.
-    SetEgressLowRate(Option<u64>),
     /// Install or clear a static I/O limit on a tenant.
     SetIoLimit(IoTenant, Option<IoLimit>),
     /// The kill switch: `false` deactivates all isolation instantly.
@@ -110,7 +108,6 @@ impl PerfIso {
         self.cfg
             .validate(total)
             .expect("invalid PerfIso configuration");
-        sys.set_egress_low_rate(self.cfg.egress_low_rate);
         self.apply_cpu_policy(sys);
     }
 
@@ -241,12 +238,6 @@ impl PerfIso {
                     self.apply_cpu_policy(sys);
                 }
             }
-            Command::SetEgressLowRate(rate) => {
-                self.cfg.egress_low_rate = rate;
-                if self.enabled {
-                    sys.set_egress_low_rate(rate);
-                }
-            }
             Command::SetIoLimit(tenant, limit) => {
                 sys.set_io_limit(tenant, limit);
             }
@@ -268,7 +259,6 @@ impl PerfIso {
             let total = sys.total_cores();
             sys.set_secondary_affinity(CoreMask::all(total));
             sys.set_secondary_cycle_cap(None);
-            sys.set_egress_low_rate(None);
             self.last_applied_mask = None;
         }
     }
@@ -490,15 +480,6 @@ mod tests {
         assert_eq!(sys.secondary_affinity, CoreMask::EMPTY);
         ctl2.restore(&state, &mut sys);
         assert_eq!(sys.secondary_affinity.count(), 40, "resumed prior mask");
-    }
-
-    #[test]
-    fn egress_command_applies() {
-        let mut sys = MockSystem::new(16);
-        let mut ctl = PerfIso::new(PerfIsoConfig::default());
-        ctl.install(&mut sys);
-        ctl.command(Command::SetEgressLowRate(Some(5 << 20)), &mut sys);
-        assert_eq!(sys.egress_low_rate, Some(5 << 20));
     }
 
     #[test]

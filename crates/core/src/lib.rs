@@ -17,10 +17,11 @@
 //!   priority adjustment from per-drive IOPS and per-process demand.
 //! - **Memory watchdog** ([`memory`]) — cap the secondary's footprint and
 //!   kill it when machine memory runs very low.
-//! - **Egress throttling** (via [`system::SystemInterface`]) — secondary
-//!   traffic marked low-priority and rate-capped.
 //! - **Operations** ([`controller`], [`recovery`]) — kill switch, runtime
 //!   commands, crash recovery from persisted state.
+//!
+//! The paper's egress throttling (secondary traffic marked low-priority and
+//! rate-capped) is not modelled: no simulated secondary sends on the fabric.
 //!
 //! The controller talks to the OS through [`system::SystemInterface`], so
 //! the same logic drives the discrete-event simulator (crate `scenarios`)

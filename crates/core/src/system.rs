@@ -3,9 +3,10 @@
 //! The paper's framework is a user-mode service that relies only on
 //! "features readily-available" in the OS (§2.2): an idle-core mask query,
 //! job-object affinity and CPU-rate control, per-device I/O statistics and
-//! priorities, memory counters, and an egress shaper. [`SystemInterface`]
-//! captures exactly those sensors and actuators, so the controller logic is
-//! identical whether it drives a simulated machine or a real one.
+//! priorities, and memory counters. [`SystemInterface`] captures exactly
+//! those sensors and actuators, so the controller logic is identical whether
+//! it drives a simulated machine or a real one. The paper's egress shaper is
+//! not modelled: no simulated secondary sends on the fabric.
 
 use serde::{Deserialize, Serialize};
 use simcore::CoreMask;
@@ -95,11 +96,6 @@ pub trait SystemInterface {
 
     /// Installs or clears a static I/O rate limit on a tenant.
     fn set_io_limit(&mut self, tenant: IoTenant, limit: Option<IoLimit>);
-
-    // --- Network ---
-
-    /// Caps (or uncaps) low-priority egress traffic, bytes/second.
-    fn set_egress_low_rate(&mut self, rate: Option<u64>);
 }
 
 /// An in-memory fake for unit tests and doctests.
@@ -129,8 +125,6 @@ pub struct MockSystem {
     pub tenants: Vec<(IoTenant, IoTenantStats, u8, Option<IoLimit>)>,
     /// Reported shared-volume IOPS.
     pub volume_iops: f64,
-    /// Last applied egress cap.
-    pub egress_low_rate: Option<u64>,
     /// Count of affinity actuations (to verify update-on-change).
     pub affinity_updates: u64,
 }
@@ -150,7 +144,6 @@ impl MockSystem {
             secondary_killed: false,
             tenants: Vec::new(),
             volume_iops: 0.0,
-            egress_low_rate: None,
             affinity_updates: 0,
         }
     }
@@ -240,10 +233,6 @@ impl SystemInterface for MockSystem {
     fn set_io_limit(&mut self, tenant: IoTenant, limit: Option<IoLimit>) {
         self.tenant_mut(tenant).3 = limit;
     }
-
-    fn set_egress_low_rate(&mut self, rate: Option<u64>) {
-        self.egress_low_rate = rate;
-    }
 }
 
 #[cfg(test)]
@@ -261,8 +250,6 @@ mod tests {
         let t = m.add_tenant(1, 2);
         m.set_io_priority(t, 9);
         assert_eq!(m.io_priority(t), 7, "priority saturates at 7");
-        m.set_egress_low_rate(Some(1000));
-        assert_eq!(m.egress_low_rate, Some(1000));
         m.kill_secondary_processes();
         assert!(m.secondary_killed);
     }

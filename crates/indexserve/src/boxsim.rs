@@ -672,20 +672,6 @@ impl BoxSim {
         self.now
     }
 
-    /// The slot-0 IndexServe instance (for inspection).
-    ///
-    /// # Panics
-    ///
-    /// Panics when slot 0 hosts a non-IndexServe service (a graph
-    /// workload); multi-service embedders should use the per-slot
-    /// accessors instead.
-    pub fn service(&self) -> &IndexServe {
-        self.services[0]
-            .port
-            .as_indexserve()
-            .expect("slot-0 service is not IndexServe")
-    }
-
     /// Number of hosted services.
     pub fn service_count(&self) -> usize {
         self.services.len()
@@ -694,11 +680,6 @@ impl BoxSim {
     /// Display name of service slot `i`.
     pub fn service_name(&self, i: usize) -> &str {
         &self.services[i].name
-    }
-
-    /// The machine job hosting service slot `i`.
-    pub fn service_job(&self, i: usize) -> JobId {
-        self.services[i].job
     }
 
     /// CPU time consumed by service slot `i`.
@@ -843,13 +824,6 @@ impl BoxSim {
             .as_mut()
             .map(|c| std::mem::take(&mut c.records))
             .unwrap_or_default()
-    }
-
-    /// Whether the controller process is currently down (crashed and not
-    /// yet restarted by Autopilot). Always false outside chaos runs with a
-    /// configured controller.
-    pub fn controller_down(&self) -> bool {
-        self.perfiso_cfg.is_some() && self.controller.is_none()
     }
 
     /// Mutable access to the machine plus the secondary job id, for
@@ -1744,11 +1718,6 @@ impl SystemInterface for SysAdapter<'_> {
                 iops: l.iops,
             }),
         );
-    }
-
-    fn set_egress_low_rate(&mut self, _rate: Option<u64>) {
-        // Single-box runs have no network; the cluster simulator applies
-        // egress caps on its NetSim.
     }
 }
 

@@ -17,7 +17,7 @@
 //!
 //! Under load pressure IndexServe *compensates* by raising per-query
 //! parallelism (the paper observes its CPU utilization inflating from 20 %
-//! to ~40 % under a mid-size bully; Bing's target-driven parallelism [15]
+//! to ~40 % under a mid-size bully; Bing's target-driven parallelism \[15\]
 //! behaves this way), which is also the positive-feedback loop behind the
 //! 29× tail collapse with an unrestricted bully.
 //!

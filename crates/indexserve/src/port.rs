@@ -107,11 +107,6 @@ pub trait ServicePort {
     /// Advances internal state to `now` (services with their own event
     /// sources; a no-op for purely reactive services).
     fn advance_to(&mut self, _now: SimTime, _machine: &mut Machine) {}
-
-    /// Downcast hook for diagnostics that inspect the classic primary.
-    fn as_indexserve(&self) -> Option<&IndexServe> {
-        None
-    }
 }
 
 impl ServicePort for IndexServe {
@@ -178,10 +173,6 @@ impl ServicePort for IndexServe {
 
     fn in_flight(&self) -> u64 {
         u64::from(IndexServe::in_flight(self)) + self.admission_queue_len() as u64
-    }
-
-    fn as_indexserve(&self) -> Option<&IndexServe> {
-        Some(self)
     }
 }
 

@@ -145,10 +145,6 @@ pub struct IndexServe {
     rng: SimRng,
     /// Total fan-out workers spawned (for burst statistics).
     pub workers_spawned: u64,
-    /// Queries admitted immediately vs queued.
-    pub queued_admissions: u64,
-    /// Queries shed at admission for lack of remaining deadline budget.
-    pub shed_admissions: u64,
     /// Index of this service on its box; ORed into every stage tag (as
     /// [`crate::tags::service_bits`]) and stamped on outcomes. Zero for the
     /// classic single-service box, so tags stay bit-identical there.
@@ -191,8 +187,6 @@ impl IndexServe {
             outcomes: Vec::new(),
             rng: SimRng::seed_from_u64(seed ^ 0x1D5),
             workers_spawned: 0,
-            queued_admissions: 0,
-            shed_admissions: 0,
             service,
             tid_pool: Vec::new(),
             parse_dist,
@@ -205,11 +199,6 @@ impl IndexServe {
     /// The service configuration.
     pub fn config(&self) -> &ServiceConfig {
         &self.cfg
-    }
-
-    /// This service's slot index on its box.
-    pub fn service_index(&self) -> u8 {
-        self.service
     }
 
     /// A stage tag carrying this service's index bits.
@@ -259,7 +248,6 @@ impl IndexServe {
         if self.in_flight < self.cfg.max_concurrent {
             self.start_query(now, qidx, machine);
         } else {
-            self.queued_admissions += 1;
             self.admission_queue.push_back(qidx);
         }
         qidx
@@ -504,7 +492,6 @@ impl IndexServe {
         };
         debug_assert!(!q.started);
         self.recycle_tids(q.live_tids);
-        self.shed_admissions += 1;
         self.outcomes.push(QueryOutcome {
             qidx,
             arrival: q.arrival,

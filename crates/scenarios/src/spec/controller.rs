@@ -1,8 +1,8 @@
 //! Spec-expressible controller knobs and parameter sweeps.
 //!
 //! [`ControllerSpec`] makes every [`PerfIsoConfig`] knob — the poll
-//! intervals, buffer-core count, memory watermarks, egress cap, and
-//! per-tenant I/O limits — declarative: a spec carries *overrides* that
+//! intervals, buffer-core count, memory watermarks, and per-tenant I/O
+//! limits — declarative: a spec carries *overrides* that
 //! are applied on top of whatever base configuration its
 //! [`Policy`](crate::Policy) produces, so `"policy": "FullPerfIso"` plus
 //! `"cpu_poll_interval_us": 5000` means "the production controller, but
@@ -81,8 +81,6 @@ pub struct ControllerSpec {
     /// Kill secondaries when machine memory use exceeds this fraction of
     /// total, in `(0, 1]`.
     pub memory_kill_watermark: Option<f64>,
-    /// Egress cap for secondary (low-class) traffic, in MB/s.
-    pub egress_low_mbps: Option<u64>,
     /// Per-tenant static I/O limit overrides, matched by service name
     /// against the base configuration (replace or append; an empty limit
     /// removes the base entry).
@@ -118,9 +116,6 @@ impl ControllerSpec {
         }
         if let Some(w) = self.memory_kill_watermark {
             cfg.memory_kill_watermark = w;
-        }
-        if let Some(mbps) = self.egress_low_mbps {
-            cfg.egress_low_rate = Some(mbps << 20);
         }
         for t in &self.tenant_limits {
             cfg.tenant_limits.retain(|e| e.service != t.service);
@@ -164,10 +159,6 @@ impl ControllerSpec {
             "kill_watermark",
             self.memory_kill_watermark.map(|v| v.to_string()),
         );
-        push(
-            "egress_low_mbps",
-            self.egress_low_mbps.map(|v| v.to_string()),
-        );
         for t in &self.tenant_limits {
             let v = match (t.mbps, t.iops) {
                 (None, None) => "uncapped".to_string(),
@@ -196,8 +187,6 @@ pub enum SweepAxis {
     SecondaryMemoryLimitMb(Vec<u64>),
     /// Memory kill watermarks, in `(0, 1]`.
     MemoryKillWatermark(Vec<f64>),
-    /// Egress caps for low-class traffic, in MB/s.
-    EgressLowMbps(Vec<u64>),
     /// Bandwidth caps for one named tenant, in MB/s.
     TenantIoMbps {
         /// Service name matched against the base tenant limits.
@@ -227,7 +216,6 @@ impl SweepAxis {
             SweepAxis::MemoryPollIntervalUs(_) => "mem_poll_us".into(),
             SweepAxis::SecondaryMemoryLimitMb(_) => "secondary_mem_mb".into(),
             SweepAxis::MemoryKillWatermark(_) => "kill_watermark".into(),
-            SweepAxis::EgressLowMbps(_) => "egress_low_mbps".into(),
             SweepAxis::TenantIoMbps { service, .. } => format!("io_mbps[{service}]"),
             SweepAxis::FaultDowntimePolls(_) => "fault_downtime_polls".into(),
             SweepAxis::Qps(_) => "qps".into(),
@@ -243,8 +231,7 @@ impl SweepAxis {
             SweepAxis::CpuPollIntervalUs(v)
             | SweepAxis::IoPollIntervalUs(v)
             | SweepAxis::MemoryPollIntervalUs(v)
-            | SweepAxis::SecondaryMemoryLimitMb(v)
-            | SweepAxis::EgressLowMbps(v) => v.len(),
+            | SweepAxis::SecondaryMemoryLimitMb(v) => v.len(),
             SweepAxis::MemoryKillWatermark(v) | SweepAxis::Qps(v) => v.len(),
             SweepAxis::TenantIoMbps { mbps, .. } => mbps.len(),
             SweepAxis::Policy(v) => v.len(),
@@ -268,8 +255,7 @@ impl SweepAxis {
             SweepAxis::CpuPollIntervalUs(v)
             | SweepAxis::IoPollIntervalUs(v)
             | SweepAxis::MemoryPollIntervalUs(v)
-            | SweepAxis::SecondaryMemoryLimitMb(v)
-            | SweepAxis::EgressLowMbps(v) => v[i].to_string(),
+            | SweepAxis::SecondaryMemoryLimitMb(v) => v[i].to_string(),
             SweepAxis::MemoryKillWatermark(v) | SweepAxis::Qps(v) => format!("{}", v[i]),
             SweepAxis::TenantIoMbps { mbps, .. } => mbps[i].to_string(),
             SweepAxis::Policy(v) => v[i].label(),
@@ -291,7 +277,6 @@ impl SweepAxis {
             SweepAxis::MemoryPollIntervalUs(v) => ctl.memory_poll_interval_us = Some(v[i]),
             SweepAxis::SecondaryMemoryLimitMb(v) => ctl.secondary_memory_limit_mb = Some(v[i]),
             SweepAxis::MemoryKillWatermark(v) => ctl.memory_kill_watermark = Some(v[i]),
-            SweepAxis::EgressLowMbps(v) => ctl.egress_low_mbps = Some(v[i]),
             SweepAxis::TenantIoMbps { service, mbps } => {
                 ctl.tenant_limits.retain(|t| &t.service != service);
                 ctl.tenant_limits.push(TenantLimitSpec {
@@ -474,7 +459,6 @@ mod tests {
             cpu_poll_interval_us: Some(5_000),
             memory_kill_watermark: Some(0.8),
             secondary_memory_limit_mb: Some(2_048),
-            egress_low_mbps: Some(50),
             tenant_limits: vec![
                 TenantLimitSpec {
                     service: "hdfs-client".into(),
@@ -494,7 +478,6 @@ mod tests {
         assert_eq!(cfg.cpu_poll_interval, SimDuration::from_micros(5_000));
         assert_eq!(cfg.memory_kill_watermark, 0.8);
         assert_eq!(cfg.secondary_memory_limit, Some(2_048 << 20));
-        assert_eq!(cfg.egress_low_rate, Some(50 << 20));
         // hdfs-client replaced, hdfs-replication removed.
         assert_eq!(cfg.tenant_limits.len(), 1);
         assert_eq!(cfg.tenant_limits[0].service, "hdfs-client");

@@ -23,10 +23,11 @@
 //!   cross-seed [`telemetry::RunStats`]), JSON-serializable via the
 //!   vendored serde.
 //!
-//! Embedding experiments (the ops kill-switch example, the diagnostic
-//! probes) obtain their simulators through [`ScenarioSpec::box_sim`] /
-//! [`ScenarioSpec::cluster_sim`] so that even manually-driven runs share
-//! the one description of "what is on the machine".
+//! Embedding experiments (the ops kill-switch example, fleetbench's
+//! allocation profile) obtain their simulators through
+//! [`ScenarioSpec::box_sim`] / [`ScenarioSpec::cluster_sim`] so that even
+//! manually-driven runs share the one description of "what is on the
+//! machine".
 //!
 //! # Examples
 //!
@@ -287,7 +288,7 @@ impl CurveSpec {
 /// Latency-recording backend selection: the exact recorder keeps every
 /// sample (bit-stable percentiles, the historical default), the sketch
 /// recorder keeps log-spaced bucket counters with a guaranteed relative
-/// error ([`telemetry::sketch::RELATIVE_ERROR`]) and constant memory —
+/// error ([`telemetry::Sketch::RELATIVE_ERROR`]) and constant memory —
 /// the only affordable choice at production fleet scale.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TelemetrySpec {
@@ -1101,12 +1102,6 @@ impl ScenarioBuilder {
     /// Targets one production server at the given load.
     pub fn single_box(mut self, qps: f64) -> Self {
         self.spec.target = TargetSpec::SingleBox { qps };
-        self
-    }
-
-    /// Targets one production server hosting the given service roster.
-    pub fn multi_box(mut self, services: Vec<ServiceLoadSpec>) -> Self {
-        self.spec.target = TargetSpec::MultiBox { services };
         self
     }
 

@@ -1,8 +1,8 @@
 //! Discrete-event simulation (DES) engine shared by every simulator crate in
 //! the PerfIso reproduction.
 //!
-//! The crate deliberately stays small and dependency-free (apart from
-//! [`rand`]): it provides virtual time ([`SimTime`], [`SimDuration`]), a
+//! The crate deliberately stays small, with serde as its only dependency:
+//! it provides virtual time ([`SimTime`], [`SimDuration`]), a
 //! deterministic event queue ([`queue::EventQueue`]), a seeded RNG wrapper
 //! ([`rng::SimRng`]), the statistical distributions used to model
 //! workloads ([`dist`]), and the dense-id request table whose memory

@@ -5,10 +5,10 @@
 //! the same instant therefore pop in insertion order, which keeps whole-system
 //! runs bit-for-bit reproducible for a fixed seed.
 //!
-//! Storage is a hierarchical timer wheel ([`crate::wheel`]) rather than a
-//! binary heap: pushes and pops are O(1) amortized instead of O(log n), and
-//! [`EventQueue::pop_before`] lets advance loops consume due events in a
-//! single traversal. The pop order is contractually identical to the
+//! Storage is a hierarchical timer wheel (the private `wheel` module)
+//! rather than a binary heap: pushes and pops are O(1) amortized instead of
+//! O(log n), and [`EventQueue::pop_before`] lets advance loops consume due
+//! events in a single traversal. The pop order is contractually identical to the
 //! `(time, seq)` total order the former heap produced.
 
 use crate::time::SimTime;

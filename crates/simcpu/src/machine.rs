@@ -394,23 +394,6 @@ impl Machine {
         self.spawn_program_with(now, job, Program::Dyn(program), tag, false)
     }
 
-    /// Spawns a boxed program, optionally carrying the wake boost.
-    ///
-    /// A boosted spawn models a *continuation*: a pool thread woken by a
-    /// completion port to carry on work already in flight. It enters the
-    /// ready queue at the front like any other wake. A plain spawn models
-    /// fresh work and queues at the back.
-    pub fn spawn_thread_with(
-        &mut self,
-        now: SimTime,
-        job: JobId,
-        program: Box<dyn ThreadProgram>,
-        tag: u64,
-        boosted: bool,
-    ) -> ThreadId {
-        self.spawn_program_with(now, job, Program::Dyn(program), tag, boosted)
-    }
-
     /// Spawns a thread from an internal [`Program`] representation: the
     /// allocation-free spawn path for the inline variants.
     pub fn spawn_program(
@@ -423,8 +406,12 @@ impl Machine {
         self.spawn_program_with(now, job, program, tag, false)
     }
 
-    /// Spawns a [`Program`], optionally carrying the wake boost (see
-    /// [`Machine::spawn_thread_with`]).
+    /// Spawns a [`Program`], optionally carrying the wake boost.
+    ///
+    /// A boosted spawn models a *continuation*: a pool thread woken by a
+    /// completion port to carry on work already in flight. It enters the
+    /// ready queue at the front like any other wake. A plain spawn models
+    /// fresh work and queues at the back.
     pub fn spawn_program_with(
         &mut self,
         now: SimTime,
@@ -1206,7 +1193,7 @@ pub struct ScriptWriter<'m> {
 
 impl ScriptWriter<'_> {
     /// Marks the spawn as a wake-boosted continuation (see
-    /// [`Machine::spawn_thread_with`]).
+    /// [`Machine::spawn_program_with`]).
     pub fn boosted(mut self, boosted: bool) -> Self {
         self.boosted = boosted;
         self

@@ -1,11 +1,9 @@
 //! The network simulator: nodes, messages, deliveries.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use simcore::{dist::Exp, dist::Sample, EventQueue, SimDuration, SimRng, SimTime};
-
-use crate::shaper::{EgressMsg, EgressShaper, StartDecision, TrafficClass};
 
 /// Identifies a node (machine) in the network.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -45,12 +43,28 @@ pub struct Delivery {
     pub at: SimTime,
 }
 
+/// A message waiting for its source node's NIC.
+#[derive(Clone, Copy, Debug)]
+struct Queued {
+    bytes: u64,
+    to: NodeId,
+    token: u64,
+}
+
+/// One node's NIC: it serializes one message at a time, in send order.
+#[derive(Debug, Default)]
+struct Nic {
+    queue: VecDeque<Queued>,
+    /// The NIC is serializing until this instant.
+    busy_until: SimTime,
+}
+
 #[derive(Debug)]
 enum NetTimer {
-    /// A message enters its source node's egress queue.
-    Enqueue { from: NodeId, msg: EgressMsg },
-    /// Re-poll a node's egress queue.
-    Egress { node: NodeId },
+    /// A message joins its source node's NIC queue.
+    Enqueue { from: NodeId, msg: Queued },
+    /// Re-poll a node's NIC queue.
+    Pump { node: NodeId },
     /// A message lands at its destination.
     Deliver {
         to: NodeId,
@@ -59,16 +73,16 @@ enum NetTimer {
     },
 }
 
-/// A full-bisection datacenter fabric with per-node egress shapers.
+/// A full-bisection datacenter fabric with one FIFO NIC per node.
 ///
 /// # Examples
 ///
 /// ```
 /// use simcore::SimTime;
-/// use simnet::{NetConfig, NetSim, NodeId, TrafficClass};
+/// use simnet::{NetConfig, NetSim, NodeId};
 ///
 /// let mut n = NetSim::new(NetConfig::default(), 2, 99);
-/// n.send(SimTime::ZERO, NodeId(0), NodeId(1), 2048, TrafficClass::High, 7);
+/// n.send(SimTime::ZERO, NodeId(0), NodeId(1), 2048, 7);
 /// while let Some(t) = n.next_timer_at() {
 ///     n.advance_to(t);
 /// }
@@ -79,7 +93,7 @@ enum NetTimer {
 pub struct NetSim {
     cfg: NetConfig,
     now: SimTime,
-    shapers: Vec<EgressShaper>,
+    nics: Vec<Nic>,
     timers: EventQueue<NetTimer>,
     /// Per destination node, the landing times of its scheduled
     /// `Deliver` timers (earliest on top).
@@ -87,24 +101,25 @@ pub struct NetSim {
     deliveries: Vec<Delivery>,
     jitter: Exp,
     rng: SimRng,
-    sent: u64,
 }
 
 impl NetSim {
     /// Creates a fabric with `nodes` nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.nic_bandwidth` is zero.
     pub fn new(cfg: NetConfig, nodes: u32, seed: u64) -> Self {
+        assert!(cfg.nic_bandwidth > 0, "bandwidth must be positive");
         NetSim {
             cfg,
             now: SimTime::ZERO,
-            shapers: (0..nodes)
-                .map(|_| EgressShaper::new(cfg.nic_bandwidth))
-                .collect(),
+            nics: (0..nodes).map(|_| Nic::default()).collect(),
             timers: EventQueue::with_capacity(256),
             inbound: (0..nodes).map(|_| BinaryHeap::new()).collect(),
             deliveries: Vec::new(),
             jitter: Exp::from_mean(cfg.jitter_mean.as_secs_f64().max(1e-9)),
             rng: SimRng::seed_from_u64(seed),
-            sent: 0,
         }
     }
 
@@ -118,46 +133,13 @@ impl NetSim {
         self.cfg
     }
 
-    /// Number of messages sent so far.
-    pub fn sent_count(&self) -> u64 {
-        self.sent
-    }
-
-    /// Sets or clears the low-class egress cap on a node (bytes/second) —
-    /// the PerfIso egress-throttling actuator.
-    pub fn set_node_low_rate(&mut self, now: SimTime, node: NodeId, rate: Option<u64>) {
-        self.advance_to(now);
-        let at = now.max(self.now);
-        self.shapers[node.0 as usize].set_low_rate(at, rate);
-        self.timers.push(at, NetTimer::Egress { node });
-    }
-
-    /// The node's low-class egress cap.
-    pub fn node_low_rate(&self, node: NodeId) -> Option<u64> {
-        self.shapers[node.0 as usize].low_rate()
-    }
-
-    /// Queued egress messages on a node.
-    pub fn egress_queue_len(&self, node: NodeId) -> usize {
-        self.shapers[node.0 as usize].queued()
-    }
-
     /// Sends `bytes` from `from` to `to` at time `at` (which may be in the
     /// future); the delivery echoes `token`.
     ///
     /// Scheduling-only: internal time does not advance until
     /// [`NetSim::advance_to`], so drivers may interleave sends freely with
     /// other components.
-    pub fn send(
-        &mut self,
-        at: SimTime,
-        from: NodeId,
-        to: NodeId,
-        bytes: u64,
-        class: TrafficClass,
-        token: u64,
-    ) {
-        self.sent += 1;
+    pub fn send(&mut self, at: SimTime, from: NodeId, to: NodeId, bytes: u64, token: u64) {
         let at = at.max(self.now);
         // Self-delivery skips the NIC entirely (loopback).
         if from == to {
@@ -168,12 +150,7 @@ impl NetSim {
             at,
             NetTimer::Enqueue {
                 from,
-                msg: EgressMsg {
-                    bytes,
-                    class,
-                    token,
-                    dest: to.0,
-                },
+                msg: Queued { bytes, to, token },
             },
         );
     }
@@ -228,10 +205,10 @@ impl NetSim {
             self.now = at;
             match timer {
                 NetTimer::Enqueue { from, msg } => {
-                    self.shapers[from.0 as usize].enqueue(msg);
+                    self.nics[from.0 as usize].queue.push_back(msg);
                     self.pump(from);
                 }
-                NetTimer::Egress { node } => self.pump(node),
+                NetTimer::Pump { node } => self.pump(node),
                 NetTimer::Deliver { to, from, token } => {
                     // Deliveries to one node pop in landing order, so this
                     // one is the earliest recorded for it.
@@ -249,28 +226,30 @@ impl NetSim {
         self.now = t;
     }
 
-    /// Tries to start serializing the next eligible message on `node`.
+    /// Serialization time of `bytes` on one NIC.
+    fn serialize_time(&self, bytes: u64) -> SimDuration {
+        SimDuration::from_secs_f64(bytes as f64 / self.cfg.nic_bandwidth as f64)
+    }
+
+    /// Starts serializing the next queued message on `node`, if its NIC is
+    /// free.
     fn pump(&mut self, node: NodeId) {
-        match self.shapers[node.0 as usize].try_start(self.now) {
-            // A busy NIC needs no re-poll of its own: the `Start` that
-            // made it busy already queued one at the instant it frees.
-            StartDecision::Empty | StartDecision::Busy => {}
-            StartDecision::TokensAt(at) => {
-                // Re-poll when tokens arrive. Guard against scheduling in
-                // the past due to float rounding.
-                self.timers
-                    .push(at.max(self.now), NetTimer::Egress { node });
-            }
-            StartDecision::Start(msg) => {
-                let ser = self.shapers[node.0 as usize].serialize_time(msg.bytes);
-                self.shapers[node.0 as usize].busy_until = self.now + ser;
-                let jitter = SimDuration::from_secs_f64(self.jitter.sample(&mut self.rng));
-                let land = self.now + ser + self.cfg.base_latency + jitter;
-                self.schedule_delivery(land, NodeId(msg.dest), node, msg.token);
-                // Re-poll when serialization finishes.
-                self.timers.push(self.now + ser, NetTimer::Egress { node });
-            }
+        let nic = &mut self.nics[node.0 as usize];
+        // A busy NIC needs no re-poll of its own: the message that made it
+        // busy already queued one at the instant it frees.
+        if nic.busy_until > self.now {
+            return;
         }
+        let Some(msg) = nic.queue.pop_front() else {
+            return;
+        };
+        let ser = self.serialize_time(msg.bytes);
+        self.nics[node.0 as usize].busy_until = self.now + ser;
+        let jitter = SimDuration::from_secs_f64(self.jitter.sample(&mut self.rng));
+        let land = self.now + ser + self.cfg.base_latency + jitter;
+        self.schedule_delivery(land, msg.to, node, msg.token);
+        // Re-poll when serialization finishes.
+        self.timers.push(self.now + ser, NetTimer::Pump { node });
     }
 }
 
@@ -278,8 +257,7 @@ impl std::fmt::Debug for NetSim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NetSim")
             .field("now", &self.now)
-            .field("nodes", &self.shapers.len())
-            .field("sent", &self.sent)
+            .field("nodes", &self.nics.len())
             .finish()
     }
 }
@@ -298,14 +276,7 @@ mod tests {
     #[test]
     fn message_arrives_with_latency() {
         let mut n = NetSim::new(NetConfig::default(), 2, 1);
-        n.send(
-            SimTime::ZERO,
-            NodeId(0),
-            NodeId(1),
-            1024,
-            TrafficClass::High,
-            42,
-        );
+        n.send(SimTime::ZERO, NodeId(0), NodeId(1), 1024, 42);
         let d = drain_all(&mut n);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].to, NodeId(1));
@@ -315,21 +286,37 @@ mod tests {
         assert!(d[0].at < SimTime::from_millis(2), "landed at {}", d[0].at);
     }
 
-    /// A busy NIC is re-polled once, by the `Start` that made it busy: a
+    #[test]
+    fn serialization_time_scales() {
+        let n = NetSim::new(NetConfig::default(), 1, 0);
+        assert_eq!(n.serialize_time(1_250_000), SimDuration::from_millis(1));
+    }
+
+    /// A NIC serializes one message at a time: a send queued behind a
+    /// busy NIC starts when the NIC frees, not before.
+    #[test]
+    fn busy_nic_starts_nothing_until_free() {
+        let mut n = NetSim::new(NetConfig::default(), 2, 10);
+        // 1.25 MB keeps a 10 GbE NIC busy for exactly 1 ms.
+        n.send(SimTime::ZERO, NodeId(0), NodeId(1), 1_250_000, 1);
+        n.send(SimTime::ZERO, NodeId(0), NodeId(1), 10, 2);
+        n.advance_to(SimTime::from_micros(999));
+        assert_eq!(n.nics[0].queue.len(), 1, "second message still queued");
+        n.advance_to(SimTime::from_millis(1));
+        assert!(n.nics[0].queue.is_empty(), "second message on the wire");
+        let d = drain_all(&mut n);
+        let second = d.iter().find(|x| x.token == 2).expect("delivered");
+        assert!(second.at >= SimTime::from_millis(1) + n.config().base_latency);
+    }
+
+    /// A busy NIC is re-polled once, by the message that made it busy: a
     /// burst of k sends from one node must not queue one re-poll per
     /// blocked message on top of it.
     #[test]
     fn burst_queues_one_repoll_not_one_per_message() {
         let mut n = NetSim::new(NetConfig::default(), 2, 8);
         for k in 0..10 {
-            n.send(
-                SimTime::ZERO,
-                NodeId(0),
-                NodeId(1),
-                1024,
-                TrafficClass::High,
-                k,
-            );
+            n.send(SimTime::ZERO, NodeId(0), NodeId(1), 1024, k);
         }
         n.advance_to(SimTime::ZERO);
         // The first message's delivery plus the NIC-free re-poll.
@@ -343,30 +330,9 @@ mod tests {
     #[test]
     fn next_delivery_to_tracks_scheduled_landings() {
         let mut n = NetSim::new(NetConfig::default(), 3, 9);
-        n.send(
-            SimTime::ZERO,
-            NodeId(0),
-            NodeId(1),
-            1024,
-            TrafficClass::High,
-            1,
-        );
-        n.send(
-            SimTime::ZERO,
-            NodeId(2),
-            NodeId(1),
-            1024,
-            TrafficClass::High,
-            2,
-        );
-        n.send(
-            SimTime::ZERO,
-            NodeId(2),
-            NodeId(2),
-            1024,
-            TrafficClass::High,
-            3,
-        );
+        n.send(SimTime::ZERO, NodeId(0), NodeId(1), 1024, 1);
+        n.send(SimTime::ZERO, NodeId(2), NodeId(1), 1024, 2);
+        n.send(SimTime::ZERO, NodeId(2), NodeId(2), 1024, 3);
         // Only the loopback is scheduled before the enqueues run.
         assert_eq!(n.next_delivery_to(NodeId(1)), None);
         assert_eq!(n.next_delivery_to(NodeId(2)), Some(SimTime::from_micros(2)));
@@ -390,14 +356,7 @@ mod tests {
     #[test]
     fn loopback_is_fast() {
         let mut n = NetSim::new(NetConfig::default(), 1, 2);
-        n.send(
-            SimTime::ZERO,
-            NodeId(0),
-            NodeId(0),
-            1 << 20,
-            TrafficClass::Low,
-            1,
-        );
+        n.send(SimTime::ZERO, NodeId(0), NodeId(0), 1 << 20, 1);
         let d = drain_all(&mut n);
         assert_eq!(d.len(), 1);
         assert!(d[0].at <= SimTime::from_micros(2));
@@ -407,14 +366,7 @@ mod tests {
     fn messages_to_distinct_destinations_route_correctly() {
         let mut n = NetSim::new(NetConfig::default(), 4, 3);
         for dest in 1..4u32 {
-            n.send(
-                SimTime::ZERO,
-                NodeId(0),
-                NodeId(dest),
-                512,
-                TrafficClass::High,
-                dest as u64,
-            );
+            n.send(SimTime::ZERO, NodeId(0), NodeId(dest), 512, dest as u64);
         }
         let d = drain_all(&mut n);
         assert_eq!(d.len(), 3);
@@ -424,85 +376,10 @@ mod tests {
     }
 
     #[test]
-    fn high_traffic_jumps_low_queue() {
-        let mut n = NetSim::new(NetConfig::default(), 3, 4);
-        // A large low-priority transfer first, then a small high-priority one.
-        n.send(
-            SimTime::ZERO,
-            NodeId(0),
-            NodeId(1),
-            10 << 20,
-            TrafficClass::Low,
-            1,
-        );
-        n.send(
-            SimTime::ZERO,
-            NodeId(0),
-            NodeId(2),
-            1 << 10,
-            TrafficClass::High,
-            2,
-        );
-        let d = drain_all(&mut n);
-        // The low transfer started serializing first (NIC was free), but a
-        // second low message would have lost. Verify ordering by arrival.
-        assert_eq!(d.len(), 2);
-    }
-
-    #[test]
-    fn egress_cap_throttles_low_class() {
-        let mut n = NetSim::new(NetConfig::default(), 2, 5);
-        n.set_node_low_rate(SimTime::ZERO, NodeId(0), Some(1 << 20)); // 1 MB/s
-                                                                      // 20 x 100 KB = 2 MB of low traffic: needs ~2 seconds at 1 MB/s.
-        for i in 0..20 {
-            n.send(
-                SimTime::ZERO,
-                NodeId(0),
-                NodeId(1),
-                100 << 10,
-                TrafficClass::Low,
-                i,
-            );
-        }
-        let d = drain_all(&mut n);
-        assert_eq!(d.len(), 20);
-        let last = d.iter().map(|x| x.at).max().unwrap();
-        let secs = last.as_secs_f64();
-        assert!(secs > 1.5 && secs < 2.6, "took {secs}s");
-    }
-
-    #[test]
-    fn high_class_unaffected_by_cap() {
-        let mut n = NetSim::new(NetConfig::default(), 2, 6);
-        n.set_node_low_rate(SimTime::ZERO, NodeId(0), Some(1024));
-        for i in 0..10 {
-            n.send(
-                SimTime::ZERO,
-                NodeId(0),
-                NodeId(1),
-                10 << 10,
-                TrafficClass::High,
-                i,
-            );
-        }
-        let d = drain_all(&mut n);
-        assert_eq!(d.len(), 10);
-        let last = d.iter().map(|x| x.at).max().unwrap();
-        assert!(last < SimTime::from_millis(5), "took {last}");
-    }
-
-    #[test]
     fn serialization_orders_same_class_fifo() {
         let mut n = NetSim::new(NetConfig::default(), 2, 7);
         for i in 0..5 {
-            n.send(
-                SimTime::ZERO,
-                NodeId(0),
-                NodeId(1),
-                1 << 20,
-                TrafficClass::High,
-                i,
-            );
+            n.send(SimTime::ZERO, NodeId(0), NodeId(1), 1 << 20, i);
         }
         let d = drain_all(&mut n);
         // Jitter could reorder landings slightly, but serialization start

@@ -81,11 +81,7 @@ impl CpuBully {
             );
             tids.push(tid);
         }
-        CpuBullyHandle {
-            progress,
-            tids,
-            chunk: self.chunk,
-        }
+        CpuBullyHandle { progress, tids }
     }
 }
 
@@ -99,7 +95,6 @@ pub struct CpuBullyHandle {
     progress: Arc<AtomicU64>,
     /// Spawned thread handles (for killing the bully).
     pub tids: Vec<ThreadId>,
-    chunk: SimDuration,
 }
 
 impl CpuBullyHandle {
@@ -111,11 +106,6 @@ impl CpuBullyHandle {
         self.progress
             .load(Ordering::Relaxed)
             .saturating_sub(self.tids.len() as u64)
-    }
-
-    /// Progress expressed as consumed CPU time.
-    pub fn progress_cpu_time(&self) -> SimDuration {
-        SimDuration::from_nanos(self.progress_chunks() * self.chunk.as_nanos())
     }
 }
 

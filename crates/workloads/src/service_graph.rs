@@ -32,7 +32,7 @@ use std::sync::Arc;
 use simcore::dist::{LogNormal, Sample};
 use simcore::{RequestTable, SimDuration, SimRng, SimTime};
 use simcpu::{JobId, Machine, Program, ThreadId};
-use simnet::{NetConfig, NetSim, NodeId, TrafficClass};
+use simnet::{NetConfig, NetSim, NodeId};
 use telemetry::ResilienceStats;
 
 use crate::resilience::{CircuitBreaker, ResiliencePolicy, RetryPolicy};
@@ -619,7 +619,6 @@ impl GraphEngine {
                 NodeId(e.from),
                 NodeId(e.to),
                 e.bytes,
-                TrafficClass::High,
                 Self::net_token(ridx, eidx, attempt),
             );
         }

@@ -7,10 +7,11 @@
 //!
 //! - [`perfiso`] — the paper's contribution: the isolation controller
 //!   (CPU blind isolation, DWRR disk throttling, memory watchdog,
-//!   egress shaping, kill switch, crash recovery).
+//!   kill switch, crash recovery). The paper's egress throttling is not
+//!   modelled: no simulated secondary sends on the fabric.
 //! - [`simcpu`] / [`simdisk`] / [`simnet`] — the simulated machine
 //!   substrate (multicore scheduler with affinity + quotas, striped
-//!   SSD/HDD volumes, two-priority egress links).
+//!   SSD/HDD volumes, FIFO NICs on a full-bisection fabric).
 //! - [`indexserve`] — the primary-tenant model calibrated to the paper's
 //!   standalone profile, plus the single-box experiment driver.
 //! - [`workloads`] — secondary tenants: CPU bully, disk bully, HDFS

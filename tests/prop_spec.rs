@@ -220,14 +220,13 @@ fn controller_strategy() -> impl Strategy<Value = ControllerSpec> {
                 Just(1.0f64),
                 Just(1.5f64),
             ]),
-            proptest::option::of(prop_oneof![Just(0u64), 1u64..1_000]),
             proptest::collection::vec(tenant, 0..3),
         ),
     )
         .prop_map(
             |(
                 (buffer_cores, cpu_poll_interval_us, io_poll_interval_us, memory_poll_interval_us),
-                (secondary_memory_limit_mb, memory_kill_watermark, egress_low_mbps, tenant_limits),
+                (secondary_memory_limit_mb, memory_kill_watermark, tenant_limits),
             )| ControllerSpec {
                 buffer_cores,
                 cpu_poll_interval_us,
@@ -235,7 +234,6 @@ fn controller_strategy() -> impl Strategy<Value = ControllerSpec> {
                 memory_poll_interval_us,
                 secondary_memory_limit_mb,
                 memory_kill_watermark,
-                egress_low_mbps,
                 tenant_limits,
             },
         )
