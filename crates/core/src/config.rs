@@ -57,7 +57,8 @@ pub struct PerfIsoConfig {
     pub io_poll_interval: SimDuration,
     /// Memory watchdog period.
     pub memory_poll_interval: SimDuration,
-    /// Secondary memory cap in bytes (`None` = uncapped).
+    /// Secondary memory cap in bytes (`None` = uncapped): the memory
+    /// watchdog kills the secondary's processes once they use more.
     pub secondary_memory_limit: Option<u64>,
     /// Kill secondaries when machine memory use exceeds this fraction.
     pub memory_kill_watermark: f64,

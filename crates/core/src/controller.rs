@@ -204,7 +204,9 @@ impl PerfIso {
         self.dwrr_scratch = round;
     }
 
-    /// One memory watchdog round.
+    /// One memory watchdog round: kills the secondary's processes when
+    /// machine memory crosses the kill watermark or the secondary exceeds
+    /// its footprint cap, and returns the verdict.
     pub fn poll_memory(&mut self, _now: SimTime, sys: &mut dyn SystemInterface) -> MemoryAction {
         if !self.enabled {
             return MemoryAction::Ok;
@@ -214,7 +216,7 @@ impl PerfIso {
             sys.memory_used(),
             sys.secondary_memory_used(),
         );
-        if action == MemoryAction::KillSecondary {
+        if action != MemoryAction::Ok {
             sys.kill_secondary_processes();
             self.stats.memory_kills += 1;
         }
@@ -437,6 +439,42 @@ mod tests {
         assert_eq!(action, MemoryAction::KillSecondary);
         assert!(sys.secondary_killed);
         assert_eq!(ctl.stats.memory_kills, 1);
+    }
+
+    #[test]
+    fn memory_watchdog_kills_secondary_over_its_cap() {
+        let mut sys = MockSystem::new(16);
+        let mut ctl = PerfIso::new(PerfIsoConfig {
+            secondary_memory_limit: Some(1 << 30),
+            memory_kill_watermark: 0.9,
+            ..Default::default()
+        });
+        ctl.install(&mut sys);
+        sys.sec_mem_used = 1 << 30;
+        assert_eq!(ctl.poll_memory(SimTime::ZERO, &mut sys), MemoryAction::Ok);
+        assert!(!sys.secondary_killed, "at the cap is within it");
+        sys.sec_mem_used = (1 << 30) + 1;
+        assert_eq!(
+            ctl.poll_memory(SimTime::ZERO, &mut sys),
+            MemoryAction::SecondaryOverLimit
+        );
+        assert!(sys.secondary_killed);
+        assert_eq!(ctl.stats.memory_kills, 1);
+        // Under the cap again: nothing happens.
+        sys.secondary_killed = false;
+        sys.sec_mem_used = 1 << 20;
+        assert_eq!(ctl.poll_memory(SimTime::ZERO, &mut sys), MemoryAction::Ok);
+        assert!(!sys.secondary_killed);
+        assert_eq!(ctl.stats.memory_kills, 1);
+        // Over both: the watermark's verdict wins, and it is one kill.
+        sys.sec_mem_used = 2 << 30;
+        sys.mem_used = sys.mem_total;
+        assert_eq!(
+            ctl.poll_memory(SimTime::ZERO, &mut sys),
+            MemoryAction::KillSecondary
+        );
+        assert!(sys.secondary_killed);
+        assert_eq!(ctl.stats.memory_kills, 2);
     }
 
     #[test]

@@ -12,11 +12,11 @@ use serde::{Deserialize, Serialize};
 pub enum MemoryAction {
     /// All limits respected.
     Ok,
-    /// The secondary exceeds its configured footprint cap: it should shed
-    /// memory (the enforcement is a job-object limit in production; in the
-    /// simulator the workload model reacts).
+    /// The secondary exceeds its configured footprint cap: the controller
+    /// kills its processes, as at the kill watermark.
     SecondaryOverLimit,
-    /// Machine memory critically low: kill secondary processes now.
+    /// Machine memory critically low: kill secondary processes now. Takes
+    /// precedence over [`MemoryAction::SecondaryOverLimit`].
     KillSecondary,
 }
 

@@ -233,6 +233,10 @@ const RECOVERY_POLL_CAP: u32 = 64;
 const ROLLBACK_MIN_SAMPLES: usize = 50;
 /// Samples after which a rollout that never breached is accepted for good.
 const ROLLBACK_ACCEPT_SAMPLES: usize = 400;
+/// Entries each settle-loop scratch buffer reserves. A settle pass on the
+/// benchmark's boxes routes at most 2 machine outputs, 2 disk completions
+/// and 1 query outcome; a kill sweep that routes more grows a buffer once.
+const SETTLE_SCRATCH: usize = 8;
 
 /// A config rollout under observation by the tail-latency watchdog.
 struct RolloutWatch {
@@ -496,9 +500,9 @@ impl BoxSim {
             resilience: ResilienceStats::default(),
             flood_spec: None,
             secondary_tids: Vec::new(),
-            scratch_outputs: Vec::with_capacity(64),
-            scratch_completions: Vec::with_capacity(64),
-            scratch_outcomes: Vec::with_capacity(64),
+            scratch_outputs: Vec::with_capacity(SETTLE_SCRATCH),
+            scratch_completions: Vec::with_capacity(SETTLE_SCRATCH),
+            scratch_outcomes: Vec::with_capacity(SETTLE_SCRATCH),
         };
 
         // Secondary tenants.
@@ -1195,6 +1199,7 @@ impl BoxSim {
             }
             AppEvent::MemPoll => {
                 self.with_controller(|ctl, sys, now| {
+                    // The controller enforces its verdict itself.
                     ctl.poll_memory(now, sys);
                 });
                 if let Some(p) = self.perfiso_cfg.as_ref() {

@@ -133,8 +133,9 @@ fn singlebox_alloc_profile(spec: &ScenarioSpec) -> Value {
 }
 
 /// Replays `spec`'s trace into its box by hand and reads the step-arena
-/// occupancy out of the live machine: slab high-water and the range-reuse
-/// rate that keeps the spawn path allocation-free.
+/// occupancy out of the live machine: slab high-water against the peak
+/// summed length of live scripts, and the range-reuse rate that keeps the
+/// spawn path allocation-free.
 fn arena_probe(spec: &ScenarioSpec) -> Value {
     let scale = spec.run_scale();
     let end = SimTime::ZERO + scale.warmup + scale.measure;
@@ -150,10 +151,11 @@ fn arena_probe(spec: &ScenarioSpec) -> Value {
     sim.advance_to(end);
     let s = sim.arena_stats();
     println!(
-        "step arena: {} slab steps high-water ({} KiB), {:.1}% range reuse \
-         ({} ranges allocated, {} live at end)",
+        "step arena: {} slab steps high-water ({} KiB) for {} peak live steps, \
+         {:.1}% range reuse ({} ranges allocated, {} live at end)",
         s.slab_steps,
         s.slab_bytes / 1024,
+        s.peak_live_steps,
         s.reuse_rate() * 100.0,
         s.ranges_allocated,
         s.live_ranges,
@@ -161,6 +163,7 @@ fn arena_probe(spec: &ScenarioSpec) -> Value {
     json!({
         "slab_steps_high_water": s.slab_steps,
         "slab_bytes_high_water": s.slab_bytes,
+        "peak_live_steps": s.peak_live_steps,
         "peak_live_ranges": s.peak_live_ranges,
         "ranges_allocated": s.ranges_allocated,
         "ranges_reused": s.ranges_reused,
@@ -247,10 +250,11 @@ impl Row {
 /// The regression gate. The production day's peak heap moves by a few
 /// hundred bytes between identical runs, as worker threads interleave
 /// their allocations, so it is a wall-clock row.
-const GATE: [Row; 6] = [
+const GATE: [Row; 7] = [
     Row::exact("singlebox_allocations.allocations", Better::Lower),
     Row::exact("singlebox_allocations.allocated_bytes", Better::Lower),
     Row::exact("arena.slab_steps_high_water", Better::Lower),
+    Row::exact("arena.peak_live_steps", Better::Lower),
     Row::exact("arena.ranges_reused", Better::Higher),
     Row::wall("fleet_production.wall_seconds", Better::Lower, 0.25),
     Row::wall("fleet_production.peak_memory_bytes", Better::Lower, 0.10),
@@ -415,7 +419,11 @@ mod tests {
         let report = |allocs: u64, wall: f64| {
             json!({
                 "singlebox_allocations": { "allocations": allocs, "allocated_bytes": 100 },
-                "arena": { "slab_steps_high_water": 10, "ranges_reused": 5 },
+                "arena": {
+                    "slab_steps_high_water": 12,
+                    "peak_live_steps": 10,
+                    "ranges_reused": 5
+                },
                 "fleet_production": { "wall_seconds": wall, "peak_memory_bytes": 1000 }
             })
         };

@@ -89,7 +89,6 @@ struct ThreadBody {
     seg_remaining: SimDuration,
     quantum_left: SimDuration,
     affinity: CoreMask,
-    cpu_time: SimDuration,
 }
 
 struct ThreadSlot {
@@ -180,8 +179,8 @@ pub struct Machine {
     /// throttling); avoids a fresh `Vec` per controller action on the hot
     /// path.
     victims_scratch: Vec<CoreId>,
-    /// Scripted-program storage: one slab shared by every scripted thread,
-    /// ranges recycled on exit/kill.
+    /// Scripted-program storage: one slab of four-step blocks shared by
+    /// every scripted thread, each script's blocks recycled on exit/kill.
     arena: StepArena,
     /// Staging buffer for [`Machine::spawn_scripted`]: steps are streamed
     /// here, then copied into the arena in one shot at `finish`.
@@ -199,6 +198,11 @@ const READY_PER_JOB_PER_CORE: usize = 2;
 /// timers; the benchmark's 48-core boxes peak at 85–271 pending timers,
 /// at most 5.7 per core.
 const TIMERS_PER_CORE: usize = 8;
+
+/// Output slots pre-sized per machine. The benchmark's boxes queue at most
+/// 2 outputs between drains; a kill sweep that queues more grows the
+/// buffer once.
+const OUTPUTS_RESERVED: usize = 8;
 
 impl Machine {
     /// Creates a machine with a default RNG seed.
@@ -243,7 +247,7 @@ impl Machine {
             front_seq: -1,
             ready_stale: 0,
             timers: EventQueue::with_capacity(TIMERS_PER_CORE * cores_hint),
-            outputs: Vec::with_capacity(64),
+            outputs: Vec::with_capacity(OUTPUTS_RESERVED),
             breakdown: CpuBreakdown::default(),
             rng: SimRng::seed_from_u64(seed),
             stats: MachineStats::default(),
@@ -439,7 +443,6 @@ impl Machine {
             seg_remaining: SimDuration::ZERO,
             quantum_left: SimDuration::ZERO,
             affinity,
-            cpu_time: SimDuration::ZERO,
         });
         self.stats.spawns += 1;
         // Fresh spawns carry no wake boost: a fan-out burst finding every
@@ -893,7 +896,6 @@ impl Machine {
         self.jobs[job.0 as usize].cpu_time += busy;
         {
             let t = self.thread_mut(tid).expect("live");
-            t.cpu_time += busy;
             t.seg_remaining = t.seg_remaining.saturating_sub(busy);
             t.quantum_left = t.quantum_left.saturating_sub(busy);
         }
@@ -1241,7 +1243,7 @@ impl ScriptWriter<'_> {
             boosted,
         } = self;
         let range = machine.arena.alloc(&machine.script_staging);
-        machine.spawn_program_with(now, job, Program::Scripted { range, at: 0 }, tag, boosted)
+        machine.spawn_program_with(now, job, Program::scripted(range), tag, boosted)
     }
 }
 

@@ -9,11 +9,14 @@
 //!    recycle every range: the arena's live count tracks live scripted
 //!    threads exactly, and over a long churn the slab high-water stays
 //!    bounded by the peak concurrency, not the total spawn count.
+//! 3. **Exact footprint** — under any alloc/free order over mixed
+//!    lengths, every live script reads back intact and the slab holds
+//!    exactly the peak number of live four-step blocks.
 
 use proptest::prelude::*;
 use simcore::{SimDuration, SimTime};
 use simcpu::programs::Script;
-use simcpu::{CoreMask, Machine, MachineConfig, MachineOutput, Step};
+use simcpu::{CoreMask, Machine, MachineConfig, MachineOutput, Step, StepArena, StepRange};
 use telemetry::TenantClass;
 
 fn small_machine(cores: u32) -> Machine {
@@ -150,18 +153,61 @@ proptest! {
         prop_assert_eq!(s.live_ranges, 0, "churn leaked arena ranges");
         prop_assert_eq!(s.ranges_allocated, (rounds * batch) as u64);
 
-        // Bounded: the slab never needs more than the peak concurrent
-        // footprint (power-of-two capacities), far below total spawns.
+        // Bounded: the slab is exactly the peak live block count, and
+        // that peak is at most the peak concurrency times one script's
+        // blocks, far below total spawns.
+        prop_assert_eq!(s.slab_steps, 4 * s.peak_live_blocks);
         let script_len = (seed_steps.len() * 2) as u64;
-        let cap = script_len.next_power_of_two();
         prop_assert!(
-            s.slab_steps <= s.peak_live_ranges * cap,
-            "slab {} exceeds peak footprint {} x {}",
-            s.slab_steps, s.peak_live_ranges, cap
+            s.peak_live_blocks <= s.peak_live_ranges * script_len.div_ceil(4),
+            "peak {} blocks exceeds peak footprint {} x {}",
+            s.peak_live_blocks, s.peak_live_ranges, script_len.div_ceil(4)
         );
         // Every allocation past the concurrency peak was served by reuse:
-        // fresh (slab-growing) allocations happen only when every prior
-        // range of the class is live, so they can never exceed the peak.
+        // the slab grows only when every block is live, and with equal
+        // lengths that happens at most once per concurrent script.
         prop_assert!(s.ranges_reused + s.peak_live_ranges >= s.ranges_allocated);
+    }
+
+    /// Scripts of 1..40 steps allocated and freed in any order: every live
+    /// script reads back intact after every operation, and the slab and
+    /// the peaks equal a block-counting model exactly.
+    #[test]
+    fn prop_arena_reads_back_and_slab_equals_peak_blocks(
+        ops in proptest::collection::vec((1u64..40, any::<bool>(), any::<usize>()), 1..160),
+    ) {
+        let mut arena = StepArena::new();
+        let mut live: Vec<(Vec<Step>, StepRange)> = Vec::new();
+        let (mut blocks, mut peak_blocks) = (0u64, 0u64);
+        let (mut steps_live, mut peak_steps) = (0u64, 0u64);
+        for (i, &(len, free, pick)) in ops.iter().enumerate() {
+            if free && !live.is_empty() {
+                let (steps, range) = live.swap_remove(pick % live.len());
+                blocks -= (steps.len() as u64).div_ceil(4);
+                steps_live -= steps.len() as u64;
+                arena.free(range);
+            } else {
+                let steps: Vec<Step> = (0..len)
+                    .map(|k| Step::Block { token: (i as u64) << 8 | k })
+                    .collect();
+                let range = arena.alloc(&steps);
+                blocks += len.div_ceil(4);
+                steps_live += len;
+                peak_blocks = peak_blocks.max(blocks);
+                peak_steps = peak_steps.max(steps_live);
+                live.push((steps, range));
+            }
+            for (steps, range) in &live {
+                for (k, &step) in steps.iter().enumerate() {
+                    prop_assert_eq!(arena.get(*range, k as u32), Some(step));
+                }
+                prop_assert_eq!(arena.get(*range, steps.len() as u32), None);
+            }
+        }
+        let s = arena.stats();
+        prop_assert_eq!(s.slab_steps, 4 * s.peak_live_blocks);
+        prop_assert_eq!(s.peak_live_blocks, peak_blocks);
+        prop_assert_eq!(s.peak_live_steps, peak_steps);
+        prop_assert_eq!(s.live_ranges, live.len() as u64);
     }
 }

@@ -248,22 +248,12 @@ fn every_controller_knob_reaches_a_report() {
         tenant_limits: vec![TenantLimitSpec::default()],
     };
     assert_eq!(rows.len(), every_knob.overrides().len(), "one row per knob");
-    // Known misses. The watchdog flags a secondary over its footprint cap
-    // (`MemoryAction::SecondaryOverLimit`), but `BoxSim` acts only on
-    // kills, so the cap changes nothing a run reports. A model that
-    // enforces it fails this test until its knob leaves the list.
-    let inert = ["secondary_memory_limit_mb"];
     for (knob, base, a, b) in rows {
         let runs = |ctl: ControllerSpec| {
             let spec = base.clone().controller(ctl).build().expect(knob);
             let report = run_spec(&spec, &RunOptions::serial()).expect(knob);
             serde_json::to_string(&report.runs).expect("runs serialize")
         };
-        let (a, b) = (runs(a), runs(b));
-        if inert.contains(&knob) {
-            assert_eq!(a, b, "{knob} now reaches a report: take it off the list");
-        } else {
-            assert_ne!(a, b, "{knob}: both values report the same runs");
-        }
+        assert_ne!(runs(a), runs(b), "{knob}: both values report the same runs");
     }
 }
