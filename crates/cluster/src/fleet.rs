@@ -14,13 +14,14 @@
 //! # Parallelism
 //!
 //! Every `(minute, machine)` slice is an independent DES run with its own
-//! seed (`mix64(cfg.seed) ^ (m << 8) ^ s`), so the sweep fans slices out across
-//! [`FleetConfig::threads`] worker threads through [`fan_out`], which the
-//! scenario runner's seed sweep shares. Results come back in slice order
-//! and are reduced serially in that order, making the parallel report
-//! **bit-identical** to `threads: 1`: the per-slice computations never
-//! observe each other, and the floating-point reduction happens in one
-//! fixed order regardless of which worker finished first.
+//! seed (`splitmix64(cfg.seed) ^ (m << 8) ^ s`), so the sweep fans slices
+//! out across [`FleetConfig::threads`] worker threads through [`fan_out`],
+//! which the scenario runner's seed sweep shares. Results come back in
+//! slice order and are reduced serially in that order, making the
+//! parallel report **bit-identical** to `threads: 1`: the per-slice
+//! computations never observe each other, and the floating-point
+//! reduction happens in one fixed order regardless of which worker
+//! finished first.
 //!
 //! Shared, immutable inputs — the service config, the PerfIso config, and
 //! one trace generator with its Zipf table — are built once per run, so a
@@ -35,6 +36,7 @@ use std::sync::Arc;
 use indexserve::{BoxConfig, BoxEvent, BoxSim, SecondaryKind, ServiceConfig};
 use perfiso::PerfIsoConfig;
 use qtrace::{DiurnalCurve, OpenLoopClient, TraceConfig, TraceGenerator};
+use simcore::rng::splitmix64;
 use simcore::{SimDuration, SimTime};
 use simcpu::MachineConfig;
 use telemetry::{
@@ -203,23 +205,17 @@ struct FleetShared {
     generator: TraceGenerator,
     /// Hardware cycle; sampled machine `s` runs shape `s % len`.
     machines: Vec<MachineConfig>,
-    /// Avalanched base seed; slice streams derive from this, see [`mix64`].
+    /// The base seed avalanched through [`splitmix64`]; slice streams
+    /// derive from this.
+    ///
+    /// Multi-seed sweeps hand this driver consecutive base seeds (`seed`,
+    /// `seed + 1`, …). Deriving per-slice streams by XORing the raw base
+    /// with small `(minute, machine)` indices would make adjacent
+    /// repetitions share slice seeds exactly (`base ^ 1 == (base + 1) ^ 0`
+    /// whenever the low bit is clear), silently collapsing their
+    /// "independent" samples. Avalanching the base first makes nearby
+    /// seeds differ across all 64 bits.
     mixed_seed: u64,
-}
-
-/// SplitMix64 finalizer.
-///
-/// Multi-seed sweeps hand this driver consecutive base seeds (`seed`,
-/// `seed + 1`, …). Deriving per-slice streams by XORing the raw base with
-/// small `(minute, machine)` indices would make adjacent repetitions
-/// share slice seeds exactly (`base ^ 1 == (base + 1) ^ 0` whenever the
-/// low bit is clear), silently collapsing their "independent" samples.
-/// Avalanche the base first so nearby seeds differ across all 64 bits.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Resolves a thread-count knob: `0` means all available cores.
@@ -286,7 +282,7 @@ const WARMUP: SimDuration = SimDuration::from_millis(250);
 /// Runs the fleet experiment.
 pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
     let stride = cfg.minute_stride.max(1);
-    let mixed_seed = mix64(cfg.seed);
+    let mixed_seed = splitmix64(cfg.seed);
     let shared = FleetShared {
         service: Arc::new(ServiceConfig::default()),
         perfiso: Arc::new(cfg.perfiso.clone()),
@@ -371,7 +367,7 @@ fn churned_trainer(cfg: &FleetConfig, shared: &FleetShared, m: u32, s: u32) -> O
     if !cfg.churn {
         return Some(cfg.trainer.clone());
     }
-    let h = mix64(shared.mixed_seed ^ 0xC0FFEE ^ ((m as u64) << 20) ^ ((s as u64) << 2));
+    let h = splitmix64(shared.mixed_seed ^ 0xC0FFEE ^ ((m as u64) << 20) ^ ((s as u64) << 2));
     if h.is_multiple_of(8) {
         // The bin-packer scheduled the batch job elsewhere this minute.
         return None;
@@ -565,7 +561,9 @@ mod tests {
             .filter(|i| {
                 let m = i / 3;
                 let s = i % 3;
-                let h = mix64(mix64(base.seed) ^ 0xC0FFEE ^ ((m as u64) << 20) ^ ((s as u64) << 2));
+                let h = splitmix64(
+                    splitmix64(base.seed) ^ 0xC0FFEE ^ ((m as u64) << 20) ^ ((s as u64) << 2),
+                );
                 h.is_multiple_of(8)
             })
             .count();

@@ -937,13 +937,6 @@ impl BoxSim {
         self.settle();
     }
 
-    /// Takes accumulated events.
-    ///
-    /// Allocation-free callers should prefer [`BoxSim::drain_events_into`].
-    pub fn drain_events(&mut self) -> Vec<BoxEvent> {
-        std::mem::take(&mut self.events)
-    }
-
     /// Moves accumulated events into `buf` (appending), keeping the
     /// internal buffer's capacity for reuse on the hot path.
     pub fn drain_events_into(&mut self, buf: &mut Vec<BoxEvent>) {
@@ -1817,6 +1810,20 @@ impl ServicePlan {
             trace: TraceConfig::default(),
         }
     }
+
+    /// The open-loop client replaying this service over a run of length
+    /// `total`: a trace of `qps × total × 1.05 + 16` queries (headroom for
+    /// Poisson jitter past the mean count) generated at `seed ^ 0x7ACE`,
+    /// with arrivals drawn at `seed ^ 0xC1`.
+    pub fn client(&self, total: SimDuration, seed: u64) -> OpenLoopClient {
+        let n_queries = (self.qps * total.as_secs_f64() * 1.05) as usize + 16;
+        let trace = TraceGenerator::new(TraceConfig {
+            queries: n_queries,
+            ..self.trace.clone()
+        })
+        .generate(seed ^ 0x7ACE);
+        OpenLoopClient::new(trace, self.qps, seed ^ 0xC1)
+    }
 }
 
 /// Latency recorders for one box run: the merged stream plus, on a box
@@ -1910,15 +1917,7 @@ pub fn run_multi(
     let mut clients: Vec<OpenLoopClient> = plans
         .iter()
         .enumerate()
-        .map(|(i, p)| {
-            let n_queries = (p.qps * total.as_secs_f64() * 1.05) as usize + 16;
-            let trace = TraceGenerator::new(TraceConfig {
-                queries: n_queries,
-                ..p.trace.clone()
-            })
-            .generate(seed ^ 0x7ACE ^ ((i as u64) << 16));
-            OpenLoopClient::new(trace, p.qps, seed ^ 0xC1 ^ ((i as u64) << 16))
-        })
+        .map(|(i, p)| p.client(total, seed ^ ((i as u64) << 16)))
         .collect();
 
     let mut rec = RunRecorders::new(&sim, warmup_end);
@@ -2014,6 +2013,14 @@ mod tests {
         )
     }
 
+    /// Takes the box's pending events, each as its `Debug` string for
+    /// exact comparison.
+    fn drained(b: &mut BoxSim) -> impl Iterator<Item = String> {
+        let mut events = Vec::new();
+        b.drain_events_into(&mut events);
+        events.into_iter().map(|ev| format!("{ev:?}"))
+    }
+
     /// `run_ahead` plus drains must replay `advance_to` at every event
     /// instant exactly: the same events at the same instants, the clock
     /// at the last instant processed after every call, and a
@@ -2070,7 +2077,7 @@ mod tests {
                 a.advance_to(t);
             }
             assert_eq!(a.now(), t);
-            want.extend(a.drain_events().iter().map(|ev| (t, format!("{ev:?}"))));
+            want.extend(drained(&mut a).map(|ev| (t, ev)));
         }
         let outputs: Vec<SimTime> = want.iter().map(|(t, _)| *t).collect();
         assert!(outputs.len() > 40, "{} outputs", outputs.len());
@@ -2110,13 +2117,13 @@ mod tests {
                 assert!(event_instants.contains(&b.now()));
                 assert!(b.next_event_time().is_none_or(|n| n > b.now()));
                 let t = b.now();
-                got.extend(b.drain_events().iter().map(|ev| (t, format!("{ev:?}"))));
+                got.extend(drained(&mut b).map(|ev| (t, ev)));
             }
             while pending.peek().is_some_and(|(at, _)| *at == h) {
                 let (at, spec) = pending.next().expect("peeked");
                 b.inject_query(*at, spec.clone());
                 injected_at = h;
-                got.extend(b.drain_events().iter().map(|ev| (h, format!("{ev:?}"))));
+                got.extend(drained(&mut b).map(|ev| (h, ev)));
             }
         }
         assert_eq!(got, want, "event sequences differ");
@@ -2126,8 +2133,8 @@ mod tests {
         a.advance_to(tail);
         b.advance_to(tail);
         assert_eq!(
-            format!("{:?}", b.drain_events()),
-            format!("{:?}", a.drain_events())
+            drained(&mut b).collect::<Vec<_>>(),
+            drained(&mut a).collect::<Vec<_>>()
         );
         assert_eq!(end_state(&b), end_state(&a));
     }

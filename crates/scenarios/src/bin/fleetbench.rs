@@ -17,8 +17,8 @@
 //! writing the new file, so an intended change is re-blessed by committing
 //! that file. A wall-clock row prints a `WARN` line past its tolerance and
 //! never fails. A row the baseline lacks is reported as skipped.
-//! `PERFISO_SCALE` shrinks the production day, and its wall rows then say
-//! nothing against a full-day baseline.
+//! The bench always measures the registry's full production day; it has
+//! no run-length option, so its wall rows always compare like with like.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -3,7 +3,7 @@
 //! ```text
 //! perfiso-run list
 //! perfiso-run show <name>
-//! perfiso-run run <name|spec.json> [--sweep] [--seeds N] [--threads T] [--out report.json]
+//! perfiso-run run <name|spec.json> [--sweep] [--scale F] [--seeds N] [--threads T] [--out report.json]
 //! ```
 //!
 //! `run` resolves the scenario from the registry (or loads a
@@ -11,7 +11,11 @@
 //! repetitions out across `--threads` workers (`0` = all cores; parallel
 //! reports are bit-identical to `--threads 1`), prints a per-seed table
 //! plus cross-seed statistics, and optionally writes the full JSON
-//! [`scenarios::spec::Report`] to `--out`.
+//! [`scenarios::spec::Report`] to `--out`. `--scale F` rewrites a
+//! bench-scale spec's run length before the run
+//! ([`scenarios::spec::ScenarioSpec::scaled`]); the report embeds the
+//! spec that ran, `--scale` and `--seeds` included, so its `spec` field,
+//! saved as a file, reruns to the same report.
 //!
 //! With `--sweep`, the spec's [`scenarios::spec::SweepSpec`] grid expands
 //! into one cell per knob combination; every `(cell, seed)` job fans out
@@ -26,9 +30,11 @@ use telemetry::table::{ms, pct, Table};
 const USAGE: &str = "usage:
   perfiso-run list
   perfiso-run show <name>
-  perfiso-run run <name|spec.json> [--sweep] [--seeds N] [--threads T] [--out report.json]
+  perfiso-run run <name|spec.json> [--sweep] [--scale F] [--seeds N] [--threads T] [--out report.json]
 
   --sweep       expand the spec's parameter sweep and run every grid cell
+  --scale F     multiply a Bench-scale spec's run length by F (the 6 s
+                measured window, floored at 0.1x; a fleet's slices)
   --seeds N     override the spec's repetition count (seeds seed..seed+N)
   --threads T   seed-sweep workers; 0 = all cores (default), 1 = serial
   --out PATH    write the full JSON report to PATH";
@@ -183,6 +189,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     };
     let mut out: Option<String> = None;
     let mut sweep = false;
+    let mut scale: Option<f64> = None;
     let mut it = args[1..].iter();
     while let Some(flag) = it.next() {
         let mut value = |flag: &str| {
@@ -192,6 +199,11 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         };
         match flag.as_str() {
             "--sweep" => sweep = true,
+            "--scale" => {
+                let v = value("--scale")?;
+                let f: f64 = v.parse().map_err(|_| format!("invalid --scale {v:?}"))?;
+                scale = Some(f);
+            }
             "--seeds" => {
                 let v = value("--seeds")?;
                 let n: u32 = v.parse().map_err(|_| format!("invalid --seeds {v:?}"))?;
@@ -206,7 +218,10 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         }
     }
 
-    let spec = resolve_spec(operand)?;
+    let mut spec = resolve_spec(operand)?;
+    if let Some(f) = scale {
+        spec = spec.scaled(f).map_err(|e| e.to_string())?;
+    }
     if sweep {
         return run_sweep_cmd(&spec, &opts, out.as_deref());
     }
@@ -250,7 +265,7 @@ fn run_sweep_cmd(spec: &ScenarioSpec, opts: &RunOptions, out: Option<&str>) -> R
         // run_sweep validates and expands the grid; only the size is
         // needed up front.
         spec.sweep.as_ref().map_or(0, |s| s.cell_count()),
-        spec.seed_list(opts.seeds).len(),
+        opts.seeds.unwrap_or(spec.seeds),
     );
     let started = std::time::Instant::now();
     let sweep = spec::run_sweep(spec, opts).map_err(|e| e.to_string())?;

@@ -7,10 +7,12 @@
 //! are the figures' policy × load × secondary grids, and a multi-seed
 //! runner whose parallel sweeps are bit-identical to serial ones.
 //!
-//! Runs are scaled by [`spec::ScaleSpec`]: the default keeps test runtimes
-//! modest; setting the `PERFISO_SCALE` environment variable to a
-//! multiplier lengthens the paper-figure windows for tighter percentiles
-//! (parsed once, see [`spec::scale_multiplier`]).
+//! A spec's run length is its [`spec::ScaleSpec`]: the default keeps test
+//! runtimes modest, and `Bench` is the paper figures' 6 s window. The
+//! library reads no environment: `perfiso-run run --scale F` shrinks or
+//! stretches a `Bench` run by rewriting the spec
+//! ([`spec::ScenarioSpec::scaled`]), so every report embeds the run
+//! length it measured.
 
 pub mod policies;
 pub mod spec;

@@ -69,14 +69,13 @@ use perfiso::{CpuPolicy, PerfIsoConfig};
 
 use cluster::fleet::FleetConfig;
 use cluster::{BoxShape, ClusterConfig, ClusterSim, Topology};
-use indexserve::boxsim::RunPlan;
+use indexserve::boxsim::{RunPlan, ServicePlan};
 use indexserve::tags::MAX_SERVICES;
 use indexserve::{BoxConfig, BoxSim, HostedSpec, SecondaryKind, ServiceConfig};
-use std::sync::OnceLock;
 
-use qtrace::{DiurnalCurve, OpenLoopClient, TraceConfig, TraceGenerator};
+use qtrace::{DiurnalCurve, OpenLoopClient, TraceConfig};
 use serde::{Deserialize, Serialize};
-use simcore::SimDuration;
+use simcore::{SimDuration, SimTime};
 use workloads::{BullyIntensity, DiskBully, MlTrainer};
 
 use crate::Policy;
@@ -191,28 +190,11 @@ impl std::fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
-/// The cached `PERFISO_SCALE` multiplier.
-static SCALE_MULTIPLIER: OnceLock<f64> = OnceLock::new();
+/// [`ScaleSpec::Bench`]'s warm-up, in milliseconds.
+const BENCH_WARMUP_MS: u64 = 500;
 
-/// The `PERFISO_SCALE` run-length multiplier, parsed once per process.
-///
-/// # Panics
-///
-/// Panics (once, with the offending value) when the variable is set but
-/// is not a positive finite number — a silent fallback to 1.0 would make
-/// a typo in an invocation indistinguishable from the default.
-pub fn scale_multiplier() -> f64 {
-    *SCALE_MULTIPLIER.get_or_init(|| match std::env::var("PERFISO_SCALE") {
-        Err(_) => 1.0,
-        Ok(v) => match v.trim().parse::<f64>() {
-            Ok(m) if m.is_finite() && m > 0.0 => m,
-            _ => panic!(
-                "invalid PERFISO_SCALE value {v:?}: expected a positive finite \
-                 multiplier (e.g. 0.5 or 4)"
-            ),
-        },
-    })
-}
+/// [`ScaleSpec::Bench`]'s measured window, in milliseconds.
+const BENCH_MEASURE_MS: u64 = 6_000;
 
 /// Concrete run lengths, resolved from a [`ScaleSpec`].
 #[derive(Clone, Copy, Debug)]
@@ -228,9 +210,10 @@ pub struct Scale {
 pub enum ScaleSpec {
     /// Short windows for tests: 400 ms warm-up, 1.6 s measured.
     Quick,
-    /// Paper-figure windows: 500 ms warm-up, 6 s measured times the
-    /// `PERFISO_SCALE` multiplier (see [`scale_multiplier`]; floored at
-    /// 0.1 so a tiny multiplier cannot produce a degenerate window).
+    /// Paper-figure windows: 500 ms warm-up, 6 s measured. On a fleet
+    /// target, which runs per-minute slices instead of one window, `Bench`
+    /// marks the slices that [`ScenarioSpec::scaled`] (`perfiso-run run
+    /// --scale`) rescales.
     Bench,
     /// Explicit warm-up and measured window, in milliseconds.
     Custom {
@@ -246,7 +229,7 @@ impl ScaleSpec {
     pub fn to_scale(self) -> Scale {
         let (warmup_ms, measure_ms) = match self {
             ScaleSpec::Quick => (400, 1_600),
-            ScaleSpec::Bench => (500, (6_000.0 * scale_multiplier().max(0.1)) as u64),
+            ScaleSpec::Bench => (BENCH_WARMUP_MS, BENCH_MEASURE_MS),
             ScaleSpec::Custom {
                 warmup_ms,
                 measure_ms,
@@ -822,6 +805,53 @@ impl ScenarioSpec {
         self.scale.to_scale()
     }
 
+    /// This spec with its [`ScaleSpec::Bench`] run length multiplied by
+    /// `factor`, as `perfiso-run run --scale` runs it: the window becomes
+    /// `Custom { warmup_ms: 500, measure_ms: 6000 × max(factor, 0.1) }`
+    /// and a fleet's slice `max(slice_ms × factor, 1)` ms, truncated to
+    /// whole milliseconds. The result is no longer `Bench`, so a report's
+    /// embedded spec is the run that produced it.
+    ///
+    /// # Errors
+    ///
+    /// [`SpecError::InvalidScale`] when `factor` is not positive and
+    /// finite, when the spec has no `Bench` run length, or when a rescaled
+    /// length overflows the simulated clock; otherwise the result's first
+    /// validation error.
+    pub fn scaled(&self, factor: f64) -> Result<ScenarioSpec, SpecError> {
+        if !(factor.is_finite() && factor > 0.0) {
+            return Err(SpecError::InvalidScale(format!(
+                "the multiplier must be positive and finite, got {factor}"
+            )));
+        }
+        if self.scale != ScaleSpec::Bench {
+            return Err(SpecError::InvalidScale(format!(
+                "{} has no Bench run length to rescale (its scale is {:?})",
+                self.name, self.scale
+            )));
+        }
+        let mut spec = self.clone();
+        let measure_ms = (BENCH_MEASURE_MS as f64 * factor.max(0.1)) as u64;
+        spec.scale = ScaleSpec::Custom {
+            warmup_ms: BENCH_WARMUP_MS,
+            measure_ms,
+        };
+        // `as` saturates, so a huge factor lands past the clock's range
+        // rather than wrapping.
+        let mut longest_ms = BENCH_WARMUP_MS.saturating_add(measure_ms);
+        if let TargetSpec::Fleet { slice_ms, .. } = &mut spec.target {
+            *slice_ms = ((*slice_ms as f64 * factor) as u64).max(1);
+            longest_ms = longest_ms.max(*slice_ms);
+        }
+        if longest_ms > SimTime::MAX.as_millis() {
+            return Err(SpecError::InvalidScale(format!(
+                "a multiplier of {factor} runs {longest_ms} ms, past the simulated clock's range"
+            )));
+        }
+        spec.validate()?;
+        Ok(spec)
+    }
+
     /// The controller configuration the drivers install: the policy's
     /// base [`PerfIsoConfig`] with this spec's [`ControllerSpec`]
     /// overrides applied (`None` when the policy runs no controller).
@@ -847,11 +877,11 @@ impl ScenarioSpec {
         Ok(sweep.expand(self))
     }
 
-    /// The seeds a run covers: `seed..seed + repetitions`, optionally
-    /// overriding the repetition count (the CLI's `--seeds`).
-    pub fn seed_list(&self, override_seeds: Option<u32>) -> Vec<u64> {
-        let n = override_seeds.unwrap_or(self.seeds).max(1);
-        (0..n as u64).map(|i| self.seed.wrapping_add(i)).collect()
+    /// The seeds a run covers: `seed..seed + seeds`.
+    pub fn seed_list(&self) -> Vec<u64> {
+        (0..u64::from(self.seeds))
+            .map(|i| self.seed.wrapping_add(i))
+            .collect()
     }
 
     /// The single-box replay plan.
@@ -950,14 +980,11 @@ impl ScenarioSpec {
     /// Fails on validation errors or a non-single-box target.
     pub fn open_loop_client(&self, seed: u64) -> Result<OpenLoopClient, SpecError> {
         let plan = self.run_plan()?;
-        let total = plan.warmup + plan.measure;
-        let n_queries = (plan.qps * total.as_secs_f64() * 1.05) as usize + 16;
-        let trace = TraceGenerator::new(TraceConfig {
-            queries: n_queries,
-            ..plan.trace.clone()
-        })
-        .generate(seed ^ 0x7ACE);
-        Ok(OpenLoopClient::new(trace, plan.qps, seed ^ 0xC1))
+        let service = ServicePlan {
+            qps: plan.qps,
+            trace: plan.trace,
+        };
+        Ok(service.client(plan.warmup + plan.measure, seed))
     }
 
     /// The cluster configuration for one seed.
@@ -1035,14 +1062,6 @@ impl ScenarioSpec {
                 expected: "fleet",
                 found: self.target.kind(),
             });
-        };
-        // `PERFISO_SCALE` shrinks (or stretches) bench-scale fleet slices
-        // the same way it scales single-box bench windows, so the full
-        // production day stays affordable in CI.
-        let slice_ms = if self.scale == ScaleSpec::Bench {
-            ((slice_ms as f64 * scale_multiplier()) as u64).max(1)
-        } else {
-            slice_ms
         };
         Ok(FleetConfig {
             fleet_machines,
@@ -1348,8 +1367,11 @@ mod tests {
     fn builder_defaults_validate() {
         let spec = ScenarioSpec::builder("ok").build().unwrap();
         assert_eq!(spec.target.kind(), "single-box");
-        assert_eq!(spec.seed_list(None), vec![42]);
-        assert_eq!(spec.seed_list(Some(3)), vec![42, 43, 44]);
+        assert_eq!(spec.seed_list(), vec![42]);
+        assert_eq!(
+            ScenarioSpec { seeds: 3, ..spec }.seed_list(),
+            vec![42, 43, 44]
+        );
     }
 
     #[test]
@@ -1631,12 +1653,80 @@ mod tests {
     }
 
     #[test]
-    fn scale_env_var_is_honoured() {
-        // No env var in the test environment: default 6s.
-        let s = ScaleSpec::Bench.to_scale();
-        assert!(s.measure >= SimDuration::from_millis(500));
-        // And the multiplier is cached: repeated calls agree bit-for-bit.
-        assert_eq!(scale_multiplier().to_bits(), scale_multiplier().to_bits());
+    fn scaled_rewrites_bench_run_lengths() {
+        let standalone = named("standalone").unwrap();
+        let production = named("fleet-production").unwrap();
+        // F = 0.05 hits the 0.1 window floor; the slice has no such floor.
+        for (factor, measure_ms, slice) in [
+            (0.05, 600, 15),
+            (0.1, 600, 30),
+            (0.2, 1_200, 60),
+            (4.0, 24_000, 1_200),
+        ] {
+            let scale = ScaleSpec::Custom {
+                warmup_ms: 500,
+                measure_ms,
+            };
+            let want = ScenarioSpec {
+                scale,
+                ..standalone.clone()
+            };
+            assert_eq!(standalone.scaled(factor).unwrap(), want, "F = {factor}");
+            let mut want = ScenarioSpec {
+                scale,
+                ..production.clone()
+            };
+            if let TargetSpec::Fleet { slice_ms, .. } = &mut want.target {
+                *slice_ms = slice;
+            }
+            assert_eq!(production.scaled(factor).unwrap(), want, "F = {factor}");
+        }
+        // A slice never shrinks below 1 ms.
+        let short = ScenarioSpec::builder("short-slices")
+            .fleet(2, 1, 10)
+            .policy(Policy::Blind { buffer_cores: 8 })
+            .scale(ScaleSpec::Bench)
+            .build()
+            .unwrap();
+        let scaled = short.scaled(0.05).unwrap();
+        assert!(
+            matches!(scaled.target, TargetSpec::Fleet { slice_ms: 1, .. }),
+            "{:?}",
+            scaled.target
+        );
+        assert_eq!(
+            scaled.fleet_config(1, 1).unwrap().slice,
+            SimDuration::from_millis(1)
+        );
+    }
+
+    #[test]
+    fn scaled_rejects_explicit_run_lengths_and_bad_factors() {
+        let standalone = named("standalone").unwrap();
+        // Only a Bench run length rescales: Quick, Custom and an already
+        // scaled spec are rejected.
+        for spec in [
+            ScenarioSpec::builder("quick").build().unwrap(),
+            named("chaos-connection-flood").unwrap(),
+            standalone.scaled(0.1).unwrap(),
+        ] {
+            let err = spec.scaled(0.1);
+            assert!(
+                matches!(err, Err(SpecError::InvalidScale(_))),
+                "{}: {err:?}",
+                spec.name
+            );
+        }
+        for spec in [standalone, named("fleet-production").unwrap()] {
+            for factor in [0.0, -1.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 1e12] {
+                let err = spec.scaled(factor);
+                assert!(
+                    matches!(err, Err(SpecError::InvalidScale(_))),
+                    "{} at F = {factor}: {err:?}",
+                    spec.name
+                );
+            }
+        }
     }
 
     #[test]

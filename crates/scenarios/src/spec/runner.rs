@@ -146,7 +146,9 @@ pub struct Summary {
 /// The unified result of running one scenario.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Report {
-    /// The spec that ran (embedded so a report file is self-describing).
+    /// The spec that ran, with the seed count that ran (a
+    /// [`RunOptions::seeds`] override included), so a report file
+    /// describes itself and reruns from this field alone.
     pub spec: ScenarioSpec,
     /// The seeds, in reduction order; `runs[i]` used `seeds[i]`.
     pub seeds: Vec<u64>,
@@ -199,32 +201,32 @@ fn summarize(runs: &[SeedReport]) -> Summary {
 /// Runs one seed of the scenario; `inner_threads` feeds the fleet's
 /// slice sweep.
 fn run_seed(spec: &ScenarioSpec, seed: u64, inner_threads: usize) -> SeedReport {
-    match &spec.target {
-        TargetSpec::SingleBox { .. } => {
-            let plan = spec.run_plan().expect("validated");
-            let cfg = spec.box_config(seed).expect("validated");
-            let service = ServicePlan {
-                qps: plan.qps,
-                trace: plan.trace,
-            };
-            SeedReport::SingleBox(run_multi(cfg, &[service], plan.warmup, plan.measure))
-        }
-        TargetSpec::MultiBox { services } => {
-            let cfg = spec.box_config(seed).expect("validated");
-            let scale = spec.run_scale();
-            let plans: Vec<ServicePlan> = services
-                .iter()
-                .map(|s| ServicePlan::at_qps(s.qps))
-                .collect();
-            SeedReport::SingleBox(run_multi(cfg, &plans, scale.warmup, scale.measure))
-        }
+    let plans: Vec<ServicePlan> = match &spec.target {
+        TargetSpec::SingleBox { qps } => vec![ServicePlan::at_qps(*qps)],
+        TargetSpec::MultiBox { services } => services
+            .iter()
+            .map(|s| ServicePlan::at_qps(s.qps))
+            .collect(),
         TargetSpec::Cluster { .. } => {
-            SeedReport::Cluster(spec.cluster_sim(seed).expect("validated").run())
+            return SeedReport::Cluster(spec.cluster_sim(seed).expect("validated").run());
         }
         TargetSpec::Fleet { .. } => {
             let cfg = spec.fleet_config(seed, inner_threads).expect("validated");
-            SeedReport::Fleet(run_fleet(&cfg))
+            return SeedReport::Fleet(run_fleet(&cfg));
         }
+    };
+    let cfg = spec.box_config(seed).expect("validated");
+    let scale = spec.run_scale();
+    SeedReport::SingleBox(run_multi(cfg, &plans, scale.warmup, scale.measure))
+}
+
+/// The spec a run reports: `spec` with the repetition count that ran, so
+/// a `--seeds` override is echoed and the report reruns from its own
+/// spec.
+fn echoed(spec: &ScenarioSpec, opts: &RunOptions) -> ScenarioSpec {
+    ScenarioSpec {
+        seeds: opts.seeds.unwrap_or(spec.seeds),
+        ..spec.clone()
     }
 }
 
@@ -248,16 +250,17 @@ pub fn run_spec(spec: &ScenarioSpec, opts: &RunOptions) -> Result<Report, SpecEr
         // spec file; reject it rather than silently running one seed.
         return Err(SpecError::ZeroSeeds);
     }
-    let seeds = spec.seed_list(opts.seeds);
+    let spec = echoed(spec, opts);
+    let seeds = spec.seed_list();
     let n = seeds.len();
     let workers = opts.workers(n);
     // Avoid oversubscription: parallelize across seeds *or* inside the
     // one fleet, never both.
     let inner_threads = if workers > 1 { 1 } else { opts.threads };
-    let runs = fan_out(n, workers, |idx| run_seed(spec, seeds[idx], inner_threads));
+    let runs = fan_out(n, workers, |idx| run_seed(&spec, seeds[idx], inner_threads));
     let summary = summarize(&runs);
     Ok(Report {
-        spec: spec.clone(),
+        spec,
         seeds,
         runs,
         summary,
@@ -299,8 +302,9 @@ pub struct SweepRow {
 /// cross-cell summary table.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct SweepReport {
-    /// The sweeping spec that ran (with its `sweep` intact, so a report
-    /// file documents the whole grid).
+    /// The sweeping spec that ran, with its `sweep` intact and the seed
+    /// count that ran, so a report file documents the whole grid and
+    /// reruns from this field alone.
     pub spec: ScenarioSpec,
     /// The seeds every cell ran, in reduction order.
     pub seeds: Vec<u64>,
@@ -331,8 +335,9 @@ pub fn run_sweep(spec: &ScenarioSpec, opts: &RunOptions) -> Result<SweepReport, 
     if opts.seeds == Some(0) {
         return Err(SpecError::ZeroSeeds);
     }
+    let spec = echoed(spec, opts);
     let cells = spec.expand_sweep()?;
-    let seeds = spec.seed_list(opts.seeds);
+    let seeds = spec.seed_list();
     let (n_cells, n_seeds) = (cells.len(), seeds.len());
     let n_jobs = n_cells * n_seeds;
     let workers = opts.workers(n_jobs);
@@ -371,7 +376,7 @@ pub fn run_sweep(spec: &ScenarioSpec, opts: &RunOptions) -> Result<SweepReport, 
         })
         .collect();
     Ok(SweepReport {
-        spec: spec.clone(),
+        spec,
         seeds,
         cells: out,
         table,
@@ -456,6 +461,16 @@ mod tests {
     fn seeds_override_wins() {
         let report = run_spec(&tiny_spec(1), &RunOptions::parallel(Some(2))).unwrap();
         assert_eq!(report.runs.len(), 2);
+        // The echoed spec carries the count that ran.
+        assert_eq!(report.spec.seeds, 2);
+        let mut spec = tiny_sweep_spec();
+        spec.seeds = 1;
+        let sweep = run_sweep(&spec, &RunOptions::parallel(Some(2))).unwrap();
+        assert_eq!(sweep.spec.seeds, 2);
+        for cell in &sweep.cells {
+            assert_eq!(cell.report.spec.seeds, 2, "[{}]", cell.label);
+            assert_eq!(cell.report.runs.len(), 2, "[{}]", cell.label);
+        }
     }
 
     fn tiny_sweep_spec() -> ScenarioSpec {

@@ -23,9 +23,17 @@ pub struct SimRng {
     s: [u64; 4],
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
+/// SplitMix64's increment, the 64-bit golden ratio.
+const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// One SplitMix64 step: the output a SplitMix64 generator in state `z`
+/// returns next. The state sequence is `z, z + γ, z + 2γ, …`, so a
+/// generator's `i`-th output is `splitmix64(seed + i·γ)`.
+///
+/// As a stateless hash it avalanches nearby inputs across all 64 bits,
+/// which is how the fleet sweep derives per-slice seeds.
+pub fn splitmix64(z: u64) -> u64 {
+    let mut z = z.wrapping_add(GOLDEN_GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -34,13 +42,9 @@ fn splitmix64(state: &mut u64) -> u64 {
 impl SimRng {
     /// Creates a generator from a 64-bit seed.
     pub fn seed_from_u64(seed: u64) -> Self {
-        let mut sm = seed;
-        let s = [
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-        ];
+        let s = std::array::from_fn(|i| {
+            splitmix64(seed.wrapping_add(GOLDEN_GAMMA.wrapping_mul(i as u64)))
+        });
         SimRng { s }
     }
 
@@ -153,6 +157,24 @@ mod tests {
         let mut b = SimRng::seed_from_u64(7);
         for _ in 0..1000 {
             assert_eq!(a.next_u64(), b.next_u64());
+        }
+    }
+
+    #[test]
+    fn splitmix64_matches_the_reference_sequence() {
+        // The reference SplitMix64 generator's first outputs from seed 0;
+        // `SimRng::seed_from_u64` draws its state from this sequence.
+        let want = [
+            0xE220_A839_7B1D_CDAF,
+            0x6E78_9E6A_A1B9_65F4,
+            0x06C4_5D18_8009_454F,
+        ];
+        for (i, w) in want.into_iter().enumerate() {
+            assert_eq!(
+                splitmix64(GOLDEN_GAMMA.wrapping_mul(i as u64)),
+                w,
+                "output {i}"
+            );
         }
     }
 

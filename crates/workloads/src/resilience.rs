@@ -76,7 +76,7 @@ impl RetryPolicy {
         if cap == 0 {
             return SimDuration::ZERO;
         }
-        let h = mix64(seed ^ ridx.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ ((attempt as u64) << 48));
+        let h = fmix64(seed ^ ridx.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ ((attempt as u64) << 48));
         SimDuration::from_nanos(h % (cap + 1))
     }
 
@@ -234,8 +234,9 @@ impl CircuitBreaker {
     }
 }
 
-/// SplitMix64-style finalizer: the stateless hash behind retry jitter.
-fn mix64(mut x: u64) -> u64 {
+/// MurmurHash3's `fmix64` finalizer: the stateless hash behind retry
+/// jitter.
+fn fmix64(mut x: u64) -> u64 {
     x ^= x >> 33;
     x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
     x ^= x >> 33;

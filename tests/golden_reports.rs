@@ -34,8 +34,8 @@ fn blessing() -> bool {
     std::env::var_os("PERFISO_BLESS").is_some_and(|v| v != "0" && !v.is_empty())
 }
 
-/// Shrinks a registry scenario to a fixed, environment-independent size
-/// (explicit window, no `PERFISO_SCALE` dependence, tiny fleet sweep).
+/// Shrinks a registry scenario to a fixed size (explicit window, tiny
+/// fleet sweep).
 ///
 /// Chaos scenarios keep their registered window and seed count: their
 /// fault timelines use absolute fire times, and shrinking the window

@@ -363,6 +363,9 @@ fn spec_strategy() -> impl Strategy<Value = ScenarioSpec> {
         (
             prop_oneof![
                 Just(ScaleSpec::Quick),
+                // Only validated and rescaled here, never run, so the
+                // 6.5 s bench window costs nothing.
+                Just(ScaleSpec::Bench),
                 (0u64..300, 0u64..500).prop_map(|(warmup_ms, measure_ms)| ScaleSpec::Custom {
                     warmup_ms,
                     measure_ms,
@@ -447,6 +450,33 @@ proptest! {
                 );
             }
             Err(e) => prop_assert!(!e.is_empty(), "error must describe the defect"),
+        }
+    }
+
+    /// `scaled()` classifies every generated spec and multiplier — any
+    /// `f64`, the non-finite, non-positive and clock-overflowing ones
+    /// included — with `Ok`/`Err`, never a panic; every spec it returns
+    /// validates and has an explicit run length.
+    #[test]
+    fn prop_scaled_never_panics_and_scaled_specs_validate(
+        spec in spec_strategy(),
+        factor in prop_oneof![
+            any::<f64>(),
+            0.001f64..8.0,
+            Just(0.0),
+            Just(-1.0),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(f64::NAN),
+            Just(1e12),
+        ],
+    ) {
+        match spec.scaled(factor) {
+            Ok(scaled) => {
+                prop_assert!(scaled.validate().is_ok());
+                prop_assert!(scaled.scale != ScaleSpec::Bench);
+            }
+            Err(e) => prop_assert!(!e.to_string().is_empty()),
         }
     }
 

@@ -2,8 +2,12 @@
 //! not merely validate. Each spec is shrunk to test scale (tiny window,
 //! small topology, one seed, serial) and executed; a scenario whose
 //! driver wiring breaks now fails here instead of at the next bench run.
+//! Every report must also rerun from the spec it embeds, so a report
+//! file alone reproduces its run.
 
-use scenarios::spec::{self, run_spec, run_sweep, RunOptions, ScaleSpec, ScenarioSpec, TargetSpec};
+use scenarios::spec::{
+    self, run_spec, run_sweep, Report, RunOptions, ScaleSpec, ScenarioSpec, TargetSpec,
+};
 
 /// Shrinks a registry spec to smoke-test size without changing what it
 /// exercises: same secondary mix, policy, controller overrides, and
@@ -46,6 +50,20 @@ fn shrink(mut spec: ScenarioSpec) -> ScenarioSpec {
     spec
 }
 
+/// Reruns `report` from its embedded spec, round-tripped through JSON as
+/// a report file carries it, and requires the same report to the byte.
+fn assert_reruns_from_its_spec(report: &Report) {
+    let name = &report.spec.name;
+    let spec = ScenarioSpec::from_json(&report.spec.to_json())
+        .unwrap_or_else(|e| panic!("{name}: echoed spec does not load: {e}"));
+    let again =
+        run_spec(&spec, &RunOptions::serial()).unwrap_or_else(|e| panic!("{name} rerun: {e}"));
+    assert!(
+        again.to_json() == report.to_json(),
+        "{name}: rerunning the echoed spec wrote a different report"
+    );
+}
+
 #[test]
 fn every_registry_scenario_runs_end_to_end() {
     let opts = RunOptions::serial();
@@ -77,7 +95,37 @@ fn every_registry_scenario_runs_end_to_end() {
                 assert!(r.slices > 0, "{}: no fleet slices", spec.name);
             }
         }
+        assert_reruns_from_its_spec(&report);
     }
+}
+
+/// A `--seeds` override and a `--scale` rewrite both land in the echoed
+/// spec, so those reports rerun from their own spec too.
+#[test]
+fn overridden_and_scaled_reports_rerun_from_their_spec() {
+    let spec = shrink(spec::named("standalone").expect("registered"));
+    let opts = RunOptions {
+        seeds: Some(2),
+        ..RunOptions::serial()
+    };
+    let report = run_spec(&spec, &opts).expect("runs");
+    assert_eq!(report.seeds.len(), 2);
+    assert_eq!(report.spec.seeds, 2, "the override is echoed");
+    assert_reruns_from_its_spec(&report);
+
+    let scaled = spec::named("standalone")
+        .expect("registered")
+        .scaled(0.02)
+        .expect("standalone has a Bench window");
+    let report = run_spec(&scaled, &RunOptions::serial()).expect("runs");
+    assert_eq!(
+        report.spec.scale,
+        ScaleSpec::Custom {
+            warmup_ms: 500,
+            measure_ms: 600
+        }
+    );
+    assert_reruns_from_its_spec(&report);
 }
 
 #[test]
