@@ -7,16 +7,16 @@
 //! Autopilot will bring it up again, and PerfIso will resume its function by
 //! loading its state from disk."
 //!
-//! This crate reproduces that substrate in-memory:
+//! This crate reproduces the two parts a simulated run drives, in memory:
 //!
-//! - [`ServiceRegistry`] — the list of running services and their PIDs.
 //! - [`ConfigStore`] — versioned cluster-wide configuration documents.
 //! - [`ServiceManager`] — crash reporting and restart with bounded backoff.
+//!
+//! PID tracking is not modelled: the simulated controller addresses the
+//! secondary through its machine job, not through process ids.
 
 pub mod config_store;
 pub mod manager;
-pub mod registry;
 
 pub use config_store::ConfigStore;
 pub use manager::{RestartDecision, RestartPolicy, ServiceManager};
-pub use registry::{ServiceInfo, ServiceKind, ServiceRegistry, ServiceState};

@@ -7,8 +7,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::registry::{ServiceRegistry, ServiceState};
-
 /// The manager's verdict after a crash report.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RestartDecision {
@@ -44,14 +42,13 @@ impl Default for RestartPolicy {
 /// # Examples
 ///
 /// ```
-/// use autopilot::{RestartDecision, ServiceKind, ServiceManager, ServiceRegistry};
+/// use autopilot::{RestartDecision, ServiceManager};
 ///
-/// let mut reg = ServiceRegistry::new();
-/// reg.register("perfiso", ServiceKind::Infrastructure, vec![77]);
 /// let mut mgr = ServiceManager::new(Default::default());
-/// let d = mgr.report_crash(&mut reg, "perfiso");
+/// let d = mgr.report_crash("perfiso");
 /// assert_eq!(d, RestartDecision::RestartAfterMs(1_000));
-/// mgr.report_started(&mut reg, "perfiso", vec![78]);
+/// mgr.report_started("perfiso");
+/// assert_eq!(mgr.failure_count("perfiso"), 0);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct ServiceManager {
@@ -68,9 +65,8 @@ impl ServiceManager {
         }
     }
 
-    /// Records a crash; marks the service failed and returns the decision.
-    pub fn report_crash(&mut self, registry: &mut ServiceRegistry, name: &str) -> RestartDecision {
-        registry.set_state(name, ServiceState::Failed);
+    /// Records a crash of the named service and returns the decision.
+    pub fn report_crash(&mut self, name: &str) -> RestartDecision {
         let count = self
             .consecutive_failures
             .entry(name.to_string())
@@ -86,12 +82,9 @@ impl ServiceManager {
         RestartDecision::RestartAfterMs(backoff)
     }
 
-    /// Records a successful (re)start with fresh PIDs; resets the failure
-    /// counter.
-    pub fn report_started(&mut self, registry: &mut ServiceRegistry, name: &str, pids: Vec<u32>) {
+    /// Records a successful (re)start; resets the failure counter.
+    pub fn report_started(&mut self, name: &str) {
         self.consecutive_failures.remove(name);
-        registry.update_pids(name, pids);
-        registry.set_state(name, ServiceState::Running);
     }
 
     /// Consecutive failure count for a service.
@@ -103,66 +96,56 @@ impl ServiceManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::ServiceKind;
 
-    fn setup() -> (ServiceRegistry, ServiceManager) {
-        let mut reg = ServiceRegistry::new();
-        reg.register("perfiso", ServiceKind::Infrastructure, vec![1]);
-        (reg, ServiceManager::new(RestartPolicy::default()))
+    fn setup() -> ServiceManager {
+        ServiceManager::new(RestartPolicy::default())
     }
 
     #[test]
     fn backoff_grows_exponentially() {
-        let (mut reg, mut mgr) = setup();
+        let mut mgr = setup();
         assert_eq!(
-            mgr.report_crash(&mut reg, "perfiso"),
+            mgr.report_crash("perfiso"),
             RestartDecision::RestartAfterMs(1_000)
         );
         assert_eq!(
-            mgr.report_crash(&mut reg, "perfiso"),
+            mgr.report_crash("perfiso"),
             RestartDecision::RestartAfterMs(2_000)
         );
         assert_eq!(
-            mgr.report_crash(&mut reg, "perfiso"),
+            mgr.report_crash("perfiso"),
             RestartDecision::RestartAfterMs(4_000)
         );
-        assert_eq!(reg.get("perfiso").unwrap().state, ServiceState::Failed);
+        assert_eq!(mgr.failure_count("perfiso"), 3);
     }
 
     #[test]
     fn gives_up_after_max_failures() {
-        let (mut reg, mut mgr) = setup();
+        let mut mgr = setup();
         for _ in 0..5 {
             assert!(matches!(
-                mgr.report_crash(&mut reg, "perfiso"),
+                mgr.report_crash("perfiso"),
                 RestartDecision::RestartAfterMs(_)
             ));
         }
-        assert_eq!(
-            mgr.report_crash(&mut reg, "perfiso"),
-            RestartDecision::GiveUp
-        );
+        assert_eq!(mgr.report_crash("perfiso"), RestartDecision::GiveUp);
     }
 
     #[test]
     fn successful_start_resets_counter() {
-        let (mut reg, mut mgr) = setup();
-        mgr.report_crash(&mut reg, "perfiso");
-        mgr.report_crash(&mut reg, "perfiso");
-        mgr.report_started(&mut reg, "perfiso", vec![42]);
+        let mut mgr = setup();
+        mgr.report_crash("perfiso");
+        mgr.report_crash("perfiso");
+        mgr.report_started("perfiso");
         assert_eq!(mgr.failure_count("perfiso"), 0);
-        assert_eq!(reg.get("perfiso").unwrap().state, ServiceState::Running);
-        assert_eq!(reg.get("perfiso").unwrap().pids, vec![42]);
         assert_eq!(
-            mgr.report_crash(&mut reg, "perfiso"),
+            mgr.report_crash("perfiso"),
             RestartDecision::RestartAfterMs(1_000)
         );
     }
 
     #[test]
     fn backoff_saturates_instead_of_overflowing() {
-        let mut reg = ServiceRegistry::new();
-        reg.register("perfiso", ServiceKind::Infrastructure, vec![1]);
         let mut mgr = ServiceManager::new(RestartPolicy {
             base_backoff_ms: u64::MAX / 2,
             multiplier: u32::MAX,
@@ -170,7 +153,7 @@ mod tests {
         });
         let mut last = 0;
         for _ in 0..64 {
-            match mgr.report_crash(&mut reg, "perfiso") {
+            match mgr.report_crash("perfiso") {
                 RestartDecision::RestartAfterMs(ms) => {
                     assert!(ms >= last, "backoff must be monotone under saturation");
                     last = ms;
@@ -188,34 +171,26 @@ mod tests {
             multiplier: 1,
             max_failures: 3,
         };
-        let mut reg = ServiceRegistry::new();
-        reg.register("perfiso", ServiceKind::Infrastructure, vec![1]);
         let mut mgr = ServiceManager::new(policy);
         for i in 1..=policy.max_failures {
             assert_eq!(
-                mgr.report_crash(&mut reg, "perfiso"),
+                mgr.report_crash("perfiso"),
                 RestartDecision::RestartAfterMs(10),
                 "failure {i} of {} still restarts",
                 policy.max_failures
             );
         }
-        assert_eq!(
-            mgr.report_crash(&mut reg, "perfiso"),
-            RestartDecision::GiveUp
-        );
+        assert_eq!(mgr.report_crash("perfiso"), RestartDecision::GiveUp);
         assert_eq!(mgr.failure_count("perfiso"), policy.max_failures + 1);
     }
 
     #[test]
     fn failure_counters_are_per_service() {
-        let mut reg = ServiceRegistry::new();
-        reg.register("a", ServiceKind::Secondary, vec![1]);
-        reg.register("b", ServiceKind::Secondary, vec![2]);
         let mut mgr = ServiceManager::new(RestartPolicy::default());
-        mgr.report_crash(&mut reg, "a");
-        mgr.report_crash(&mut reg, "a");
+        mgr.report_crash("a");
+        mgr.report_crash("a");
         assert_eq!(
-            mgr.report_crash(&mut reg, "b"),
+            mgr.report_crash("b"),
             RestartDecision::RestartAfterMs(1_000),
             "service b starts from the base backoff"
         );
@@ -240,15 +215,13 @@ mod tests {
                 max_failures in 1u32..200,
                 crashes in 1u32..300,
             ) {
-                let mut reg = ServiceRegistry::new();
-                reg.register("svc", ServiceKind::Infrastructure, vec![1]);
                 let mut mgr = ServiceManager::new(RestartPolicy {
                     base_backoff_ms: base,
                     multiplier,
                     max_failures,
                 });
                 for i in 1..=crashes {
-                    let d = mgr.report_crash(&mut reg, "svc");
+                    let d = mgr.report_crash("svc");
                     if i > max_failures {
                         prop_assert_eq!(d, RestartDecision::GiveUp);
                     } else {
@@ -264,8 +237,6 @@ mod tests {
                 max_failures in 1u32..20,
                 crashes in 1u32..40,
             ) {
-                let mut reg = ServiceRegistry::new();
-                reg.register("svc", ServiceKind::Infrastructure, vec![1]);
                 let policy = RestartPolicy {
                     base_backoff_ms: 100,
                     multiplier: 2,
@@ -273,12 +244,12 @@ mod tests {
                 };
                 let mut mgr = ServiceManager::new(policy);
                 for _ in 0..crashes {
-                    mgr.report_crash(&mut reg, "svc");
+                    mgr.report_crash("svc");
                 }
-                mgr.report_started(&mut reg, "svc", vec![9]);
+                mgr.report_started("svc");
                 prop_assert_eq!(mgr.failure_count("svc"), 0);
                 prop_assert_eq!(
-                    mgr.report_crash(&mut reg, "svc"),
+                    mgr.report_crash("svc"),
                     RestartDecision::RestartAfterMs(policy.base_backoff_ms)
                 );
             }

@@ -28,7 +28,7 @@ use simcore::CoreMask;
 ///
 /// let mut b = BlindIsolation::new(8, 48);
 /// // Machine fully idle: the secondary may take 48 - 8 = 40 cores.
-/// let m = b.update(CoreMask::all(48), CoreMask::EMPTY).unwrap();
+/// let m = b.update(CoreMask::all(48)).unwrap();
 /// assert_eq!(m.count(), 40);
 /// ```
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -60,11 +60,6 @@ impl BlindIsolation {
         }
     }
 
-    /// The configured buffer size.
-    pub fn buffer_cores(&self) -> u32 {
-        self.buffer_cores
-    }
-
     /// Changes the buffer size at runtime (a PerfIso command).
     ///
     /// # Panics
@@ -92,36 +87,26 @@ impl BlindIsolation {
     ///
     /// Returns `Some(new_mask)` when the set changed and the actuator should
     /// fire, `None` when the system is in balance.
-    ///
-    /// `reserved` are cores the primary affinitised for itself; they are
-    /// never granted to the secondary (§4.2).
-    pub fn update(&mut self, idle: CoreMask, reserved: CoreMask) -> Option<CoreMask> {
-        // If the primary newly affinitised cores the secondary holds, revoke
-        // them first — PerfIso never overrides the primary's own settings.
-        let stripped = !self.secondary.intersection(reserved).is_empty();
-        if stripped {
-            self.secondary = self.secondary.difference(reserved);
-        }
+    pub fn update(&mut self, idle: CoreMask) -> Option<CoreMask> {
         let idle_count = idle.count() as i64;
         let buffer = self.buffer_cores as i64;
         let current = self.secondary.count() as i64;
         // Cap: the secondary may never grow so large that even a fully idle
         // primary would leave fewer than `buffer` free cores.
-        let cap = (self.total_cores as i64 - buffer - reserved.count() as i64).max(0);
+        let cap = self.total_cores as i64 - buffer;
         let target = (current + (idle_count - buffer)).clamp(0, cap);
 
         match target.cmp(&current) {
-            std::cmp::Ordering::Equal => stripped.then_some(self.secondary),
+            std::cmp::Ordering::Equal => None,
             std::cmp::Ordering::Greater => {
                 // Grow: hand the secondary currently-idle cores (they are
                 // provably not running primary work), preferring the
                 // highest-numbered ones so the secondary packs away from the
                 // primary's natural low-core placement.
                 let need = (target - current) as u32;
-                let candidates = idle.difference(self.secondary).difference(reserved);
-                let grant = candidates.take_highest(need);
+                let grant = idle.difference(self.secondary).take_highest(need);
                 if grant.is_empty() {
-                    return stripped.then_some(self.secondary);
+                    return None;
                 }
                 self.secondary = self.secondary.union(grant);
                 Some(self.secondary)
@@ -146,7 +131,7 @@ mod tests {
     #[test]
     fn idle_machine_grants_all_but_buffer() {
         let mut b = BlindIsolation::new(8, 48);
-        let m = b.update(CoreMask::all(48), CoreMask::EMPTY).unwrap();
+        let m = b.update(CoreMask::all(48)).unwrap();
         assert_eq!(m.count(), 40);
         // Packs on the high cores.
         assert_eq!(m, CoreMask::range(8, 48));
@@ -155,12 +140,12 @@ mod tests {
     #[test]
     fn balanced_state_yields_no_update() {
         let mut b = BlindIsolation::new(4, 8);
-        let m = b.update(CoreMask::all(8), CoreMask::EMPTY).unwrap();
+        let m = b.update(CoreMask::all(8)).unwrap();
         assert_eq!(m.count(), 4);
         // Now exactly 4 cores idle (the buffer): no change.
         let idle = CoreMask::all(8).difference(m);
         assert_eq!(idle.count(), 4);
-        assert_eq!(b.update(idle, CoreMask::EMPTY), None);
+        assert_eq!(b.update(idle), None);
     }
 
     #[test]
@@ -171,31 +156,22 @@ mod tests {
         let mut b = BlindIsolation::new(4, 48);
         // Step 1: primary uses 20 cores (0..20 busy); the rest idle.
         let idle = CoreMask::range(20, 48);
-        let m = b.update(idle, CoreMask::EMPTY).unwrap();
+        let m = b.update(idle).unwrap();
         assert_eq!(m.count(), 24, "48 - 20 - 4 = 24");
         // Step 2: primary expands by 4 cores into the buffer: idle drops to
         // 0 (20+4 primary, 24 secondary, 0 idle).
-        let m = b.update(CoreMask::EMPTY, CoreMask::EMPTY).unwrap();
+        let m = b.update(CoreMask::EMPTY).unwrap();
         assert_eq!(m.count(), 20, "secondary gives back the deficit");
     }
 
     #[test]
     fn shrink_releases_lowest_cores() {
         let mut b = BlindIsolation::new(2, 8);
-        let m = b.update(CoreMask::all(8), CoreMask::EMPTY).unwrap();
+        let m = b.update(CoreMask::all(8)).unwrap();
         assert_eq!(m, CoreMask::range(2, 8));
-        let m = b.update(CoreMask::EMPTY, CoreMask::EMPTY).unwrap();
+        let m = b.update(CoreMask::EMPTY).unwrap();
         // Dropped 2: the lowest members (2,3) go first.
         assert_eq!(m, CoreMask::range(4, 8));
-    }
-
-    #[test]
-    fn reserved_cores_never_granted() {
-        let mut b = BlindIsolation::new(2, 8);
-        let reserved = CoreMask::range(6, 8);
-        let m = b.update(CoreMask::all(8), reserved).unwrap();
-        assert_eq!(m.count(), 4, "8 - 2 buffer - 2 reserved");
-        assert!(m.intersection(reserved).is_empty());
     }
 
     #[test]
@@ -204,7 +180,7 @@ mod tests {
         // 5 idle cores but 4 of them overlap the (empty) secondary: grant
         // is capped by what is actually idle.
         let idle = CoreMask::range(0, 5);
-        let m = b.update(idle, CoreMask::EMPTY).unwrap();
+        let m = b.update(idle).unwrap();
         assert_eq!(m.count(), 3, "grow by idle - buffer = 3");
         assert!(m.intersection(idle) == m, "granted cores were idle");
     }
@@ -213,7 +189,7 @@ mod tests {
     fn secondary_never_exceeds_cap() {
         let mut b = BlindIsolation::new(8, 48);
         for _ in 0..100 {
-            b.update(CoreMask::all(48), CoreMask::EMPTY);
+            b.update(CoreMask::all(48));
             assert!(b.secondary().count() <= 40);
         }
     }
@@ -221,12 +197,12 @@ mod tests {
     #[test]
     fn buffer_resize_takes_effect() {
         let mut b = BlindIsolation::new(4, 16);
-        b.update(CoreMask::all(16), CoreMask::EMPTY).unwrap();
+        b.update(CoreMask::all(16)).unwrap();
         assert_eq!(b.secondary().count(), 12);
         b.set_buffer_cores(8);
         // All 4 remaining idle < new buffer 8: shrink by 4.
         let idle = CoreMask::all(16).difference(b.secondary());
-        let m = b.update(idle, CoreMask::EMPTY).unwrap();
+        let m = b.update(idle).unwrap();
         assert_eq!(m.count(), 8);
     }
 
@@ -237,28 +213,25 @@ mod tests {
     }
 
     proptest! {
-        /// The steady-state invariant: however idle/reserved evolve, the
-        /// secondary never exceeds total - buffer - reserved, and updates
-        /// are only emitted when the mask actually changes.
+        /// The steady-state invariant: however idle evolves, the secondary
+        /// never exceeds total - buffer, and updates are only emitted when
+        /// the mask actually changes.
         #[test]
         fn prop_invariants(
             total in 4u32..=64,
             buffer in 1u32..4,
-            steps in proptest::collection::vec((any::<u64>(), any::<u64>()), 1..50),
+            steps in proptest::collection::vec(any::<u64>(), 1..50),
         ) {
             let mut b = BlindIsolation::new(buffer, total);
             let all = CoreMask::all(total);
-            for (idle_bits, res_bits) in steps {
-                let reserved = CoreMask(res_bits).intersection(all).take_lowest(2);
+            for idle_bits in steps {
                 let idle = CoreMask(idle_bits).intersection(all).difference(b.secondary());
                 let before = b.secondary();
-                let update = b.update(idle, reserved);
-                let cap = total.saturating_sub(buffer + reserved.count());
-                prop_assert!(b.secondary().count() <= cap);
+                let update = b.update(idle);
+                prop_assert!(b.secondary().count() <= total - buffer);
                 if let Some(m) = update {
                     prop_assert_ne!(m, before, "updates only on change");
                     prop_assert_eq!(m, b.secondary());
-                    prop_assert!(m.intersection(reserved).is_empty());
                 } else {
                     prop_assert_eq!(before, b.secondary());
                 }
@@ -271,12 +244,12 @@ mod tests {
             let mut b1 = BlindIsolation::new(4, 32);
             let mut b2 = BlindIsolation::new(4, 32);
             // Same starting state.
-            b1.update(CoreMask::range(16, 32), CoreMask::EMPTY);
-            b2.update(CoreMask::range(16, 32), CoreMask::EMPTY);
+            b1.update(CoreMask::range(16, 32));
+            b2.update(CoreMask::range(16, 32));
             let idle1 = CoreMask::range(0, 6).difference(b1.secondary());
             let idle2 = CoreMask::range(0, 6 + extra).difference(b2.secondary());
-            b1.update(idle1, CoreMask::EMPTY);
-            b2.update(idle2, CoreMask::EMPTY);
+            b1.update(idle1);
+            b2.update(idle2);
             prop_assert!(b2.secondary().count() >= b1.secondary().count());
         }
     }

@@ -151,9 +151,7 @@ impl PerfIso {
             return None;
         }
         let blind = self.blind.as_mut()?;
-        let idle = sys.idle_cores();
-        let reserved = sys.primary_reserved_cores();
-        let new_mask = blind.update(idle, reserved)?;
+        let new_mask = blind.update(sys.idle_cores())?;
         if Some(new_mask) == self.last_applied_mask {
             return None;
         }
@@ -518,16 +516,5 @@ mod tests {
         assert_eq!(sys.secondary_affinity, CoreMask::EMPTY);
         ctl2.restore(&state, &mut sys);
         assert_eq!(sys.secondary_affinity.count(), 40, "resumed prior mask");
-    }
-
-    #[test]
-    fn reserved_cores_respected_in_poll() {
-        let mut sys = MockSystem::new(16);
-        sys.reserved = CoreMask::range(0, 4);
-        let mut ctl = blind_controller(4);
-        ctl.install(&mut sys);
-        let m = ctl.poll_cpu(SimTime::ZERO, &mut sys).unwrap();
-        assert!(m.intersection(sys.reserved).is_empty());
-        assert_eq!(m.count(), 8, "16 - 4 buffer - 4 reserved");
     }
 }

@@ -58,11 +58,6 @@ impl MemoryWatchdog {
         }
     }
 
-    /// The configured secondary cap.
-    pub fn secondary_limit(&self) -> Option<u64> {
-        self.secondary_limit
-    }
-
     /// Evaluates one polling round.
     pub fn evaluate(&self, total: u64, used: u64, secondary_used: u64) -> MemoryAction {
         if total > 0 && used as f64 / total as f64 >= self.kill_watermark {

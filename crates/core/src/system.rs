@@ -46,12 +46,6 @@ pub trait SystemInterface {
     /// The idle-core bitmask (the tight-loop polled syscall, §3.1.1).
     fn idle_cores(&mut self) -> CoreMask;
 
-    /// Cores the primary has explicitly affinitised for itself; PerfIso
-    /// never hands these to the secondary (§4.2).
-    fn primary_reserved_cores(&self) -> CoreMask {
-        CoreMask::EMPTY
-    }
-
     /// Restricts all secondary processes to `mask`.
     fn set_secondary_affinity(&mut self, mask: CoreMask);
 
@@ -107,8 +101,6 @@ pub struct MockSystem {
     pub cores: u32,
     /// Idle mask returned by [`SystemInterface::idle_cores`].
     pub idle: CoreMask,
-    /// Reserved-cores mask reported.
-    pub reserved: CoreMask,
     /// Last applied secondary affinity.
     pub secondary_affinity: CoreMask,
     /// Last applied cycle cap.
@@ -135,7 +127,6 @@ impl MockSystem {
         MockSystem {
             cores,
             idle: CoreMask::all(cores),
-            reserved: CoreMask::EMPTY,
             secondary_affinity: CoreMask::all(cores),
             cycle_cap: None,
             mem_total: 128 << 30,
@@ -171,10 +162,6 @@ impl SystemInterface for MockSystem {
 
     fn idle_cores(&mut self) -> CoreMask {
         self.idle
-    }
-
-    fn primary_reserved_cores(&self) -> CoreMask {
-        self.reserved
     }
 
     fn set_secondary_affinity(&mut self, mask: CoreMask) {

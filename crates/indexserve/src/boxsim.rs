@@ -13,9 +13,7 @@
 
 use std::sync::Arc;
 
-use autopilot::{
-    ConfigStore, RestartDecision, ServiceKind, ServiceManager, ServiceRegistry, ServiceState,
-};
+use autopilot::{ConfigStore, RestartDecision, ServiceManager};
 use perfiso::controller::ControllerStats;
 use perfiso::recovery::ControllerState;
 use perfiso::system::{IoLimit, IoTenant, IoTenantStats, SystemInterface};
@@ -33,7 +31,7 @@ use telemetry::recorder::PercentileSummary;
 use telemetry::{
     CpuBreakdown, LatencyRecorder, ResilienceStats, SketchSummary, TelemetryMode, TenantClass,
 };
-use workloads::cpu_bully::{CpuBully, CpuBullyHandle};
+use workloads::cpu_bully::CpuBully;
 use workloads::disk_bully::{DiskBully, DISK_BULLY_TAG_BASE};
 use workloads::hdfs::{HdfsCpuProgram, HdfsNode, HDFS_TAG_BASE};
 use workloads::service_graph::{GraphEngine, GraphWorkload};
@@ -259,17 +257,14 @@ struct PendingRollout {
     rollback: Option<SimDuration>,
 }
 
-/// Autopilot-side state of a fault-injected box: the service registry and
-/// restart manager, the versioned config store the controller polls, the
-/// crash checkpoint, and the per-fault records for the report.
+/// Autopilot-side state of a fault-injected box: the restart manager, the
+/// versioned config store the controller polls, the crash checkpoint, and
+/// the per-fault records for the report.
 struct ChaosState {
     plan: Arc<FaultPlan>,
     manager: ServiceManager,
-    registry: ServiceRegistry,
     store: ConfigStore,
     records: Vec<FaultRecord>,
-    /// Deterministic PID source for restarted services.
-    next_pid: u32,
     /// Controller state at the last poll — what `load`-from-disk returns.
     checkpoint: Option<ControllerState>,
     /// Cumulative controller counters carried across restarts.
@@ -316,10 +311,8 @@ impl ChaosState {
         ChaosState {
             manager: ServiceManager::new(plan.restart),
             plan,
-            registry: ServiceRegistry::new(),
             store: ConfigStore::new(),
             records: Vec::new(),
-            next_pid: 100,
             checkpoint: None,
             saved_stats: None,
             crash_record: None,
@@ -335,12 +328,6 @@ impl ChaosState {
             flood_interval: SimDuration::ZERO,
             io_surge: None,
         }
-    }
-
-    fn fresh_pid(&mut self) -> u32 {
-        let pid = self.next_pid;
-        self.next_pid += 1;
-        pid
     }
 }
 
@@ -375,7 +362,6 @@ pub struct BoxSim {
     /// Fault-injection state, when the box runs a chaos timeline.
     chaos: Option<Box<ChaosState>>,
     app: EventQueue<AppEvent>,
-    bully: Option<CpuBullyHandle>,
     hdfs_repl: HdfsNode,
     hdfs_client: HdfsNode,
     rng: SimRng,
@@ -490,7 +476,6 @@ impl BoxSim {
             perfiso_cfg,
             chaos: None,
             app,
-            bully: None,
             hdfs_repl,
             hdfs_client,
             rng,
@@ -519,27 +504,11 @@ impl BoxSim {
                 .push(SimTime::ZERO + pcfg.memory_poll_interval, AppEvent::MemPoll);
         }
 
-        // Fault timeline: register the box's services with Autopilot and
-        // schedule every planned fault up front (pure simulation time — no
-        // RNG draws — so chaos runs stay bit-identical across threads).
+        // Fault timeline: schedule every planned fault up front (pure
+        // simulation time — no RNG draws — so chaos runs stay bit-identical
+        // across threads).
         if let Some(plan) = sim.cfg.fault.clone() {
-            let mut ch = Box::new(ChaosState::new(plan));
-            let pid = ch.fresh_pid();
-            ch.registry
-                .register("indexserve", ServiceKind::Primary, vec![pid]);
-            let has_secondary = sim.cfg.secondary.cpu_bully.is_some()
-                || sim.cfg.secondary.disk_bully.is_some()
-                || sim.cfg.secondary.hdfs;
-            if has_secondary {
-                let pid = ch.fresh_pid();
-                ch.registry
-                    .register("secondary", ServiceKind::Secondary, vec![pid]);
-            }
-            if sim.controller.is_some() {
-                let pid = ch.fresh_pid();
-                ch.registry
-                    .register("perfiso", ServiceKind::Infrastructure, vec![pid]);
-            }
+            let ch = Box::new(ChaosState::new(plan));
             for (i, f) in ch.plan.faults.iter().enumerate() {
                 sim.app.push(f.at, AppEvent::Fault(i as u32));
             }
@@ -561,9 +530,8 @@ impl BoxSim {
     fn spawn_secondaries(&mut self, now: SimTime, initial: bool) {
         if let Some(intensity) = self.cfg.secondary.cpu_bully {
             let b = CpuBully::new(intensity, self.cfg.machine.cores);
-            let handle = b.spawn(&mut self.machine, self.secondary_job, now);
-            self.secondary_tids.extend(handle.tids.iter().copied());
-            self.bully = Some(handle);
+            let tids = b.spawn(&mut self.machine, self.secondary_job, now);
+            self.secondary_tids.extend(tids);
             self.machine.set_job_memory(self.secondary_job, 2 << 30);
         }
         if let Some(db) = &self.cfg.secondary.disk_bully {
@@ -710,22 +678,6 @@ impl BoxSim {
     /// service — zero once all stragglers have retired.
     pub fn services_in_flight(&self) -> u64 {
         self.services.iter().map(|s| s.port.in_flight()).sum()
-    }
-
-    /// The primary tenant's job id on the machine.
-    pub fn primary_job(&self) -> JobId {
-        self.primary_job
-    }
-
-    /// The secondary tenants' job id on the machine.
-    pub fn secondary_job(&self) -> JobId {
-        self.secondary_job
-    }
-
-    /// Progress handle of the colocated CPU bully, when one is configured
-    /// (for inspecting how much best-effort work got through).
-    pub fn cpu_bully(&self) -> Option<&CpuBullyHandle> {
-        self.bully.as_ref()
     }
 
     /// CPU breakdown so far (including in-flight slices).
@@ -1331,7 +1283,7 @@ impl BoxSim {
                         .set_job_quota(self.now, self.secondary_job, None);
                     ch.recovery_watch = None;
                     ch.restarted_at = None;
-                    match ch.manager.report_crash(&mut ch.registry, "perfiso") {
+                    match ch.manager.report_crash("perfiso") {
                         RestartDecision::RestartAfterMs(ms) => {
                             let poll = self
                                 .perfiso_cfg
@@ -1355,7 +1307,7 @@ impl BoxSim {
             }
             PlannedFaultKind::SecondaryRestart { downtime }
             | PlannedFaultKind::ServiceChurn { downtime } => {
-                if ch.registry.get("secondary").is_some()
+                if self.cfg.secondary != SecondaryKind::none()
                     && ch.secondary_record.is_none()
                     && !self.secondary_killed
                 {
@@ -1367,8 +1319,7 @@ impl BoxSim {
                         self.machine.kill_thread(self.now, tid);
                     }
                     self.machine.set_job_memory(self.secondary_job, 0);
-                    self.bully = None;
-                    match ch.manager.report_crash(&mut ch.registry, "secondary") {
+                    match ch.manager.report_crash("secondary") {
                         RestartDecision::RestartAfterMs(ms) => {
                             let dt = (*downtime).max(SimDuration::from_millis(ms));
                             ch.secondary_record = Some(ridx);
@@ -1387,7 +1338,7 @@ impl BoxSim {
                     for i in 0..self.services.len() {
                         self.services[i].port.fail_all(self.now, &mut self.machine);
                     }
-                    match ch.manager.report_crash(&mut ch.registry, "indexserve") {
+                    match ch.manager.report_crash("indexserve") {
                         RestartDecision::RestartAfterMs(ms) => {
                             let dt = (*downtime).max(SimDuration::from_millis(ms));
                             ch.primary_down_until = Some(self.now + dt);
@@ -1465,9 +1416,6 @@ impl BoxSim {
             let state = ch.checkpoint.clone();
             let stats = ch.saved_stats.take();
             self.install_controller(&pcfg, state.as_ref(), stats);
-            let pid = ch.fresh_pid();
-            ch.registry.update_pids("perfiso", vec![pid]);
-            ch.registry.set_state("perfiso", ServiceState::Running);
             ch.records[ridx].downtime_ms =
                 self.now.since(SimTime::ZERO).as_millis_f64() - ch.records[ridx].fired_at_ms;
             ch.recovery_watch = Some((ridx, 0));
@@ -1483,9 +1431,7 @@ impl BoxSim {
         };
         if let Some(ridx) = ch.secondary_record.take() {
             self.spawn_secondaries(self.now, false);
-            let pid = ch.fresh_pid();
-            ch.manager
-                .report_started(&mut ch.registry, "secondary", vec![pid]);
+            ch.manager.report_started("secondary");
             ch.records[ridx].downtime_ms =
                 self.now.since(SimTime::ZERO).as_millis_f64() - ch.records[ridx].fired_at_ms;
         }
@@ -1499,9 +1445,7 @@ impl BoxSim {
         };
         if let Some(ridx) = ch.primary_record.take() {
             ch.primary_down_until = None;
-            let pid = ch.fresh_pid();
-            ch.manager
-                .report_started(&mut ch.registry, "indexserve", vec![pid]);
+            ch.manager.report_started("indexserve");
             ch.records[ridx].downtime_ms =
                 self.now.since(SimTime::ZERO).as_millis_f64() - ch.records[ridx].fired_at_ms;
         }
@@ -1597,12 +1541,7 @@ impl BoxSim {
         // inside the window keeps the consecutive-failure counter growing.
         if let Some(at) = ch.restarted_at {
             if self.now.since(at) >= SimDuration::from_millis(ch.plan.restart.base_backoff_ms) {
-                let pids = ch
-                    .registry
-                    .get("perfiso")
-                    .map(|s| s.pids.clone())
-                    .unwrap_or_default();
-                ch.manager.report_started(&mut ch.registry, "perfiso", pids);
+                ch.manager.report_started("perfiso");
                 ch.restarted_at = None;
             }
         }
@@ -1798,28 +1737,18 @@ impl BoxReport {
 pub struct ServicePlan {
     /// Offered load in queries/second.
     pub qps: f64,
-    /// Trace-generation parameters (the query count is derived).
-    pub trace: TraceConfig,
 }
 
 impl ServicePlan {
-    /// A plan offering `qps` with default trace parameters.
-    pub fn at_qps(qps: f64) -> Self {
-        ServicePlan {
-            qps,
-            trace: TraceConfig::default(),
-        }
-    }
-
     /// The open-loop client replaying this service over a run of length
     /// `total`: a trace of `qps × total × 1.05 + 16` queries (headroom for
-    /// Poisson jitter past the mean count) generated at `seed ^ 0x7ACE`,
-    /// with arrivals drawn at `seed ^ 0xC1`.
+    /// Poisson jitter past the mean count) with default trace parameters,
+    /// generated at `seed ^ 0x7ACE`, with arrivals drawn at `seed ^ 0xC1`.
     pub fn client(&self, total: SimDuration, seed: u64) -> OpenLoopClient {
         let n_queries = (self.qps * total.as_secs_f64() * 1.05) as usize + 16;
         let trace = TraceGenerator::new(TraceConfig {
             queries: n_queries,
-            ..self.trace.clone()
+            ..TraceConfig::default()
         })
         .generate(seed ^ 0x7ACE);
         OpenLoopClient::new(trace, self.qps, seed ^ 0xC1)
@@ -1992,7 +1921,7 @@ mod tests {
     fn quick_run(cfg: BoxConfig, qps: f64) -> BoxReport {
         run_multi(
             cfg,
-            &[ServicePlan::at_qps(qps)],
+            &[ServicePlan { qps }],
             SimDuration::from_millis(300),
             SimDuration::from_millis(1_500),
         )

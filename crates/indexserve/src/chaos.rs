@@ -5,10 +5,9 @@
 //! state from disk" — is exercised here: a [`FaultPlan`] is a fixed
 //! timeline of lifecycle faults compiled by the spec layer and executed
 //! inside [`BoxSim`](crate::BoxSim) through a per-box
-//! [`autopilot::ServiceManager`] + [`autopilot::ServiceRegistry`].
-//! Fault firing is pure simulation time — no wall clock, no extra RNG
-//! draws — so chaos runs stay seed-deterministic and bit-identical across
-//! thread counts.
+//! [`autopilot::ServiceManager`]. Fault firing is pure simulation time —
+//! no wall clock, no extra RNG draws — so chaos runs stay
+//! seed-deterministic and bit-identical across thread counts.
 
 use autopilot::RestartPolicy;
 use perfiso::PerfIsoConfig;
@@ -95,7 +94,7 @@ pub enum PlannedFaultKind {
 }
 
 impl PlannedFaultKind {
-    /// The registry service name this fault targets.
+    /// The service name this fault targets.
     pub fn service(&self) -> &'static str {
         match self {
             PlannedFaultKind::ControllerCrash { .. } | PlannedFaultKind::ConfigRollout { .. } => {
@@ -183,7 +182,7 @@ pub struct FaultRecord {
     /// Fault kind tag (`controller-crash`, `secondary-restart`,
     /// `box-restart`, `config-rollout`).
     pub kind: String,
-    /// Registry service name the fault targeted.
+    /// Service name the fault targeted.
     pub service: String,
     /// Absolute fire time in simulation milliseconds.
     pub fired_at_ms: f64,

@@ -47,7 +47,7 @@ pub enum BlockedAction {
 /// fabric) expose them via [`ServicePort::next_timer_at`] /
 /// [`ServicePort::advance_to`].
 pub trait ServicePort {
-    /// Display name (per-service report rows, chaos registry).
+    /// Display name (per-service report rows).
     fn name(&self) -> &str;
 
     /// Declared working-set bytes registered against the service's job.

@@ -67,11 +67,6 @@ impl OpenLoopClient {
         self.next_at = at + self.process.next_gap(&mut self.rng);
         Some((at, q))
     }
-
-    /// Queries remaining.
-    pub fn remaining(&self) -> usize {
-        self.trace.len() - self.next_idx
-    }
 }
 
 #[cfg(test)]

@@ -98,7 +98,8 @@ pub enum SpecError {
     InvalidQps(f64),
     /// At least one seed repetition is required.
     ZeroSeeds,
-    /// The measurement window is degenerate.
+    /// The measurement window (or a fleet slice) is degenerate or runs
+    /// past the simulated clock's range.
     InvalidScale(String),
     /// The policy parameters are out of range for the paper server.
     InvalidPolicy(String),
@@ -195,6 +196,15 @@ const BENCH_WARMUP_MS: u64 = 500;
 
 /// [`ScaleSpec::Bench`]'s measured window, in milliseconds.
 const BENCH_MEASURE_MS: u64 = 6_000;
+
+/// The longest run a spec may declare, in milliseconds: half the simulated
+/// clock's range, leaving the other half for the drain the drivers add
+/// past a run's end.
+const MAX_RUN_MS: u64 = SimTime::MAX.as_millis() / 2;
+
+/// The longest controller poll interval, in microseconds, whose
+/// nanoseconds fit the simulated clock.
+const MAX_POLL_INTERVAL_US: u64 = u64::MAX / 1_000;
 
 /// Concrete run lengths, resolved from a [`ScaleSpec`].
 #[derive(Clone, Copy, Debug)]
@@ -512,9 +522,22 @@ impl ScenarioSpec {
         if self.seeds == 0 {
             return Err(SpecError::ZeroSeeds);
         }
-        if let ScaleSpec::Custom { measure_ms, .. } = self.scale {
+        if let ScaleSpec::Custom {
+            warmup_ms,
+            measure_ms,
+        } = self.scale
+        {
             if measure_ms == 0 {
                 return Err(SpecError::InvalidScale("measured window is zero".into()));
+            }
+            if warmup_ms
+                .checked_add(measure_ms)
+                .is_none_or(|ms| ms > MAX_RUN_MS)
+            {
+                return Err(SpecError::InvalidScale(format!(
+                    "a {warmup_ms} + {measure_ms} ms window runs past the simulated clock's \
+                     range (at most {MAX_RUN_MS} ms)"
+                )));
             }
         }
         match self.policy {
@@ -539,6 +562,19 @@ impl ScenarioSpec {
             _ => {}
         }
         if !self.controller.is_default() {
+            let c = &self.controller;
+            for (knob, us) in [
+                ("cpu_poll_interval_us", c.cpu_poll_interval_us),
+                ("io_poll_interval_us", c.io_poll_interval_us),
+                ("memory_poll_interval_us", c.memory_poll_interval_us),
+            ] {
+                if let Some(us) = us.filter(|&us| us > MAX_POLL_INTERVAL_US) {
+                    return Err(SpecError::InvalidController(format!(
+                        "{knob} {us} runs past the simulated clock's range \
+                         (at most {MAX_POLL_INTERVAL_US} us)"
+                    )));
+                }
+            }
             let Some(base) = self.policy.perfiso_config() else {
                 return Err(SpecError::InvalidController(format!(
                     "controller overrides need a policy with a controller, not {}",
@@ -774,6 +810,12 @@ impl ScenarioSpec {
                 if *slice_ms == 0 {
                     return Err(SpecError::InvalidFleet("zero-length slice".into()));
                 }
+                if *slice_ms > MAX_RUN_MS {
+                    return Err(SpecError::InvalidScale(format!(
+                        "a {slice_ms} ms fleet slice runs past the simulated clock's range \
+                         (at most {MAX_RUN_MS} ms)"
+                    )));
+                }
                 if let Some(p) = production {
                     if p.minute_stride == 0 {
                         return Err(SpecError::InvalidFleet(
@@ -815,9 +857,9 @@ impl ScenarioSpec {
     /// # Errors
     ///
     /// [`SpecError::InvalidScale`] when `factor` is not positive and
-    /// finite, when the spec has no `Bench` run length, or when a rescaled
-    /// length overflows the simulated clock; otherwise the result's first
-    /// validation error.
+    /// finite or the spec has no `Bench` run length; otherwise the
+    /// result's first validation error, which is `InvalidScale` too when a
+    /// rescaled length runs past the simulated clock's range.
     pub fn scaled(&self, factor: f64) -> Result<ScenarioSpec, SpecError> {
         if !(factor.is_finite() && factor > 0.0) {
             return Err(SpecError::InvalidScale(format!(
@@ -836,17 +878,10 @@ impl ScenarioSpec {
             warmup_ms: BENCH_WARMUP_MS,
             measure_ms,
         };
-        // `as` saturates, so a huge factor lands past the clock's range
-        // rather than wrapping.
-        let mut longest_ms = BENCH_WARMUP_MS.saturating_add(measure_ms);
+        // `as` saturates, so a huge factor lands past the clock's range,
+        // which `validate` rejects, rather than wrapping.
         if let TargetSpec::Fleet { slice_ms, .. } = &mut spec.target {
             *slice_ms = ((*slice_ms as f64 * factor) as u64).max(1);
-            longest_ms = longest_ms.max(*slice_ms);
-        }
-        if longest_ms > SimTime::MAX.as_millis() {
-            return Err(SpecError::InvalidScale(format!(
-                "a multiplier of {factor} runs {longest_ms} ms, past the simulated clock's range"
-            )));
         }
         spec.validate()?;
         Ok(spec)
@@ -980,10 +1015,7 @@ impl ScenarioSpec {
     /// Fails on validation errors or a non-single-box target.
     pub fn open_loop_client(&self, seed: u64) -> Result<OpenLoopClient, SpecError> {
         let plan = self.run_plan()?;
-        let service = ServicePlan {
-            qps: plan.qps,
-            trace: plan.trace,
-        };
+        let service = ServicePlan { qps: plan.qps };
         Ok(service.client(plan.warmup + plan.measure, seed))
     }
 
@@ -1306,12 +1338,6 @@ impl ScenarioBuilder {
     /// Selects the latency-recording backend.
     pub fn telemetry(mut self, t: TelemetrySpec) -> Self {
         self.spec.telemetry = t;
-        self
-    }
-
-    /// Sets the overload-resilience policy wholesale.
-    pub fn resilience(mut self, r: ResilienceSpec) -> Self {
-        self.spec.resilience = r;
         self
     }
 
@@ -1698,6 +1724,72 @@ mod tests {
             scaled.fleet_config(1, 1).unwrap().slice,
             SimDuration::from_millis(1)
         );
+    }
+
+    #[test]
+    fn run_lengths_past_the_clock_are_rejected() {
+        // A window of exactly half the clock's range runs; one more
+        // millisecond, or a sum that overflows, is a labelled error.
+        let window = |warmup_ms, measure_ms| {
+            ScenarioSpec::builder("x")
+                .custom_scale(warmup_ms, measure_ms)
+                .build()
+        };
+        let longest = window(0, MAX_RUN_MS).expect("half the clock runs");
+        assert_eq!(
+            longest.run_scale().measure,
+            SimDuration::from_millis(MAX_RUN_MS)
+        );
+        for (warmup_ms, measure_ms) in [(1, MAX_RUN_MS), (500, u64::MAX), (u64::MAX, 1)] {
+            let err = window(warmup_ms, measure_ms);
+            assert!(
+                matches!(err, Err(SpecError::InvalidScale(_))),
+                "{warmup_ms} + {measure_ms} ms: {err:?}"
+            );
+        }
+        let text = longest.to_json().replace(
+            &format!("\"measure_ms\": {MAX_RUN_MS}"),
+            &format!("\"measure_ms\": {}", u64::MAX),
+        );
+        assert!(text.contains(&u64::MAX.to_string()), "{text}");
+        let err = ScenarioSpec::from_json(&text);
+        assert!(matches!(err, Err(SpecError::InvalidScale(_))), "{err:?}");
+
+        let fleet = |slice_ms| {
+            ScenarioSpec::builder("f")
+                .fleet(2, 1, slice_ms)
+                .policy(Policy::Blind { buffer_cores: 8 })
+                .build()
+        };
+        assert!(fleet(MAX_RUN_MS).is_ok());
+        let err = fleet(MAX_RUN_MS + 1);
+        assert!(matches!(err, Err(SpecError::InvalidScale(_))), "{err:?}");
+    }
+
+    #[test]
+    fn poll_intervals_past_the_clock_are_rejected() {
+        let knobs: [fn(&mut ControllerSpec, u64); 3] = [
+            |c, us| c.cpu_poll_interval_us = Some(us),
+            |c, us| c.io_poll_interval_us = Some(us),
+            |c, us| c.memory_poll_interval_us = Some(us),
+        ];
+        for knob in knobs {
+            let spec = |us| {
+                ScenarioSpec::builder("x")
+                    .policy(Policy::Blind { buffer_cores: 8 })
+                    .tune(|c| knob(c, us))
+                    .build()
+            };
+            let longest = spec(MAX_POLL_INTERVAL_US).expect("largest interval in range");
+            assert!(longest.effective_perfiso().is_some());
+            for us in [MAX_POLL_INTERVAL_US + 1, u64::MAX] {
+                let err = spec(us);
+                assert!(
+                    matches!(err, Err(SpecError::InvalidController(_))),
+                    "{us} us: {err:?}"
+                );
+            }
+        }
     }
 
     #[test]

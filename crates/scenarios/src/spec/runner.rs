@@ -202,10 +202,10 @@ fn summarize(runs: &[SeedReport]) -> Summary {
 /// slice sweep.
 fn run_seed(spec: &ScenarioSpec, seed: u64, inner_threads: usize) -> SeedReport {
     let plans: Vec<ServicePlan> = match &spec.target {
-        TargetSpec::SingleBox { qps } => vec![ServicePlan::at_qps(*qps)],
+        TargetSpec::SingleBox { qps } => vec![ServicePlan { qps: *qps }],
         TargetSpec::MultiBox { services } => services
             .iter()
-            .map(|s| ServicePlan::at_qps(s.qps))
+            .map(|s| ServicePlan { qps: s.qps })
             .collect(),
         TargetSpec::Cluster { .. } => {
             return SeedReport::Cluster(spec.cluster_sim(seed).expect("validated").run());

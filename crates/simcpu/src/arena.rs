@@ -19,12 +19,9 @@
 //!   trainers, test closures).
 //!
 //! Determinism is unaffected: none of the inline variants draw from the
-//! machine RNG (exactly like the `Script`/`ComputeOnce`/`ComputeLoop`
-//! trait programs they replace), and block recycling is plain LIFO. Which
+//! machine RNG (exactly like the boxed [`crate::programs::Script`] a
+//! scripted range replaces), and block recycling is plain LIFO. Which
 //! blocks a script lands in never reaches a report.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use simcore::{SimDuration, SimRng};
 
@@ -281,21 +278,18 @@ pub enum Program {
         /// Replay cursor: the next step's position in the script.
         at: u32,
     },
-    /// Computes once for a fixed duration, then exits (the inline
-    /// [`crate::programs::ComputeOnce`]).
+    /// Computes once for a fixed duration, then exits.
     ComputeOnce {
         /// Compute duration.
         duration: SimDuration,
         /// Whether the compute segment was already issued.
         done: bool,
     },
-    /// Computes in fixed chunks forever, bumping a shared progress counter
-    /// per chunk start (the inline [`crate::programs::ComputeLoop`]).
+    /// Computes in fixed chunks forever, until killed; the chunk only sets
+    /// the segment length.
     ComputeLoop {
-        /// Compute chunk per progress increment.
+        /// Compute segment length.
         chunk: SimDuration,
-        /// Shared progress counter.
-        progress: Arc<AtomicU64>,
     },
     /// A boxed custom program: the escape hatch for stateful workloads.
     Dyn(Box<dyn ThreadProgram>),
@@ -319,10 +313,9 @@ impl Program {
         }
     }
 
-    /// An infinite compute loop with a shared progress counter (no
-    /// allocation beyond the `Arc` clone).
-    pub fn compute_loop(chunk: SimDuration, progress: Arc<AtomicU64>) -> Program {
-        Program::ComputeLoop { chunk, progress }
+    /// An infinite compute loop (no allocation).
+    pub fn compute_loop(chunk: SimDuration) -> Program {
+        Program::ComputeLoop { chunk }
     }
 
     /// Pulls the next step. `arena` resolves scripted ranges; `rng` feeds
@@ -338,10 +331,7 @@ impl Program {
                     Step::Compute(*duration)
                 }
             }
-            Program::ComputeLoop { chunk, progress } => {
-                progress.fetch_add(1, Ordering::Relaxed);
-                Step::Compute(*chunk)
-            }
+            Program::ComputeLoop { chunk } => Step::Compute(*chunk),
             Program::Dyn(p) => p.next_step(rng),
         }
     }
@@ -369,10 +359,9 @@ impl std::fmt::Debug for Program {
                 .field("duration", duration)
                 .field("done", done)
                 .finish(),
-            Program::ComputeLoop { chunk, .. } => f
-                .debug_struct("ComputeLoop")
-                .field("chunk", chunk)
-                .finish_non_exhaustive(),
+            Program::ComputeLoop { chunk } => {
+                f.debug_struct("ComputeLoop").field("chunk", chunk).finish()
+            }
             Program::Dyn(_) => f.write_str("Dyn(..)"),
         }
     }
@@ -521,11 +510,9 @@ mod tests {
         assert_eq!(once.next_step(&arena, &mut rng), Step::Exit);
         assert_eq!(once.next_step(&arena, &mut rng), Step::Exit);
 
-        let progress = Arc::new(AtomicU64::new(0));
-        let mut lp = Program::compute_loop(SimDuration::from_micros(2), progress.clone());
+        let mut lp = Program::compute_loop(SimDuration::from_micros(2));
         for _ in 0..3 {
             assert_eq!(lp.next_step(&arena, &mut rng), compute(2));
         }
-        assert_eq!(progress.load(Ordering::Relaxed), 3);
     }
 }

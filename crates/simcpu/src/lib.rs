@@ -26,12 +26,12 @@
 //!
 //! ```
 //! use simcore::{SimDuration, SimTime};
-//! use simcpu::{programs::ComputeOnce, CoreMask, Machine, MachineConfig};
+//! use simcpu::{CoreMask, Machine, MachineConfig, Program};
 //! use telemetry::TenantClass;
 //!
 //! let mut m = Machine::new(MachineConfig::small(4));
 //! let job = m.create_job(TenantClass::Primary, CoreMask::all(4));
-//! m.spawn_thread(SimTime::ZERO, job, Box::new(ComputeOnce::new(SimDuration::from_millis(1))), 7);
+//! m.spawn_program(SimTime::ZERO, job, Program::compute_once(SimDuration::from_millis(1)), 7);
 //! m.advance_to(SimTime::from_millis(2));
 //! let out = m.drain_outputs();
 //! assert!(out.iter().any(|o| matches!(o, simcpu::MachineOutput::ThreadExited { tag: 7, .. })));

@@ -9,7 +9,7 @@
 //!   the queues: exactly the thread a single shared queue would yield,
 //!   found in O(jobs) instead of a scan over every queued thread.
 //! - A *freshly spawned* thread dispatches immediately onto an idle core
-//!   inside its effective affinity mask; otherwise it queues FIFO behind
+//!   inside its job's affinity mask; otherwise it queues FIFO behind
 //!   everything else — fan-out worker bursts arriving while secondary
 //!   threads hold all cores wait for quantum expiries. This is the
 //!   "short-lived worker threads end up queued for execution instead of
@@ -88,7 +88,6 @@ struct ThreadBody {
     program: Program,
     seg_remaining: SimDuration,
     quantum_left: SimDuration,
-    affinity: CoreMask,
 }
 
 struct ThreadSlot {
@@ -434,7 +433,6 @@ impl Machine {
         };
         let gen = self.threads[idx as usize].gen;
         let tid = ThreadId { index: idx, gen };
-        let affinity = CoreMask::all(self.cfg.cores);
         self.threads[idx as usize].body = Some(ThreadBody {
             job,
             tag,
@@ -442,7 +440,6 @@ impl Machine {
             program,
             seg_remaining: SimDuration::ZERO,
             quantum_left: SimDuration::ZERO,
-            affinity,
         });
         self.stats.spawns += 1;
         // Fresh spawns carry no wake boost: a fan-out burst finding every
@@ -474,34 +471,12 @@ impl Machine {
         self.arena.stats()
     }
 
-    /// Sets a per-thread affinity override (e.g. the primary affinitising
-    /// its own threads, which PerfIso must respect).
-    ///
-    /// Returns false on a stale handle.
-    pub fn set_thread_affinity(&mut self, now: SimTime, tid: ThreadId, mask: CoreMask) -> bool {
-        self.advance_to(now);
-        if self.thread(tid).is_none() {
-            return false;
-        }
-        self.thread_mut(tid).expect("checked").affinity = mask;
-        let state = self.thread(tid).expect("checked").state;
-        if let ThreadState::Running(core) = state {
-            if !self.effective_affinity(tid).contains(core) {
-                self.preempt_core(core);
-                self.stats.ipis += 1;
-                self.fill_core(core, self.cfg.ipi_cost);
-            }
-        }
-        self.dispatch_sweep();
-        true
-    }
-
     /// Wakes a blocked thread (I/O completion). Returns false on a stale
     /// handle or a thread that is not blocked/sleeping.
     ///
-    /// The woken thread carries a wake boost: if every allowed core is
-    /// busy, it preempts a running thread of a strictly lower tenant class
-    /// rather than queueing (see the crate docs).
+    /// The woken thread carries a wake boost: if no core in its job's mask
+    /// is idle, it queues at the front of the ready order (see the module
+    /// docs).
     pub fn wake(&mut self, now: SimTime, tid: ThreadId) -> bool {
         self.advance_to(now);
         let Some(t) = self.thread(tid) else {
@@ -554,7 +529,7 @@ impl Machine {
             let core = CoreId(i as u16);
             let tid = c.running?;
             let t = self.thread(tid)?;
-            (t.job == job && !self.effective_affinity(tid).contains(core)).then_some(core)
+            (t.job == job && !mask.contains(core)).then_some(core)
         }));
         for &core in &victims {
             self.preempt_core(core);
@@ -680,13 +655,6 @@ impl Machine {
         slot.body.as_mut()
     }
 
-    fn effective_affinity(&self, tid: ThreadId) -> CoreMask {
-        let t = self.thread(tid).expect("live thread");
-        self.jobs[t.job.0 as usize]
-            .affinity
-            .intersection(t.affinity)
-    }
-
     fn count_running_threads_of(&self, job: JobId) -> u32 {
         self.cores
             .iter()
@@ -791,10 +759,12 @@ impl Machine {
     /// possible; otherwise queues — at the front with the wake boost, at
     /// the back without.
     fn make_ready(&mut self, tid: ThreadId, extra_os_cost: SimDuration, boosted: bool) {
-        self.thread_mut(tid).expect("live").state = ThreadState::Ready;
-        if !self.job_throttled(tid) {
-            let idle = self.idle.intersection(self.effective_affinity(tid));
-            if let Some(core) = idle.lowest() {
+        let t = self.thread_mut(tid).expect("live");
+        t.state = ThreadState::Ready;
+        let j = t.job.0 as usize;
+        let job = &self.jobs[j];
+        if !job.quota.as_ref().is_some_and(|q| q.throttled) {
+            if let Some(core) = self.idle.intersection(job.affinity).lowest() {
                 self.dispatch(core, tid, self.cfg.dispatch_cost + extra_os_cost);
                 return;
             }
@@ -826,14 +796,6 @@ impl Machine {
     fn requeue(&mut self, tid: ThreadId) {
         self.thread_mut(tid).expect("live").state = ThreadState::Ready;
         self.enqueue(tid, false);
-    }
-
-    fn job_throttled(&self, tid: ThreadId) -> bool {
-        let t = self.thread(tid).expect("live");
-        self.jobs[t.job.0 as usize]
-            .quota
-            .as_ref()
-            .is_some_and(|q| q.throttled)
     }
 
     // ------------------------------------------------------------------
@@ -1014,11 +976,10 @@ impl Machine {
     }
 
     /// The first thread in the ready order eligible to run on `core`: the
-    /// lowest-sequence entry, over the unthrottled jobs whose mask contains
-    /// `core`, of a live thread whose own mask contains it too. A job's
-    /// scan stops at its first such entry, or once it passes the best
-    /// sequence number found so far, so it walks only the stale and
-    /// affinity-override entries it must skip.
+    /// lowest-sequence entry of a live thread, over the unthrottled jobs
+    /// whose mask contains `core`. A job's scan stops at its first live
+    /// entry, or once it passes the best sequence number found so far, so
+    /// it walks only the stale entries of killed threads.
     fn first_eligible_ready(&self, core: CoreId) -> Option<ReadyPos> {
         let mut best: Option<(i64, ReadyPos)> = None;
         for (j, job) in self.jobs.iter().enumerate() {
@@ -1029,10 +990,7 @@ impl Machine {
                 if best.is_some_and(|(seq, _)| e.seq > seq) {
                     break;
                 }
-                if self
-                    .thread(e.tid)
-                    .is_some_and(|t| t.affinity.contains(core))
-                {
+                if self.thread(e.tid).is_some() {
                     best = Some((e.seq, (j, pos)));
                     break;
                 }

@@ -6,10 +6,10 @@
 //! throttling, and exact CPU-time accounting.
 
 use simcore::{SimDuration, SimTime};
-use simcpu::programs::{ComputeLoop, ComputeOnce, Script};
-use simcpu::{CoreId, CoreMask, CpuRateQuota, Machine, MachineConfig, MachineOutput, Step};
-use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
+use simcpu::programs::Script;
+use simcpu::{
+    CoreId, CoreMask, CpuRateQuota, Machine, MachineConfig, MachineOutput, Program, Step,
+};
 use telemetry::TenantClass;
 
 fn ms(x: u64) -> SimDuration {
@@ -36,7 +36,7 @@ fn zero_cost_config(cores: u32) -> MachineConfig {
 fn single_thread_computes_and_exits() {
     let mut m = Machine::new(zero_cost_config(2));
     let job = m.create_job(TenantClass::Primary, CoreMask::all(2));
-    let tid = m.spawn_thread(SimTime::ZERO, job, Box::new(ComputeOnce::new(ms(5))), 1);
+    let tid = m.spawn_program(SimTime::ZERO, job, Program::compute_once(ms(5)), 1);
     assert_eq!(
         m.idle_core_mask().count(),
         1,
@@ -62,7 +62,7 @@ fn threads_fill_idle_cores_first() {
     let mut m = Machine::new(zero_cost_config(4));
     let job = m.create_job(TenantClass::Primary, CoreMask::all(4));
     for i in 0..4 {
-        m.spawn_thread(SimTime::ZERO, job, Box::new(ComputeOnce::new(ms(1))), i);
+        m.spawn_program(SimTime::ZERO, job, Program::compute_once(ms(1)), i);
     }
     assert_eq!(m.idle_core_mask().count(), 0);
     m.advance_to(SimTime::from_millis(2));
@@ -76,7 +76,7 @@ fn excess_threads_wait_fifo() {
     let job = m.create_job(TenantClass::Primary, CoreMask::all(1));
     // Three 1ms jobs on one core: they must serialize in spawn order.
     for i in 0..3 {
-        m.spawn_thread(SimTime::ZERO, job, Box::new(ComputeOnce::new(ms(1))), i);
+        m.spawn_program(SimTime::ZERO, job, Program::compute_once(ms(1)), i);
     }
     m.advance_to(SimTime::from_millis(10));
     let exits: Vec<u64> = m
@@ -100,13 +100,13 @@ fn no_preemption_on_wake_same_priority() {
     cfg.quantum = ms(20);
     let mut m = Machine::new(cfg);
     let job = m.create_job(TenantClass::Secondary, CoreMask::all(1));
-    m.spawn_thread(SimTime::ZERO, job, Box::new(ComputeOnce::new(ms(100))), 0);
+    m.spawn_program(SimTime::ZERO, job, Program::compute_once(ms(100)), 0);
     // At t=1ms a second thread arrives.
     let pjob = m.create_job(TenantClass::Primary, CoreMask::all(1));
-    m.spawn_thread(
+    m.spawn_program(
         SimTime::from_millis(1),
         pjob,
-        Box::new(ComputeOnce::new(ms(1))),
+        Program::compute_once(ms(1)),
         1,
     );
     // It cannot run before the bully's quantum expires at t=20ms.
@@ -147,18 +147,18 @@ fn wake_boost_jumps_the_queue() {
         [MachineOutput::ThreadBlocked { .. }]
     ));
     // The bully takes the core while the primary thread is blocked.
-    m.spawn_thread(
+    m.spawn_program(
         SimTime::from_millis(1),
         sec,
-        Box::new(ComputeOnce::new(ms(100))),
+        Program::compute_once(ms(100)),
         0,
     );
     assert_eq!(m.idle_core_mask().count(), 0);
     // A fresh primary spawn queues at the back...
-    m.spawn_thread(
+    m.spawn_program(
         SimTime::from_millis(2),
         pri,
-        Box::new(ComputeOnce::new(ms(1))),
+        Program::compute_once(ms(1)),
         8,
     );
     // ...then the blocked thread wakes and queues at the front.
@@ -197,12 +197,12 @@ fn spawns_queue_fifo_behind_bully_until_quantum_expiry() {
     let sec = m.create_job(TenantClass::Secondary, CoreMask::all(2));
     let pri = m.create_job(TenantClass::Primary, CoreMask::all(2));
     for i in 0..2 {
-        m.spawn_thread(SimTime::ZERO, sec, Box::new(ComputeOnce::new(ms(500))), i);
+        m.spawn_program(SimTime::ZERO, sec, Program::compute_once(ms(500)), i);
     }
-    m.spawn_thread(
+    m.spawn_program(
         SimTime::from_millis(5),
         pri,
-        Box::new(ComputeOnce::new(ms(1))),
+        Program::compute_once(ms(1)),
         10,
     );
     // Nothing until the first quantum expires at t=40ms.
@@ -233,10 +233,10 @@ fn wake_boost_prefers_idle_core() {
     );
     m.advance_to(SimTime::from_millis(1));
     m.drain_outputs();
-    m.spawn_thread(
+    m.spawn_program(
         SimTime::from_millis(1),
         sec,
-        Box::new(ComputeOnce::new(ms(50))),
+        Program::compute_once(ms(50)),
         0,
     );
     let ipis_before = m.stats().ipis;
@@ -260,8 +260,8 @@ fn round_robin_shares_the_core() {
     cfg.quantum = ms(10);
     let mut m = Machine::new(cfg);
     let job = m.create_job(TenantClass::Primary, CoreMask::all(1));
-    m.spawn_thread(SimTime::ZERO, job, Box::new(ComputeOnce::new(ms(30))), 0);
-    m.spawn_thread(SimTime::ZERO, job, Box::new(ComputeOnce::new(ms(30))), 1);
+    m.spawn_program(SimTime::ZERO, job, Program::compute_once(ms(30)), 0);
+    m.spawn_program(SimTime::ZERO, job, Program::compute_once(ms(30)), 1);
     m.advance_to(SimTime::from_millis(70));
     let exits: Vec<u64> = m
         .drain_outputs()
@@ -282,7 +282,7 @@ fn affinity_restricts_dispatch() {
     let mut m = Machine::new(zero_cost_config(4));
     let job = m.create_job(TenantClass::Secondary, CoreMask::range(0, 2));
     for i in 0..4 {
-        m.spawn_thread(SimTime::ZERO, job, Box::new(ComputeOnce::new(ms(1))), i);
+        m.spawn_program(SimTime::ZERO, job, Program::compute_once(ms(1)), i);
     }
     // Only cores 0 and 1 may be used.
     let idle = m.idle_core_mask();
@@ -298,8 +298,8 @@ fn affinity_restricts_dispatch() {
 fn affinity_revocation_preempts_immediately() {
     let mut m = Machine::new(zero_cost_config(2));
     let job = m.create_job(TenantClass::Secondary, CoreMask::all(2));
-    m.spawn_thread(SimTime::ZERO, job, Box::new(ComputeOnce::new(ms(100))), 0);
-    m.spawn_thread(SimTime::ZERO, job, Box::new(ComputeOnce::new(ms(100))), 1);
+    m.spawn_program(SimTime::ZERO, job, Program::compute_once(ms(100)), 0);
+    m.spawn_program(SimTime::ZERO, job, Program::compute_once(ms(100)), 1);
     assert_eq!(m.idle_core_mask().count(), 0);
     // Revoke core 1 at t=5ms: the thread there must stop instantly.
     m.set_job_affinity(SimTime::from_millis(5), job, CoreMask::range(0, 1));
@@ -317,26 +317,12 @@ fn widening_affinity_dispatches_queued_threads() {
     let mut m = Machine::new(zero_cost_config(4));
     let job = m.create_job(TenantClass::Secondary, CoreMask::range(0, 1));
     for i in 0..3 {
-        m.spawn_thread(SimTime::ZERO, job, Box::new(ComputeOnce::new(ms(50))), i);
+        m.spawn_program(SimTime::ZERO, job, Program::compute_once(ms(50)), i);
     }
     assert_eq!(m.idle_core_mask().count(), 3);
     m.set_job_affinity(SimTime::from_millis(1), job, CoreMask::all(4));
     // The two queued threads should now be running.
     assert_eq!(m.idle_core_mask().count(), 1);
-}
-
-#[test]
-fn per_thread_affinity_is_respected() {
-    let mut m = Machine::new(zero_cost_config(2));
-    let job = m.create_job(TenantClass::Primary, CoreMask::all(2));
-    let tid = m.spawn_thread(SimTime::ZERO, job, Box::new(ComputeOnce::new(ms(10))), 0);
-    // Pin the running thread to core 1 only: it is on core 0, so it must move.
-    assert!(m.set_thread_affinity(SimTime::from_millis(1), tid, CoreMask::single(CoreId(1))));
-    m.advance_to(SimTime::from_millis(1));
-    assert!(m.idle_core_mask().contains(CoreId(0)));
-    assert!(!m.idle_core_mask().contains(CoreId(1)));
-    m.advance_to(SimTime::from_millis(20));
-    assert_eq!(m.drain_outputs().len(), 1);
 }
 
 #[test]
@@ -383,7 +369,7 @@ fn block_and_wake_roundtrip() {
 fn wake_on_stale_handle_is_noop() {
     let mut m = Machine::new(zero_cost_config(1));
     let job = m.create_job(TenantClass::Primary, CoreMask::all(1));
-    let tid = m.spawn_thread(SimTime::ZERO, job, Box::new(ComputeOnce::new(ms(1))), 0);
+    let tid = m.spawn_program(SimTime::ZERO, job, Program::compute_once(ms(1)), 0);
     m.advance_to(SimTime::from_millis(5));
     assert!(
         !m.wake(SimTime::from_millis(5), tid),
@@ -424,7 +410,7 @@ fn sleep_releases_core_and_resumes() {
 fn kill_running_thread_frees_core() {
     let mut m = Machine::new(zero_cost_config(1));
     let job = m.create_job(TenantClass::Secondary, CoreMask::all(1));
-    let tid = m.spawn_thread(SimTime::ZERO, job, Box::new(ComputeOnce::new(ms(100))), 0);
+    let tid = m.spawn_program(SimTime::ZERO, job, Program::compute_once(ms(100)), 0);
     assert!(m.kill_thread(SimTime::from_millis(10), tid));
     assert_eq!(m.idle_core_mask().count(), 1);
     let out = m.drain_outputs();
@@ -440,8 +426,8 @@ fn kill_running_thread_frees_core() {
 fn kill_queued_thread_never_runs() {
     let mut m = Machine::new(zero_cost_config(1));
     let job = m.create_job(TenantClass::Primary, CoreMask::all(1));
-    m.spawn_thread(SimTime::ZERO, job, Box::new(ComputeOnce::new(ms(10))), 0);
-    let queued = m.spawn_thread(SimTime::ZERO, job, Box::new(ComputeOnce::new(ms(10))), 1);
+    m.spawn_program(SimTime::ZERO, job, Program::compute_once(ms(10)), 0);
+    let queued = m.spawn_program(SimTime::ZERO, job, Program::compute_once(ms(10)), 1);
     assert!(m.kill_thread(SimTime::from_millis(1), queued));
     m.advance_to(SimTime::from_millis(30));
     let exits: Vec<(u64, bool)> = m
@@ -478,17 +464,17 @@ fn ready_order_is_fifo_across_jobs() {
     let mut m = Machine::new(zero_cost_config(1));
     let pri = m.create_job(TenantClass::Primary, CoreMask::all(1));
     let sec = m.create_job(TenantClass::Secondary, CoreMask::all(1));
-    m.spawn_thread(SimTime::ZERO, pri, Box::new(ComputeOnce::new(ms(10))), 0);
-    m.spawn_thread(
+    m.spawn_program(SimTime::ZERO, pri, Program::compute_once(ms(10)), 0);
+    m.spawn_program(
         SimTime::from_millis(1),
         sec,
-        Box::new(ComputeOnce::new(ms(1))),
+        Program::compute_once(ms(1)),
         1,
     );
-    m.spawn_thread(
+    m.spawn_program(
         SimTime::from_millis(2),
         pri,
-        Box::new(ComputeOnce::new(ms(1))),
+        Program::compute_once(ms(1)),
         2,
     );
     m.advance_to(SimTime::from_millis(11));
@@ -518,16 +504,16 @@ fn wake_boost_jumps_ahead_of_other_jobs() {
     m.advance_to(SimTime::from_millis(1));
     m.drain_outputs();
     // The bully takes the core; a secondary spawn queues at the back.
-    m.spawn_thread(
+    m.spawn_program(
         SimTime::from_millis(1),
         sec,
-        Box::new(ComputeOnce::new(ms(100))),
+        Program::compute_once(ms(100)),
         0,
     );
-    m.spawn_thread(
+    m.spawn_program(
         SimTime::from_millis(2),
         sec,
-        Box::new(ComputeOnce::new(ms(1))),
+        Program::compute_once(ms(1)),
         1,
     );
     assert!(m.wake(SimTime::from_millis(3), tid));
@@ -545,21 +531,21 @@ fn throttled_job_head_is_skipped_for_other_jobs() {
     let mut m = Machine::new(zero_cost_config(2));
     let sec = m.create_job(TenantClass::Secondary, CoreMask::all(2));
     let pri = m.create_job(TenantClass::Primary, CoreMask::all(2));
-    m.spawn_thread(SimTime::ZERO, sec, Box::new(ComputeOnce::new(ms(500))), 0);
+    m.spawn_program(SimTime::ZERO, sec, Program::compute_once(ms(500)), 0);
     m.set_job_quota(SimTime::ZERO, sec, Some(CpuRateQuota::percent(5.0)));
-    m.spawn_thread(SimTime::ZERO, pri, Box::new(ComputeOnce::new(ms(50))), 1);
+    m.spawn_program(SimTime::ZERO, pri, Program::compute_once(ms(50)), 1);
     // Both cores are busy: a secondary spawn heads the queue, a primary
     // spawn follows it.
-    m.spawn_thread(
+    m.spawn_program(
         SimTime::from_millis(1),
         sec,
-        Box::new(ComputeOnce::new(ms(1))),
+        Program::compute_once(ms(1)),
         2,
     );
-    m.spawn_thread(
+    m.spawn_program(
         SimTime::from_millis(2),
         pri,
-        Box::new(ComputeOnce::new(ms(1))),
+        Program::compute_once(ms(1)),
         3,
     );
     // The secondary throttles at t=10ms; the freed core skips its queued
@@ -575,24 +561,6 @@ fn throttled_job_head_is_skipped_for_other_jobs() {
 }
 
 #[test]
-fn thread_affinity_override_skips_to_later_entry_of_same_job() {
-    let mut m = Machine::new(zero_cost_config(2));
-    let job = m.create_job(TenantClass::Primary, CoreMask::all(2));
-    m.spawn_thread(SimTime::ZERO, job, Box::new(ComputeOnce::new(ms(10))), 0);
-    m.spawn_thread(SimTime::ZERO, job, Box::new(ComputeOnce::new(ms(20))), 1);
-    let pinned = m.spawn_thread(SimTime::ZERO, job, Box::new(ComputeOnce::new(ms(1))), 2);
-    m.spawn_thread(SimTime::ZERO, job, Box::new(ComputeOnce::new(ms(1))), 3);
-    assert!(m.set_thread_affinity(SimTime::ZERO, pinned, CoreMask::single(CoreId(1))));
-    // Core 0 frees at t=10ms: the queue head may only run on core 1, so the
-    // thread behind it runs instead.
-    m.advance_to(SimTime::from_millis(11));
-    assert_eq!(exit_tags(&mut m), vec![0, 3]);
-    // Core 1 frees at t=20ms and takes the pinned thread.
-    m.advance_to(SimTime::from_millis(21));
-    assert_eq!(exit_tags(&mut m), vec![1, 2]);
-}
-
-#[test]
 fn killed_ready_threads_never_dispatch_across_prune() {
     // One core held for 10ms while 100 one-millisecond threads of two jobs
     // queue behind it. Killing 70 of them leaves more than 64 stale queue
@@ -600,11 +568,11 @@ fn killed_ready_threads_never_dispatch_across_prune() {
     let mut m = Machine::new(zero_cost_config(1));
     let pri = m.create_job(TenantClass::Primary, CoreMask::all(1));
     let sec = m.create_job(TenantClass::Secondary, CoreMask::all(1));
-    m.spawn_thread(SimTime::ZERO, pri, Box::new(ComputeOnce::new(ms(10))), 0);
+    m.spawn_program(SimTime::ZERO, pri, Program::compute_once(ms(10)), 0);
     let queued: Vec<_> = (1..=100u64)
         .map(|tag| {
             let job = if tag % 2 == 0 { pri } else { sec };
-            let tid = m.spawn_thread(SimTime::ZERO, job, Box::new(ComputeOnce::new(ms(1))), tag);
+            let tid = m.spawn_program(SimTime::ZERO, job, Program::compute_once(ms(1)), tag);
             (tag, tid)
         })
         .collect();
@@ -656,13 +624,7 @@ fn reinstalled_quota_keeps_one_refill_per_period() {
     // each installation.
     let mut m = Machine::new(zero_cost_config(1));
     let job = m.create_job(TenantClass::Secondary, CoreMask::all(1));
-    let progress = Arc::new(AtomicU64::new(0));
-    m.spawn_thread(
-        SimTime::ZERO,
-        job,
-        Box::new(ComputeLoop::new(ms(1), progress)),
-        0,
-    );
+    m.spawn_program(SimTime::ZERO, job, Program::compute_loop(ms(1)), 0);
     let quota = Some(CpuRateQuota::percent(10.0));
     m.set_job_quota(SimTime::ZERO, job, quota);
     m.set_job_quota(SimTime::from_millis(40), job, None);
@@ -678,13 +640,7 @@ fn quota_throttles_whole_job_mid_period() {
     // One core, 10% quota over 100ms: the job may run 10ms per period.
     let mut m = Machine::new(zero_cost_config(1));
     let job = m.create_job(TenantClass::Secondary, CoreMask::all(1));
-    let progress = Arc::new(AtomicU64::new(0));
-    m.spawn_thread(
-        SimTime::ZERO,
-        job,
-        Box::new(ComputeLoop::new(ms(1), progress)),
-        0,
-    );
+    m.spawn_program(SimTime::ZERO, job, Program::compute_loop(ms(1)), 0);
     m.set_job_quota(SimTime::ZERO, job, Some(CpuRateQuota::percent(10.0)));
     m.advance_to(SimTime::from_millis(99));
     // 10ms of the first period were usable.
@@ -702,13 +658,7 @@ fn quota_budget_scales_with_parallelism() {
     let mut m = Machine::new(zero_cost_config(4));
     let job = m.create_job(TenantClass::Secondary, CoreMask::all(4));
     for i in 0..4 {
-        let progress = Arc::new(AtomicU64::new(0));
-        m.spawn_thread(
-            SimTime::ZERO,
-            job,
-            Box::new(ComputeLoop::new(ms(1), progress)),
-            i,
-        );
+        m.spawn_program(SimTime::ZERO, job, Program::compute_loop(ms(1)), i);
     }
     m.set_job_quota(SimTime::ZERO, job, Some(CpuRateQuota::percent(50.0)));
     m.advance_to(SimTime::from_millis(60));
@@ -727,13 +677,7 @@ fn quota_with_indivisible_budget_makes_progress() {
     let mut m = Machine::new(zero_cost_config(2));
     let job = m.create_job(TenantClass::Secondary, CoreMask::all(2));
     for i in 0..2 {
-        let progress = Arc::new(AtomicU64::new(0));
-        m.spawn_thread(
-            SimTime::ZERO,
-            job,
-            Box::new(ComputeLoop::new(ms(1), progress)),
-            i,
-        );
+        m.spawn_program(SimTime::ZERO, job, Program::compute_loop(ms(1)), i);
     }
     // Budget per 100ms period: 100ms * (1/3) * 2 cores = 66,666,667 ns,
     // which is odd, so two parallel threads always strand a remainder.
@@ -756,15 +700,9 @@ fn quota_leaves_other_jobs_unaffected() {
     let mut m = Machine::new(zero_cost_config(2));
     let sec = m.create_job(TenantClass::Secondary, CoreMask::all(2));
     let pri = m.create_job(TenantClass::Primary, CoreMask::all(2));
-    let progress = Arc::new(AtomicU64::new(0));
-    m.spawn_thread(
-        SimTime::ZERO,
-        sec,
-        Box::new(ComputeLoop::new(ms(1), progress)),
-        0,
-    );
+    m.spawn_program(SimTime::ZERO, sec, Program::compute_loop(ms(1)), 0);
     m.set_job_quota(SimTime::ZERO, sec, Some(CpuRateQuota::percent(5.0)));
-    m.spawn_thread(SimTime::ZERO, pri, Box::new(ComputeOnce::new(ms(80))), 1);
+    m.spawn_program(SimTime::ZERO, pri, Program::compute_once(ms(80)), 1);
     m.advance_to(SimTime::from_millis(100));
     assert!(m
         .drain_outputs()
@@ -784,14 +722,13 @@ fn accounting_partitions_capacity() {
     let pri = m.create_job(TenantClass::Primary, CoreMask::all(4));
     let sec = m.create_job(TenantClass::Secondary, CoreMask::all(4));
     for i in 0..3 {
-        m.spawn_thread(SimTime::ZERO, pri, Box::new(ComputeOnce::new(ms(7))), i);
+        m.spawn_program(SimTime::ZERO, pri, Program::compute_once(ms(7)), i);
     }
     for i in 0..5 {
-        let progress = Arc::new(AtomicU64::new(0));
-        m.spawn_thread(
+        m.spawn_program(
             SimTime::from_millis(1),
             sec,
-            Box::new(ComputeLoop::new(ms(3), progress)),
+            Program::compute_loop(ms(3)),
             100 + i,
         );
     }
@@ -812,7 +749,7 @@ fn idle_mask_matches_breakdown_under_load() {
     let mut m = Machine::new(zero_cost_config(8));
     let job = m.create_job(TenantClass::Primary, CoreMask::all(8));
     for i in 0..5 {
-        m.spawn_thread(SimTime::ZERO, job, Box::new(ComputeOnce::new(ms(10))), i);
+        m.spawn_program(SimTime::ZERO, job, Program::compute_once(ms(10)), i);
     }
     m.advance_to(SimTime::from_millis(5));
     assert_eq!(m.idle_core_mask().count(), 3);
@@ -826,8 +763,8 @@ fn idle_mask_matches_breakdown_under_load() {
 fn outputs_preserve_order() {
     let mut m = Machine::new(zero_cost_config(2));
     let job = m.create_job(TenantClass::Primary, CoreMask::all(2));
-    m.spawn_thread(SimTime::ZERO, job, Box::new(ComputeOnce::new(ms(1))), 0);
-    m.spawn_thread(SimTime::ZERO, job, Box::new(ComputeOnce::new(ms(2))), 1);
+    m.spawn_program(SimTime::ZERO, job, Program::compute_once(ms(1)), 0);
+    m.spawn_program(SimTime::ZERO, job, Program::compute_once(ms(2)), 1);
     m.advance_to(SimTime::from_millis(5));
     let tags: Vec<u64> = m
         .drain_outputs()

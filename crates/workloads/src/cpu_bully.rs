@@ -6,11 +6,10 @@
 //! maximizes CPU utilization since there are very few memory or external
 //! storage accesses."
 //!
-//! Progress is counted in completed compute chunks, which is how the paper
-//! reports "bully absolute progress" (Fig 8c) and the §6.1.4 percentages.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+//! Progress is the secondary job's CPU time
+//! ([`Machine::job_cpu_time`], `secondary_cpu` in box reports), which is how
+//! the paper reports "bully absolute progress" (Fig 8c) and the §6.1.4
+//! percentages.
 
 use simcore::{SimDuration, SimTime};
 use simcpu::{JobId, Machine, Program, ThreadId};
@@ -42,19 +41,16 @@ impl BullyIntensity {
 pub struct CpuBully {
     /// Worker-thread count.
     pub threads: u32,
-    /// Compute chunk per progress increment.
+    /// Compute segment length of each worker's loop.
     pub chunk: SimDuration,
 }
 
-/// The bully's progress-accounting chunk.
+/// The bully's compute segment length.
 ///
 /// A real bully is a tight loop that never yields; the simulated program
 /// therefore computes in segments much longer than the scheduler quantum,
 /// so a bully thread loses its core only at quantum expiries (or resched
-/// IPIs) — exactly like the integer-summing loop of §5.3. The chunk size
-/// only sets the granularity of the progress counter; prefer
-/// [`Machine::job_cpu_time`](simcpu::Machine::job_cpu_time) (exposed as
-/// `secondary_cpu` in box reports) for progress comparisons.
+/// IPIs) — exactly like the integer-summing loop of §5.3.
 pub const BULLY_PROGRESS_CHUNK: SimDuration = SimDuration::from_millis(250);
 
 impl CpuBully {
@@ -66,22 +62,19 @@ impl CpuBully {
         }
     }
 
-    /// Spawns the bully's threads into `job` on `machine`.
-    ///
-    /// The returned handle exposes the shared progress counter.
-    pub fn spawn(&self, machine: &mut Machine, job: JobId, now: SimTime) -> CpuBullyHandle {
-        let progress = Arc::new(AtomicU64::new(0));
-        let mut tids = Vec::with_capacity(self.threads as usize);
-        for i in 0..self.threads {
-            let tid = machine.spawn_program(
-                now,
-                job,
-                Program::compute_loop(self.chunk, progress.clone()),
-                CPU_BULLY_TAG_BASE + i as u64,
-            );
-            tids.push(tid);
-        }
-        CpuBullyHandle { progress, tids }
+    /// Spawns the bully's threads into `job` on `machine` and returns their
+    /// handles (for killing the bully).
+    pub fn spawn(&self, machine: &mut Machine, job: JobId, now: SimTime) -> Vec<ThreadId> {
+        (0..self.threads)
+            .map(|i| {
+                machine.spawn_program(
+                    now,
+                    job,
+                    Program::compute_loop(self.chunk),
+                    CPU_BULLY_TAG_BASE + i as u64,
+                )
+            })
+            .collect()
     }
 }
 
@@ -89,32 +82,16 @@ impl CpuBully {
 /// outputs.
 pub const CPU_BULLY_TAG_BASE: u64 = 1 << 40;
 
-/// A running CPU bully.
-#[derive(Clone, Debug)]
-pub struct CpuBullyHandle {
-    progress: Arc<AtomicU64>,
-    /// Spawned thread handles (for killing the bully).
-    pub tids: Vec<ThreadId>,
-}
-
-impl CpuBullyHandle {
-    /// Completed compute chunks ("absolute progress", Fig 8c).
-    ///
-    /// The loop program increments at each chunk *start*; the first start
-    /// per thread is subtracted so this counts completions.
-    pub fn progress_chunks(&self) -> u64 {
-        self.progress
-            .load(Ordering::Relaxed)
-            .saturating_sub(self.tids.len() as u64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use simcore::CoreMask;
     use simcpu::MachineConfig;
     use telemetry::TenantClass;
+
+    fn ms(x: u64) -> SimDuration {
+        SimDuration::from_millis(x)
+    }
 
     #[test]
     fn intensity_scales_with_cores() {
@@ -131,12 +108,13 @@ mod tests {
             threads: 4,
             chunk: SimDuration::from_millis(1),
         };
-        let h = bully.spawn(&mut m, job, SimTime::ZERO);
+        bully.spawn(&mut m, job, SimTime::ZERO);
         m.advance_to(SimTime::from_millis(100));
         assert_eq!(m.idle_core_mask().count(), 0);
-        // 4 cores * 100ms = 400 chunks of 1ms (minus in-flight).
-        let p = h.progress_chunks();
-        assert!((390..=400).contains(&p), "progress {p}");
+        // 4 cores * 100ms = 400ms of CPU (minus in-flight chunks and OS
+        // costs).
+        let cpu = m.job_cpu_time(job);
+        assert!((ms(390)..=ms(400)).contains(&cpu), "progress {cpu:?}");
         let b = m.breakdown();
         assert!(b.fraction(TenantClass::Secondary) > 0.95);
     }
@@ -145,32 +123,36 @@ mod tests {
     fn restricted_bully_makes_less_progress() {
         let mut m = Machine::new(MachineConfig::small(4));
         let job = m.create_job(TenantClass::Secondary, CoreMask::range(0, 1));
-        let h = CpuBully {
+        CpuBully {
             threads: 4,
             chunk: SimDuration::from_millis(1),
         }
         .spawn(&mut m, job, SimTime::ZERO);
         m.advance_to(SimTime::from_millis(100));
-        let p = h.progress_chunks();
-        assert!((95..=100).contains(&p), "1 core => ~100 chunks, got {p}");
+        let cpu = m.job_cpu_time(job);
+        assert!(
+            (ms(95)..=ms(100)).contains(&cpu),
+            "1 core => ~100ms of CPU, got {cpu:?}"
+        );
     }
 
     #[test]
     fn killed_bully_stops() {
         let mut m = Machine::new(MachineConfig::small(2));
         let job = m.create_job(TenantClass::Secondary, CoreMask::all(2));
-        let h = CpuBully {
+        let tids = CpuBully {
             threads: 2,
             chunk: SimDuration::from_millis(1),
         }
         .spawn(&mut m, job, SimTime::ZERO);
         m.advance_to(SimTime::from_millis(10));
-        for &tid in &h.tids {
+        for tid in tids {
             m.kill_thread(SimTime::from_millis(10), tid);
         }
-        let at_kill = h.progress_chunks();
+        let at_kill = m.job_cpu_time(job);
+        assert!(at_kill > SimDuration::ZERO);
         m.advance_to(SimTime::from_millis(50));
-        assert_eq!(h.progress_chunks(), at_kill);
+        assert_eq!(m.job_cpu_time(job), at_kill);
         assert_eq!(m.idle_core_mask().count(), 2);
     }
 }

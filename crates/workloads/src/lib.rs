@@ -27,7 +27,7 @@ pub mod ml_trainer;
 pub mod resilience;
 pub mod service_graph;
 
-pub use cpu_bully::{BullyIntensity, CpuBully, CpuBullyHandle};
+pub use cpu_bully::{BullyIntensity, CpuBully};
 pub use disk_bully::{DiskBully, DiskOp};
 pub use hdfs::{HdfsNode, HdfsTrafficKind};
 pub use ml_trainer::MlTrainer;

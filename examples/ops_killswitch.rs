@@ -8,11 +8,11 @@
 //!
 //! Run with: `cargo run --release --example ops_killswitch`
 
-use autopilot::{RestartDecision, ServiceKind, ServiceManager, ServiceRegistry};
+use autopilot::{RestartDecision, ServiceManager};
 use perfiso::recovery::ControllerState;
 use perfiso::Command;
 use scenarios::spec;
-use simcore::{SimDuration, SimTime};
+use simcore::SimTime;
 
 fn main() {
     // A machine with a high bully under blind isolation: the registry's
@@ -42,10 +42,6 @@ fn main() {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("perfiso-state.json");
 
-    let mut registry = ServiceRegistry::new();
-    registry.register("indexserve", ServiceKind::Primary, vec![100]);
-    registry.register("cpu-bully", ServiceKind::Secondary, vec![200]);
-    registry.register("perfiso", ServiceKind::Infrastructure, vec![300]);
     let mut manager = ServiceManager::new(Default::default());
 
     // Snapshot the (simulated) dynamic state to disk.
@@ -58,13 +54,13 @@ fn main() {
     println!("  snapshot written to {}", path.display());
 
     // Crash + restart decision.
-    match manager.report_crash(&mut registry, "perfiso") {
+    match manager.report_crash("perfiso") {
         RestartDecision::RestartAfterMs(backoff) => {
             println!("  perfiso crashed; Autopilot restarts after {backoff} ms");
         }
         RestartDecision::GiveUp => unreachable!("first crash never gives up"),
     }
-    manager.report_started(&mut registry, "perfiso", vec![301]);
+    manager.report_started("perfiso");
 
     // The restarted daemon resumes from disk.
     let restored = ControllerState::load(&path).expect("snapshot read");
@@ -75,11 +71,6 @@ fn main() {
         restored.secondary_mask,
         restored.secondary_mask.count()
     );
-    println!(
-        "  managed secondary PIDs from Autopilot registry: {:?}",
-        registry.secondary_pids()
-    );
-    let _ = SimDuration::from_millis(1);
     std::fs::remove_dir_all(&dir).ok();
     println!("\nDone: both operational paths work end to end.");
 }

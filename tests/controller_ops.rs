@@ -2,7 +2,7 @@
 //! recovery through the Autopilot substrate, runtime commands, and the
 //! memory watchdog — all exercised on a live simulated machine.
 
-use autopilot::{RestartDecision, ServiceKind, ServiceManager, ServiceRegistry};
+use autopilot::{RestartDecision, ServiceManager};
 use indexserve::{BoxConfig, BoxSim, SecondaryKind};
 use perfiso::recovery::ControllerState;
 use perfiso::{Command, CpuPolicy, PerfIsoConfig};
@@ -78,14 +78,12 @@ fn crash_recovery_resumes_from_snapshot() {
     before.save(&path).expect("snapshot saved");
 
     // Autopilot notices the crash and restarts the service.
-    let mut registry = ServiceRegistry::new();
-    registry.register("perfiso", ServiceKind::Infrastructure, vec![300]);
     let mut manager = ServiceManager::new(Default::default());
     assert!(matches!(
-        manager.report_crash(&mut registry, "perfiso"),
+        manager.report_crash("perfiso"),
         RestartDecision::RestartAfterMs(_)
     ));
-    manager.report_started(&mut registry, "perfiso", vec![301]);
+    manager.report_started("perfiso");
 
     // The replacement controller loads the snapshot instead of collapsing
     // the secondary mask to empty.

@@ -182,14 +182,17 @@ fn workload_strategy() -> impl Strategy<Value = WorkloadSpec> {
     ]
 }
 
-/// Knob values deliberately straddle the valid range (`Just(0)` /
-/// watermark 1.5 are invalid) so both branches of validation are hit.
+/// Knob values deliberately straddle the valid range (`Just(0)`, an
+/// interval past the clock, watermark 1.5 are invalid) so both branches of
+/// validation are hit.
 fn controller_strategy() -> impl Strategy<Value = ControllerSpec> {
-    // Three valid arms to one invalid keeps the generator mostly in
-    // range, so the round-trip branch gets real coverage too.
+    // Four valid arms to two invalid keeps the generator mostly in range,
+    // so the round-trip branch gets real coverage too.
     let us = || {
         proptest::option::of(prop_oneof![
             Just(0u64),
+            Just(u64::MAX),
+            100u64..100_000,
             100u64..100_000,
             100u64..100_000,
             100u64..100_000,
@@ -366,10 +369,15 @@ fn spec_strategy() -> impl Strategy<Value = ScenarioSpec> {
                 // Only validated and rescaled here, never run, so the
                 // 6.5 s bench window costs nothing.
                 Just(ScaleSpec::Bench),
-                (0u64..300, 0u64..500).prop_map(|(warmup_ms, measure_ms)| ScaleSpec::Custom {
-                    warmup_ms,
-                    measure_ms,
-                }),
+                // A window past the simulated clock must be rejected.
+                (
+                    prop_oneof![0u64..300, 0u64..300, Just(u64::MAX)],
+                    prop_oneof![0u64..500, 0u64..500, Just(u64::MAX)],
+                )
+                    .prop_map(|(warmup_ms, measure_ms)| ScaleSpec::Custom {
+                        warmup_ms,
+                        measure_ms,
+                    }),
             ],
             any::<u64>(),
             0u32..4,
@@ -409,12 +417,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// `validate()` must classify every generated spec — valid or broken
-    /// — with `Ok`/`Err`, never a panic; and everything it accepts must
-    /// survive a JSON round trip unchanged.
+    /// — with `Ok`/`Err`, never a panic; everything it accepts must
+    /// resolve its window and controller without overflowing the clock
+    /// and survive a JSON round trip unchanged.
     #[test]
     fn prop_validate_never_panics_and_valid_specs_round_trip(spec in spec_strategy()) {
         match spec.validate() {
             Ok(()) => {
+                let scale = spec.run_scale();
+                prop_assert!(scale.warmup + scale.measure > scale.warmup);
+                let _ = spec.effective_perfiso();
                 let text = spec.to_json();
                 let back = ScenarioSpec::from_json(&text)
                     .expect("a valid spec's JSON must load back");
