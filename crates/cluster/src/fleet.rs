@@ -16,22 +16,32 @@
 //! Every `(minute, machine)` slice is an independent DES run with its own
 //! seed (`splitmix64(cfg.seed) ^ (m << 8) ^ s`), so the sweep fans slices
 //! out across [`FleetConfig::threads`] worker threads through [`fan_out`],
-//! which the scenario runner's seed sweep shares. Results come back in
-//! slice order and are reduced serially in that order, making the
-//! parallel report **bit-identical** to `threads: 1`: the per-slice
-//! computations never observe each other, and the floating-point
-//! reduction happens in one fixed order regardless of which worker
-//! finished first.
+//! which the scenario runner's seed sweep shares. The per-slice
+//! computations never observe each other, and the report is
+//! **bit-identical** to `threads: 1` by two routes:
+//!
+//! - The four scalars a slice reports (utilization, p99, trainer
+//!   progress, event count) come back in slice order and are reduced
+//!   serially in that order, so the floating-point sums add in one fixed
+//!   order whichever worker finished first.
+//! - The latency sketch and the resilience counters fold into one shared
+//!   accumulator as each slice finishes, in completion order. Both folds
+//!   are integer counter addition (plus min and max for the sketch), so
+//!   the accumulator ends the same in any order.
+//!
+//! # Memory
 //!
 //! Shared, immutable inputs — the service config, the PerfIso config, and
 //! one trace generator with its Zipf table — are built once per run, so a
 //! slice allocates no config or Zipf-table state of its own. Each slice
 //! stamps its minute's trace from the shared generator when it starts and
-//! drops it when it ends, so trace memory follows the slices in flight,
-//! not the length of the simulated day.
+//! drops it when it ends, and its sketch is folded and dropped as it
+//! finishes, so trace and sketch memory follow the slices in flight, not
+//! the length of the simulated day. What grows with the day is the
+//! 32-byte scalar result per slice and the report's per-minute series.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use indexserve::{BoxConfig, BoxEvent, BoxSim, SecondaryKind, ServiceConfig};
 use perfiso::PerfIsoConfig;
@@ -136,8 +146,8 @@ pub struct FleetReport {
     /// switches, IPIs, spawns, exits) — the throughput denominator the
     /// fleet bench reports as events/second.
     pub sim_events: u64,
-    /// Fleet-wide latency distribution, tree-merged across every slice's
-    /// sketch, with its relative-error bound. Present only when the run
+    /// Fleet-wide latency distribution, every slice's sketch folded into
+    /// one, with its relative-error bound. Present only when the run
     /// used [`TelemetryMode::Sketch`]; exact runs omit the key so
     /// pre-sketch fleet reports are byte-identical.
     #[serde(default, skip_serializing_if = "Option::is_none")]
@@ -182,18 +192,35 @@ impl FleetReport {
     }
 }
 
-/// One slice's measurements, in reduction order.
+/// One slice's scalar measurements: what the ordered floating-point
+/// reduction reads, kept for every slice until the sweep ends.
 struct SliceResult {
     utilization: f64,
     p99: SimDuration,
     minibatches_per_min: f64,
     events: u64,
-    /// The slice's latency sketch, when the run uses sketch telemetry.
-    /// Merged tree-wise in the reduction; counter addition commutes, so
-    /// the merged sketch is independent of worker scheduling.
+}
+
+/// The tallies a slice adds to the fleet by integer addition: its latency
+/// sketch (when the run uses sketch telemetry) and its resilience
+/// counters. One accumulator of this type collects every slice's as the
+/// slice finishes.
+#[derive(Default)]
+struct SliceTallies {
     sketch: Option<Sketch>,
-    /// The slice's resilience counters, when any mechanism fired.
-    resilience: Option<ResilienceStats>,
+    resilience: ResilienceStats,
+}
+
+impl SliceTallies {
+    /// Folds one slice's tallies in. [`Sketch::merge`] adds counters over
+    /// the union of windows and reconciles min and max, so the folded
+    /// sketch is the same whatever order the slices arrive in.
+    fn fold(&mut self, slice: SliceTallies) {
+        if let Some(sketch) = &slice.sketch {
+            self.sketch.get_or_insert_with(Sketch::new).merge(sketch);
+        }
+        self.resilience.merge(&slice.resilience);
+    }
 }
 
 /// Immutable inputs shared by every slice (and every worker thread).
@@ -216,6 +243,25 @@ struct FleetShared {
     /// "independent" samples. Avalanching the base first makes nearby
     /// seeds differ across all 64 bits.
     mixed_seed: u64,
+}
+
+impl FleetShared {
+    fn new(cfg: &FleetConfig) -> Self {
+        FleetShared {
+            service: Arc::new(ServiceConfig::default()),
+            perfiso: Arc::new(cfg.perfiso.clone()),
+            generator: TraceGenerator::new(TraceConfig {
+                queries: 16,
+                ..Default::default()
+            }),
+            machines: if cfg.shapes.is_empty() {
+                vec![MachineConfig::paper_server()]
+            } else {
+                cfg.shapes.clone()
+            },
+            mixed_seed: splitmix64(cfg.seed),
+        }
+    }
 }
 
 /// Resolves a thread-count knob: `0` means all available cores.
@@ -282,36 +328,27 @@ const WARMUP: SimDuration = SimDuration::from_millis(250);
 /// Runs the fleet experiment.
 pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
     let stride = cfg.minute_stride.max(1);
-    let mixed_seed = splitmix64(cfg.seed);
-    let shared = FleetShared {
-        service: Arc::new(ServiceConfig::default()),
-        perfiso: Arc::new(cfg.perfiso.clone()),
-        generator: TraceGenerator::new(TraceConfig {
-            queries: 16,
-            ..Default::default()
-        }),
-        machines: if cfg.shapes.is_empty() {
-            vec![MachineConfig::paper_server()]
-        } else {
-            cfg.shapes.clone()
-        },
-        mixed_seed,
-    };
+    let shared = FleetShared::new(cfg);
 
     let n_slices = (cfg.minutes * cfg.sampled_machines) as usize;
+    let tallies = Mutex::new(SliceTallies::default());
     let run_slice = |idx: usize| -> SliceResult {
         let m = (idx as u32) / cfg.sampled_machines;
         let s = (idx as u32) % cfg.sampled_machines;
-        run_fleet_slice(cfg, &shared, m, s)
+        let (result, slice) = run_fleet_slice(cfg, &shared, m, s);
+        tallies
+            .lock()
+            .expect("no slice panics while folding")
+            .fold(slice);
+        result
     };
 
     let workers = effective_threads(cfg.threads).min(n_slices.max(1));
     let results = fan_out(n_slices, workers, run_slice);
+    let tallies = tallies.into_inner().expect("every worker has joined");
 
     // Serial reduction in slice-index order: identical arithmetic to the
     // fully serial sweep, so parallel output is bit-for-bit the same.
-    // (Sketch merging is integer counter addition, also order-safe, but
-    // the fixed order keeps the guarantee trivially uniform.)
     let minute = SimDuration::from_secs(60 * stride as u64);
     let mut report = FleetReport {
         qps: TimeSeries::new(minute),
@@ -326,8 +363,6 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
         resilience: None,
     };
     let mut util_acc = 0.0;
-    let mut sketches: Vec<Sketch> = Vec::new();
-    let mut resilience = ResilienceStats::default();
     let mut results = results.into_iter();
     for m in 0..cfg.minutes {
         let qps = cfg.curve.qps_at_minute(m * stride);
@@ -336,17 +371,11 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
         let mut minute_p99 = SimDuration::ZERO;
         let mut minute_prog = 0.0;
         for _ in 0..cfg.sampled_machines {
-            let mut r = results.next().expect("slice result present");
+            let r = results.next().expect("slice result present");
             minute_util += r.utilization / cfg.sampled_machines as f64;
             minute_p99 = minute_p99.max(r.p99);
             minute_prog += r.minibatches_per_min / cfg.sampled_machines as f64;
             report.sim_events += r.events;
-            if let Some(sk) = r.sketch.take() {
-                sketches.push(sk);
-            }
-            if let Some(rs) = r.resilience {
-                resilience.merge(&rs);
-            }
         }
         report.qps.record(stamp, qps);
         report.p99_ms.record(stamp, minute_p99.as_millis_f64());
@@ -356,8 +385,8 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
         report.max_p99 = report.max_p99.max(minute_p99);
     }
     report.mean_utilization = util_acc / cfg.minutes as f64;
-    report.latency_sketch = Sketch::merge_tree(sketches).map(|s| s.summary());
-    report.resilience = (!resilience.is_empty()).then_some(resilience);
+    report.latency_sketch = tallies.sketch.map(|s| s.summary());
+    report.resilience = (!tallies.resilience.is_empty()).then_some(tallies.resilience);
     report
 }
 
@@ -381,8 +410,14 @@ fn churned_trainer(cfg: &FleetConfig, shared: &FleetShared, m: u32, s: u32) -> O
     })
 }
 
-/// Runs one sampled machine-minute.
-fn run_fleet_slice(cfg: &FleetConfig, shared: &FleetShared, m: u32, s: u32) -> SliceResult {
+/// Runs one sampled machine-minute: its scalar measurements and the
+/// tallies it adds to the fleet.
+fn run_fleet_slice(
+    cfg: &FleetConfig,
+    shared: &FleetShared,
+    m: u32,
+    s: u32,
+) -> (SliceResult, SliceTallies) {
     let seed = shared.mixed_seed ^ ((m as u64) << 8) ^ s as u64;
     let qps = cfg.curve.qps_at_minute(m * cfg.minute_stride.max(1));
     let box_cfg = BoxConfig {
@@ -479,14 +514,17 @@ fn run_fleet_slice(cfg: &FleetConfig, shared: &FleetShared, m: u32, s: u32) -> S
             }
         }
     }
-    SliceResult {
+    let result = SliceResult {
         utilization: window.utilization(),
         p99: recorder.percentile(0.99),
         minibatches_per_min: progress as f64 / cfg.slice.as_secs_f64() * 60.0,
         events: stats.dispatches + stats.ctx_switches + stats.ipis + stats.spawns + stats.exits,
+    };
+    let tallies = SliceTallies {
         sketch: recorder.take_sketch(),
-        resilience: sim.resilience_report(),
-    }
+        resilience: sim.resilience_report().unwrap_or_default(),
+    };
+    (result, tallies)
 }
 
 #[cfg(test)]
@@ -568,6 +606,59 @@ mod tests {
             })
             .count();
         assert!(evicted > 0, "seed 99 should evict at least one trainer");
+    }
+
+    /// The accumulator that slices fold into as they finish ends where a
+    /// tree merge of every slice's own sketch ends, and its resilience
+    /// counters equal their ordered sum, on one worker and on three.
+    #[test]
+    fn folded_tallies_equal_the_merge_tree_of_every_slice() {
+        let cfg = FleetConfig {
+            minutes: 4,
+            sampled_machines: 3,
+            slice: SimDuration::from_millis(150),
+            minute_stride: 15,
+            shapes: crate::topology::BoxShape::roster(
+                &crate::topology::BoxShape::production_shapes(),
+            ),
+            churn: true,
+            telemetry: TelemetryMode::Sketch,
+            curve: DiurnalCurve::production_day(),
+            // A tight admission cap, so every slice's counters are live.
+            resilience: Some(Arc::new(ResiliencePolicy {
+                admission: Some(workloads::AdmissionPolicy {
+                    max_in_flight: 4,
+                    queue_depth: 2,
+                }),
+                ..Default::default()
+            })),
+            ..Default::default()
+        };
+        let shared = FleetShared::new(&cfg);
+        let mut sketches = Vec::new();
+        let mut resilience = ResilienceStats::default();
+        for m in 0..cfg.minutes {
+            for s in 0..cfg.sampled_machines {
+                let (_, slice) = run_fleet_slice(&cfg, &shared, m, s);
+                sketches.push(slice.sketch.expect("sketch telemetry on"));
+                resilience.merge(&slice.resilience);
+            }
+        }
+        let merged = Sketch::merge_tree(sketches).expect("12 slices").summary();
+        assert!(merged.count > 0 && merged.dropped > 0, "{merged:?}");
+        assert!(resilience.sheds > 0, "{resilience:?}");
+        for threads in [1, 3] {
+            let report = run_fleet(&FleetConfig {
+                threads,
+                ..cfg.clone()
+            });
+            let folded = report.latency_sketch.expect("sketch telemetry on");
+            assert!(
+                folded.bits_eq(&merged),
+                "threads {threads}: {folded:?} against {merged:?}"
+            );
+            assert_eq!(report.resilience, Some(resilience), "threads {threads}");
+        }
     }
 
     #[test]

@@ -538,9 +538,8 @@ mod tests {
 
     use crate::tags::parse_stage_tag;
 
-    fn spec(id: u64) -> QuerySpec {
+    fn spec() -> QuerySpec {
         QuerySpec {
-            id,
             fanout: 10,
             rounds: 4,
             burst_ns: 90_000,
@@ -588,7 +587,7 @@ mod tests {
         let mut m = Machine::new(MachineConfig::small(16));
         let job = m.create_job(TenantClass::Primary, CoreMask::all(16));
         let mut s = IndexServe::new(Arc::new(ServiceConfig::default()), job, 1);
-        s.on_arrival(SimTime::ZERO, spec(0), &mut m);
+        s.on_arrival(SimTime::ZERO, spec(), &mut m);
         settle(&mut m, &mut s, SimTime::from_millis(100));
         let outcomes = s.drain_outcomes();
         assert_eq!(outcomes.len(), 1);
@@ -604,7 +603,7 @@ mod tests {
         let mut m = Machine::new(MachineConfig::small(16));
         let job = m.create_job(TenantClass::Primary, CoreMask::all(16));
         let mut s = IndexServe::new(Arc::new(ServiceConfig::default()), job, 2);
-        s.on_arrival(SimTime::ZERO, spec(0), &mut m);
+        s.on_arrival(SimTime::ZERO, spec(), &mut m);
         // Run just past the parse stage.
         let t = m.next_timer_at().unwrap();
         m.advance_to(t);
@@ -628,8 +627,8 @@ mod tests {
             ..Default::default()
         };
         let mut s = IndexServe::new(Arc::new(cfg), job, 3);
-        for i in 0..5 {
-            s.on_arrival(SimTime::ZERO, spec(i), &mut m);
+        for _ in 0..5 {
+            s.on_arrival(SimTime::ZERO, spec(), &mut m);
         }
         assert_eq!(s.in_flight(), 2);
         assert_eq!(s.admission_queue_len(), 3);
@@ -652,8 +651,8 @@ mod tests {
         let mut s = IndexServe::new(Arc::new(cfg), job, 4);
         // Pile up arrivals past the admission cap without driving the
         // machine: the backlog builds until the multiplier saturates.
-        for i in 0..12 {
-            s.on_arrival(SimTime::ZERO, spec(i), &mut m);
+        for _ in 0..12 {
+            s.on_arrival(SimTime::ZERO, spec(), &mut m);
         }
         assert_eq!(s.admission_queue_len(), 10);
         assert!(s.compensation() > 1.2, "compensation {}", s.compensation());
@@ -668,7 +667,7 @@ mod tests {
         let mut m = Machine::new(MachineConfig::small(2));
         let job = m.create_job(TenantClass::Primary, CoreMask::all(2));
         let mut s = IndexServe::new(Arc::new(ServiceConfig::default()), job, 5);
-        let q = s.on_arrival(SimTime::ZERO, spec(0), &mut m);
+        let q = s.on_arrival(SimTime::ZERO, spec(), &mut m);
         // Fire the deadline while the query is still mid-flight.
         m.advance_to(SimTime::from_micros(200));
         let out = s.on_timeout(SimTime::from_micros(200), q, &mut m).unwrap();
@@ -680,15 +679,15 @@ mod tests {
         assert_eq!(dropped.len(), 1);
     }
 
-    /// A query with 8–15 workers; every tenth is heavy.
-    fn varied_spec(id: u64) -> QuerySpec {
+    /// The `i`-th query of a stream with 8–15 workers; every tenth is
+    /// heavy.
+    fn varied_spec(i: u64) -> QuerySpec {
         QuerySpec {
-            id,
-            fanout: 8 + (id % 8) as u8,
+            fanout: 8 + (i % 8) as u8,
             rounds: 4,
             burst_ns: 90_000,
-            doc_rank: 1 + (id % 997) as u32,
-            heavy: id.is_multiple_of(10),
+            doc_rank: 1 + (i % 997) as u32,
+            heavy: i.is_multiple_of(10),
         }
     }
 
@@ -796,7 +795,7 @@ mod tests {
         let mut m = Machine::new(MachineConfig::small(16));
         let job = m.create_job(TenantClass::Primary, CoreMask::all(16));
         let mut s = IndexServe::new(Arc::new(ServiceConfig::default()), job, 6);
-        let q = s.on_arrival(SimTime::ZERO, spec(0), &mut m);
+        let q = s.on_arrival(SimTime::ZERO, spec(), &mut m);
         settle(&mut m, &mut s, SimTime::from_millis(100));
         assert_eq!(s.drain_outcomes().len(), 1);
         assert!(s.on_timeout(SimTime::from_millis(500), q, &mut m).is_none());

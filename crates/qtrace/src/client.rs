@@ -114,12 +114,20 @@ mod tests {
 
     #[test]
     fn preserves_trace_order() {
-        let mut c = OpenLoopClient::new(trace(100), 1_000.0, 4);
-        let mut ids = Vec::new();
+        let expected = trace(100);
+        let mut c = OpenLoopClient::new(expected.clone(), 1_000.0, 4);
+        let mut replayed = Vec::new();
         while let Some((_, q)) = c.pop() {
-            ids.push(q.id);
+            replayed.push(q);
         }
-        assert_eq!(ids, (0..100u64).collect::<Vec<_>>());
+        assert_eq!(replayed.len(), expected.len());
+        for (i, (q, e)) in replayed.iter().zip(&expected).enumerate() {
+            assert!(
+                (q.fanout, q.rounds, q.burst_ns, q.doc_rank, q.heavy)
+                    == (e.fanout, e.rounds, e.burst_ns, e.doc_rank, e.heavy),
+                "query {i}: {q:?} against {e:?}"
+            );
+        }
     }
 
     #[test]

@@ -6,10 +6,11 @@ use simcore::SimRng;
 
 /// The work profile of one query, fixed at trace-generation time so every
 /// replay (and every isolation policy) sees identical offered work.
+///
+/// A query's place in the trace is its index; the spec carries no id of
+/// its own, so it packs into 12 bytes.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct QuerySpec {
-    /// Trace-unique query id.
-    pub id: u64,
     /// Number of parallel worker threads the query wakes (8–15; the paper
     /// measured up to 15 threads ready within 5 µs).
     pub fanout: u8,
@@ -72,8 +73,8 @@ impl Default for TraceConfig {
 /// many traces cheaply — the fleet experiment shares one generator across
 /// hundreds of machine-minute slices instead of rebuilding the table per
 /// slice. The table is compact: at the default 200,000 documents it holds
-/// the CDF of the 16,384 hottest ranks plus a checkpoint per 16 ranks
-/// past them, 315 kB in all (see [`ZipfTable`]).
+/// the CDF of the 16,384 hottest ranks plus one running sum per 16 ranks
+/// past them, 223 kB in all (see [`ZipfTable`]).
 ///
 /// # Examples
 ///
@@ -133,8 +134,8 @@ impl TraceGenerator {
         let mut rng = SimRng::seed_from_u64(seed);
         let burst = &self.burst;
         let zipf = &self.zipf;
-        (0..queries as u64)
-            .map(|id| {
+        (0..queries)
+            .map(|_| {
                 let heavy = rng.bernoulli(self.cfg.heavy_fraction);
                 let rounds = if heavy {
                     self.cfg.rounds.saturating_mul(3)
@@ -142,7 +143,6 @@ impl TraceGenerator {
                     self.cfg.rounds
                 };
                 QuerySpec {
-                    id,
                     fanout: rng
                         .range_inclusive(self.cfg.fanout_min as u64, self.cfg.fanout_max as u64)
                         as u8,
@@ -222,6 +222,11 @@ mod tests {
             hot > 0.5,
             "Zipf 0.9: top 10% of docs should get >50% of hits, got {hot}"
         );
+    }
+
+    #[test]
+    fn query_spec_packs_into_twelve_bytes() {
+        assert_eq!(std::mem::size_of::<QuerySpec>(), 12);
     }
 
     #[test]

@@ -32,6 +32,14 @@ use crate::Policy;
 /// (e.g. a microseconds value in a milliseconds axis).
 pub const MAX_SWEEP_CELLS: usize = 1_024;
 
+/// The longest controller poll interval, in microseconds, whose
+/// nanoseconds fit the simulated clock.
+pub(super) const MAX_POLL_INTERVAL_US: u64 = u64::MAX / 1_000;
+
+/// The largest size in MiB (a memory cap, or a bandwidth cap in MB/s)
+/// whose byte count fits a `u64`.
+pub(super) const MAX_MIB: u64 = u64::MAX >> 20;
+
 /// A static I/O limit override for one named secondary tenant.
 ///
 /// Setting neither cap *removes* the base configuration's limit for this
@@ -92,6 +100,41 @@ impl ControllerSpec {
     /// configuration untouched).
     pub fn is_default(&self) -> bool {
         *self == ControllerSpec::default()
+    }
+
+    /// Rejects an override whose unit conversion in
+    /// [`ControllerSpec::apply`] would overflow: a poll interval whose
+    /// nanoseconds run past the simulated clock, or a memory or bandwidth
+    /// cap whose bytes do not fit a `u64`.
+    pub(super) fn check_ranges(&self) -> Result<(), String> {
+        for (knob, us) in [
+            ("cpu_poll_interval_us", self.cpu_poll_interval_us),
+            ("io_poll_interval_us", self.io_poll_interval_us),
+            ("memory_poll_interval_us", self.memory_poll_interval_us),
+        ] {
+            if let Some(us) = us.filter(|&us| us > MAX_POLL_INTERVAL_US) {
+                return Err(format!(
+                    "{knob} {us} runs past the simulated clock's range \
+                     (at most {MAX_POLL_INTERVAL_US} us)"
+                ));
+            }
+        }
+        if let Some(mb) = self.secondary_memory_limit_mb.filter(|&mb| mb > MAX_MIB) {
+            return Err(format!(
+                "secondary_memory_limit_mb {mb} has more bytes than a u64 holds \
+                 (at most {MAX_MIB} MiB)"
+            ));
+        }
+        for t in &self.tenant_limits {
+            if let Some(mbps) = t.mbps.filter(|&mbps| mbps > MAX_MIB) {
+                return Err(format!(
+                    "{:?} limit of {mbps} MB/s has more bytes than a u64 holds \
+                     (at most {MAX_MIB} MB/s)",
+                    t.service
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// The base configuration with every override applied.

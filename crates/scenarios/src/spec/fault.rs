@@ -17,7 +17,7 @@ use perfiso::PerfIsoConfig;
 use serde::{Deserialize, Serialize};
 use simcore::{SimDuration, SimTime};
 
-use super::ControllerSpec;
+use super::{ControllerSpec, MAX_RUN_MS};
 
 /// One declarative fault on the scenario timeline.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -234,7 +234,9 @@ impl FaultSpec {
         self.events.is_empty()
     }
 
-    /// Structural checks that do not need the surrounding scenario.
+    /// Structural checks that do not need the surrounding scenario,
+    /// including that every millisecond the timeline declares, and every
+    /// restart backoff it can reach, fits the simulated clock.
     ///
     /// # Errors
     ///
@@ -243,17 +245,49 @@ impl FaultSpec {
         if self.is_empty() {
             return Ok(());
         }
-        if self.restart.base_backoff_ms == 0 {
+        let RestartSpec {
+            base_backoff_ms,
+            multiplier,
+            max_failures,
+        } = self.restart;
+        if base_backoff_ms == 0 {
             return Err("restart base backoff must be at least 1 ms".into());
         }
-        if self.restart.multiplier == 0 {
+        if multiplier == 0 {
             return Err("restart multiplier must be at least 1".into());
         }
-        if self.restart.max_failures == 0 {
+        if max_failures == 0 {
             return Err("restart policy needs at least one allowed failure".into());
         }
+        // The backoff before the last restart Autopilot grants.
+        let longest_backoff = u64::from(multiplier)
+            .checked_pow(max_failures - 1)
+            .and_then(|m| m.checked_mul(base_backoff_ms));
+        if longest_backoff.is_none_or(|ms| ms > MAX_RUN_MS) {
+            return Err(format!(
+                "restart backoff {base_backoff_ms} ms × {multiplier}^{} runs past the \
+                 simulated clock's range (at most {MAX_RUN_MS} ms)",
+                max_failures - 1
+            ));
+        }
         for ev in &self.events {
+            let within_clock = |field: &str, ms: u64| {
+                if ms > MAX_RUN_MS {
+                    return Err(format!(
+                        "{} {field} {ms} runs past the simulated clock's range \
+                         (at most {MAX_RUN_MS} ms)",
+                        ev.tag()
+                    ));
+                }
+                Ok(())
+            };
+            within_clock("at_ms", ev.at_ms())?;
             match ev {
+                FaultEvent::ControllerCrash { .. } => {}
+                FaultEvent::SecondaryRestart { downtime_ms, .. }
+                | FaultEvent::BoxRestart { downtime_ms, .. } => {
+                    within_clock("downtime_ms", *downtime_ms)?;
+                }
                 FaultEvent::ConfigRollout {
                     key,
                     staged_pct,
@@ -271,9 +305,15 @@ impl FaultSpec {
                     if rollback_p99_ms == &Some(0) {
                         return Err("rollback threshold must be positive".into());
                     }
+                    if let Some(ms) = rollback_p99_ms {
+                        within_clock("rollback_p99_ms", *ms)?;
+                    }
                 }
                 FaultEvent::ChurnStorm {
-                    cycles, period_ms, ..
+                    at_ms,
+                    cycles,
+                    period_ms,
+                    downtime_ms,
                 } => {
                     if *cycles == 0 {
                         return Err("churn storm needs at least one cycle".into());
@@ -283,6 +323,17 @@ impl FaultSpec {
                     }
                     if *period_ms == 0 {
                         return Err("churn storm period must be at least 1 ms".into());
+                    }
+                    within_clock("downtime_ms", *downtime_ms)?;
+                    let last_start = u64::from(cycles - 1)
+                        .checked_mul(*period_ms)
+                        .and_then(|ms| ms.checked_add(*at_ms));
+                    if last_start.is_none_or(|ms| ms > MAX_RUN_MS) {
+                        return Err(format!(
+                            "churn-storm's last cycle starts at {at_ms} + {} × {period_ms} ms, \
+                             past the simulated clock's range (at most {MAX_RUN_MS} ms)",
+                            cycles - 1
+                        ));
                     }
                 }
                 FaultEvent::ConnectionFlood {
@@ -296,6 +347,7 @@ impl FaultSpec {
                     if *extra_qps == 0 {
                         return Err("connection flood needs at least 1 extra qps".into());
                     }
+                    within_clock("duration_ms", *duration_ms)?;
                 }
                 FaultEvent::QuotaExhaustion {
                     duration_ms,
@@ -306,6 +358,7 @@ impl FaultSpec {
                     if *duration_ms == 0 {
                         return Err("quota exhaustion duration must be at least 1 ms".into());
                     }
+                    within_clock("duration_ms", *duration_ms)?;
                     if !indexserve::IO_TENANT_SERVICES.contains(&tenant.as_str()) {
                         return Err(format!(
                             "quota exhaustion tenant must be one of {:?}, got {tenant:?}",
@@ -318,9 +371,6 @@ impl FaultSpec {
                         ));
                     }
                 }
-                FaultEvent::ControllerCrash { .. }
-                | FaultEvent::SecondaryRestart { .. }
-                | FaultEvent::BoxRestart { .. } => {}
             }
         }
         Ok(())
@@ -465,6 +515,136 @@ mod tests {
         assert!(rollout(50, "", None).check_shape().is_err());
         assert!(rollout(50, "k", Some(0)).check_shape().is_err());
         assert!(rollout(50, "k", Some(5)).check_shape().is_ok());
+    }
+
+    #[test]
+    fn milliseconds_past_the_clock_are_rejected() {
+        let one = |event| FaultSpec {
+            events: vec![event],
+            restart: RestartSpec::default(),
+        };
+        let events: [fn(u64) -> FaultEvent; 12] = [
+            |ms| FaultEvent::ControllerCrash {
+                at_ms: ms,
+                downtime_polls: 1,
+            },
+            |ms| FaultEvent::SecondaryRestart {
+                at_ms: ms,
+                downtime_ms: 1,
+            },
+            |ms| FaultEvent::SecondaryRestart {
+                at_ms: 1,
+                downtime_ms: ms,
+            },
+            |ms| FaultEvent::BoxRestart {
+                at_ms: 1,
+                downtime_ms: ms,
+            },
+            |ms| FaultEvent::ConfigRollout {
+                at_ms: ms,
+                key: "k".into(),
+                doc: ControllerSpec::default(),
+                staged_pct: 100,
+                rollback_p99_ms: None,
+            },
+            |ms| FaultEvent::ConfigRollout {
+                at_ms: 1,
+                key: "k".into(),
+                doc: ControllerSpec::default(),
+                staged_pct: 100,
+                rollback_p99_ms: Some(ms),
+            },
+            |ms| FaultEvent::ChurnStorm {
+                at_ms: 1,
+                cycles: 2,
+                period_ms: 1,
+                downtime_ms: ms,
+            },
+            // The storm's last cycle starts at `ms`.
+            |ms| FaultEvent::ChurnStorm {
+                at_ms: ms - 63 * 1_000,
+                cycles: 64,
+                period_ms: 1_000,
+                downtime_ms: 1,
+            },
+            |ms| FaultEvent::ConnectionFlood {
+                at_ms: 1,
+                duration_ms: ms,
+                extra_qps: 1,
+            },
+            |ms| FaultEvent::ConnectionFlood {
+                at_ms: ms,
+                duration_ms: 1,
+                extra_qps: 1,
+            },
+            |ms| FaultEvent::QuotaExhaustion {
+                at_ms: 1,
+                duration_ms: ms,
+                tenant: "disk-bully".into(),
+                multiplier: 2.0,
+            },
+            |ms| FaultEvent::QuotaExhaustion {
+                at_ms: ms,
+                duration_ms: 1,
+                tenant: "disk-bully".into(),
+                multiplier: 2.0,
+            },
+        ];
+        for event in events {
+            let latest = one(event(MAX_RUN_MS));
+            assert!(latest.check_shape().is_ok(), "{latest:?}");
+            assert!(latest.to_plan(Some(&PerfIsoConfig::default())).is_some());
+            for ms in [MAX_RUN_MS + 1, u64::MAX] {
+                let past = one(event(ms));
+                let err = past.check_shape().expect_err("past the clock");
+                assert!(err.contains("simulated clock"), "{err}");
+            }
+        }
+        // A storm whose cycle starts overflow `u64` itself; a single
+        // cycle never waits a period.
+        let storm = |cycles, period_ms| {
+            one(FaultEvent::ChurnStorm {
+                at_ms: 0,
+                cycles,
+                period_ms,
+                downtime_ms: 1,
+            })
+        };
+        assert!(storm(2, u64::MAX).check_shape().is_err());
+        assert!(storm(1, u64::MAX).check_shape().is_ok());
+    }
+
+    #[test]
+    fn restart_backoffs_past_the_clock_are_rejected() {
+        let policy = |base_backoff_ms, multiplier, max_failures| FaultSpec {
+            events: vec![FaultEvent::ControllerCrash {
+                at_ms: 100,
+                downtime_polls: 1,
+            }],
+            restart: RestartSpec {
+                base_backoff_ms,
+                multiplier,
+                max_failures,
+            },
+        };
+        // The last restart waits `base × multiplier^(max_failures − 1)`.
+        assert!(policy(MAX_RUN_MS, 2, 1).check_shape().is_ok());
+        assert!(policy(MAX_RUN_MS / 16, 2, 5).check_shape().is_ok());
+        assert!(policy(MAX_RUN_MS, 1, u32::MAX).check_shape().is_ok());
+        for (base, multiplier, max_failures) in [
+            (MAX_RUN_MS + 1, 1, 1),
+            (u64::MAX, 1, 1),
+            (MAX_RUN_MS, 2, 2),
+            (MAX_RUN_MS / 16 + 1, 2, 5),
+            // 2^64 overflows the power itself.
+            (1, 2, 65),
+            (1, u32::MAX, u32::MAX),
+        ] {
+            let err = policy(base, multiplier, max_failures)
+                .check_shape()
+                .expect_err("backoff past the clock");
+            assert!(err.contains("restart backoff"), "{err}");
+        }
     }
 
     #[test]

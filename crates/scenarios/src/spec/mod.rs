@@ -202,10 +202,6 @@ const BENCH_MEASURE_MS: u64 = 6_000;
 /// past a run's end.
 const MAX_RUN_MS: u64 = SimTime::MAX.as_millis() / 2;
 
-/// The longest controller poll interval, in microseconds, whose
-/// nanoseconds fit the simulated clock.
-const MAX_POLL_INTERVAL_US: u64 = u64::MAX / 1_000;
-
 /// Concrete run lengths, resolved from a [`ScaleSpec`].
 #[derive(Clone, Copy, Debug)]
 pub struct Scale {
@@ -562,19 +558,9 @@ impl ScenarioSpec {
             _ => {}
         }
         if !self.controller.is_default() {
-            let c = &self.controller;
-            for (knob, us) in [
-                ("cpu_poll_interval_us", c.cpu_poll_interval_us),
-                ("io_poll_interval_us", c.io_poll_interval_us),
-                ("memory_poll_interval_us", c.memory_poll_interval_us),
-            ] {
-                if let Some(us) = us.filter(|&us| us > MAX_POLL_INTERVAL_US) {
-                    return Err(SpecError::InvalidController(format!(
-                        "{knob} {us} runs past the simulated clock's range \
-                         (at most {MAX_POLL_INTERVAL_US} us)"
-                    )));
-                }
-            }
+            self.controller
+                .check_ranges()
+                .map_err(SpecError::InvalidController)?;
             let Some(base) = self.policy.perfiso_config() else {
                 return Err(SpecError::InvalidController(format!(
                     "controller overrides need a policy with a controller, not {}",
@@ -667,6 +653,8 @@ impl ScenarioSpec {
                         };
                         // The rolled-out document must itself be a valid
                         // controller configuration.
+                        doc.check_ranges()
+                            .map_err(|e| SpecError::InvalidFault(format!("rollout doc: {e}")))?;
                         doc.apply(base)
                             .validate(PAPER_CORES)
                             .map_err(|e| SpecError::InvalidFault(format!("rollout doc: {e}")))?;
@@ -1387,6 +1375,7 @@ impl ScenarioBuilder {
 
 #[cfg(test)]
 mod tests {
+    use super::controller::{MAX_MIB, MAX_POLL_INTERVAL_US};
     use super::*;
 
     #[test]
@@ -1790,6 +1779,91 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn memory_caps_whose_bytes_overflow_are_rejected() {
+        let spec = |mb| {
+            ScenarioSpec::builder("x")
+                .policy(Policy::Blind { buffer_cores: 8 })
+                .tune(|c| c.secondary_memory_limit_mb = Some(mb))
+                .build()
+        };
+        let largest = spec(MAX_MIB).expect("largest cap in range");
+        assert_eq!(
+            largest.effective_perfiso().unwrap().secondary_memory_limit,
+            Some(MAX_MIB << 20)
+        );
+        // 2^44 MiB would wrap to 0 bytes and 2^44 + 1 MiB to 1 MiB.
+        for mb in [1 << 44, (1 << 44) + 1, u64::MAX] {
+            let err = spec(mb);
+            assert!(
+                matches!(&err, Err(SpecError::InvalidController(m)) if m.contains("more bytes")),
+                "{mb} MiB: {err:?}"
+            );
+        }
+        let mbps = |mbps| {
+            ScenarioSpec::builder("x")
+                .policy(Policy::Blind { buffer_cores: 8 })
+                .tune(|c| {
+                    c.tenant_limits.push(TenantLimitSpec {
+                        service: "hdfs-client".into(),
+                        mbps: Some(mbps),
+                        iops: None,
+                    })
+                })
+                .build()
+        };
+        assert!(mbps(MAX_MIB).is_ok());
+        let err = mbps(MAX_MIB + 1);
+        assert!(
+            matches!(err, Err(SpecError::InvalidController(_))),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn fault_times_past_the_clock_are_rejected() {
+        let crash = |at_ms| {
+            let mut s = named("chaos-controller-crash").unwrap();
+            s.fault.events[0] = FaultEvent::ControllerCrash {
+                at_ms,
+                downtime_polls: 5,
+            };
+            s
+        };
+        let latest = crash(MAX_RUN_MS);
+        assert!(latest.validate().is_ok());
+        assert!(latest.box_config(1).is_ok());
+        for at_ms in [MAX_RUN_MS + 1, u64::MAX] {
+            let err = crash(at_ms).validate();
+            assert!(
+                matches!(&err, Err(SpecError::InvalidFault(m)) if m.contains("at_ms")),
+                "{at_ms} ms: {err:?}"
+            );
+            let text = crash(at_ms).to_json();
+            assert!(matches!(
+                ScenarioSpec::from_json(&text),
+                Err(SpecError::InvalidFault(_))
+            ));
+        }
+        // A rollout document's knobs pass through `apply` as well.
+        let mut rollout = named("chaos-controller-crash").unwrap();
+        rollout.fault.events.push(FaultEvent::ConfigRollout {
+            at_ms: 150,
+            key: "perfiso".into(),
+            doc: ControllerSpec {
+                secondary_memory_limit_mb: Some((1 << 44) + 1),
+                ..Default::default()
+            },
+            staged_pct: 100,
+            rollback_p99_ms: None,
+        });
+        let err = rollout.validate();
+        assert!(
+            matches!(&err, Err(SpecError::InvalidFault(m)) if m.starts_with("rollout doc")),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -259,13 +259,15 @@ const ZIPF_BLOCK: usize = 16;
 /// `cdf[i]` is the running sum `acc[i] = w(1) + … + w(i+1)` of the weights
 /// `w(k) = 1 / k^s`, added in rank order, divided by the full sum. The
 /// table stores that value for the 16,384 hottest ranks only. Past them
-/// it keeps one checkpoint per block of 16 ranks: the running sum before
-/// the block and the normalized value at its last rank. A tail draw
-/// binary-searches the checkpoints for its block, then re-adds the
-/// block's weights from its running sum in the original order. Each
-/// recomputed value is therefore the same `f64` the full table held, and
-/// so is every sampled rank, while 200,000 ranks take 315 kB instead of
-/// 1.6 MB.
+/// it keeps one `f64` per block of 16 ranks: the running sum before the
+/// block. The normalized value at a block's last rank is the next
+/// block's running sum over the full sum (the full sum over itself, 1,
+/// for the last block), the same division the full table made. A tail
+/// draw binary-searches those block-end values for its block, then
+/// re-adds the block's weights from its running sum in the original
+/// order. Each recomputed value is therefore the same `f64` the full
+/// table held, and so is every sampled rank, while 200,000 ranks take
+/// 223 kB instead of 1.6 MB.
 ///
 /// # Which rank a draw picks
 ///
@@ -286,17 +288,9 @@ pub struct ZipfTable {
     total: f64,
     /// `cdf[i]` for the first `min(n, ZIPF_HEAD)` ranks.
     head: Vec<f64>,
-    /// One checkpoint per `ZIPF_BLOCK` ranks past the head.
-    tail: Vec<ZipfBlock>,
-}
-
-/// A block of [`ZIPF_BLOCK`] ranks past the head of a [`ZipfTable`].
-#[derive(Clone, Copy, Debug)]
-struct ZipfBlock {
-    /// The running sum of the weights of every rank before the block.
-    sum_before: f64,
-    /// The normalized CDF at the block's last rank.
-    last_cdf: f64,
+    /// For each block of `ZIPF_BLOCK` ranks past the head, the running
+    /// sum of the weights of every rank before the block.
+    tail: Vec<f64>,
 }
 
 /// The unnormalized Zipf weight of rank `k`.
@@ -319,28 +313,21 @@ impl ZipfTable {
         );
         let head_len = n.min(ZIPF_HEAD);
         let mut head = Vec::with_capacity(head_len);
-        let mut tail: Vec<ZipfBlock> = Vec::with_capacity((n - head_len).div_ceil(ZIPF_BLOCK));
+        let mut tail = Vec::with_capacity((n - head_len).div_ceil(ZIPF_BLOCK));
         let mut acc = 0.0;
         for k in 1..=n {
             let i = k - 1;
             if i >= head_len && (i - head_len).is_multiple_of(ZIPF_BLOCK) {
-                tail.push(ZipfBlock {
-                    sum_before: acc,
-                    last_cdf: 0.0,
-                });
+                tail.push(acc);
             }
             acc += zipf_weight(k, s);
-            match tail.last_mut() {
-                Some(block) => block.last_cdf = acc,
-                None => head.push(acc),
+            if i < head_len {
+                head.push(acc);
             }
         }
         let total = acc;
         for v in &mut head {
             *v /= total;
-        }
-        for block in &mut tail {
-            block.last_cdf /= total;
         }
         ZipfTable {
             s,
@@ -362,15 +349,23 @@ impl ZipfTable {
         if i < self.head.len() {
             return i + 1;
         }
-        let b = self.tail.partition_point(|block| block.last_cdf < u);
-        let Some(block) = self.tail.get(b) else {
+        // Block `b` ends where block `b + 1` begins, so its last CDF is
+        // `tail[b + 1] / total`; the last block's is `total / total`, 1,
+        // which no draw exceeds. Search the first block whose last CDF is
+        // at least `u`.
+        let b = self
+            .tail
+            .get(1..)
+            .unwrap_or_default()
+            .partition_point(|&next| next / self.total < u);
+        let Some(&sum_before) = self.tail.get(b) else {
             return self.n;
         };
         // The block holds ranks `first + 1..=last`. Its last rank needs no
-        // term: the search above found its CDF, `last_cdf`, at least `u`.
+        // term: the search above found its CDF at least `u`.
         let first = self.head.len() + b * ZIPF_BLOCK;
         let last = self.n.min(first + ZIPF_BLOCK);
-        let mut acc = block.sum_before;
+        let mut acc = sum_before;
         for k in first + 1..last {
             acc += zipf_weight(k, self.s);
             if acc / self.total >= u {
@@ -404,9 +399,7 @@ impl ZipfTable {
         }
         let b = (k - 1 - self.head.len()) / ZIPF_BLOCK;
         let first = self.head.len() + b * ZIPF_BLOCK;
-        let sum = (first + 1..=k).fold(self.tail[b].sum_before, |acc, r| {
-            acc + zipf_weight(r, self.s)
-        });
+        let sum = (first + 1..=k).fold(self.tail[b], |acc, r| acc + zipf_weight(r, self.s));
         sum / self.total
     }
 }

@@ -7,8 +7,8 @@
 //! 2816-slot table. A production box whose latencies span one decade keeps
 //! a few hundred `u64` counters no matter how many billions of samples it
 //! records, and merging two sketches is pure counter addition, so
-//! per-slice sketches reduce tree-wise across workers with results
-//! independent of merge order.
+//! per-slice sketches reduce in any order — folded one by one as slices
+//! finish, or tree-wise — to the same result.
 //!
 //! The estimator guarantee: any quantile estimate is within
 //! [`Sketch::RELATIVE_ERROR`] (1/128 ≈ 0.78 %) of the exact nearest-rank
@@ -226,9 +226,11 @@ impl Sketch {
         self.max_ns = self.max_ns.max(other.max_ns);
     }
 
-    /// Reduces a batch of sketches tree-wise (pairwise rounds): the shape
-    /// parallel reducers use so no single accumulator touches every
-    /// partial. Returns `None` for an empty batch.
+    /// Reduces a batch of sketches tree-wise (pairwise rounds). Folding
+    /// the batch one by one into [`Sketch::new`] with [`Sketch::merge`],
+    /// in any order, reaches the same counts, so this is the reference
+    /// the fleet's completion-order fold is checked against. Returns
+    /// `None` for an empty batch.
     pub fn merge_tree(mut parts: Vec<Sketch>) -> Option<Sketch> {
         if parts.is_empty() {
             return None;
@@ -456,6 +458,49 @@ mod tests {
                     "q={} exact={} sketch={}", q, e, s
                 );
             }
+        }
+
+        /// Folding a batch one sketch at a time into an empty
+        /// accumulator, in any order, ends where the tree merge ends: the
+        /// same summary bit for bit over the same stored window. The fleet
+        /// folds its slices' sketches this way, in completion order.
+        #[test]
+        fn prop_fold_in_any_order_equals_merge_tree(
+            batch in proptest::collection::vec(
+                (
+                    proptest::collection::vec(1u64..50_000_000_000u64, 0..120),
+                    0u64..3,
+                ),
+                1..8,
+            ),
+            // Sorting the batch by these keys picks the fold order.
+            keys in proptest::collection::vec(any::<u64>(), 8..9),
+        ) {
+            let parts: Vec<Sketch> = batch
+                .iter()
+                .map(|(vals, drops)| {
+                    let mut s = Sketch::new();
+                    for &v in vals {
+                        s.record(SimDuration::from_nanos(v));
+                    }
+                    for _ in 0..*drops {
+                        s.record_dropped();
+                    }
+                    s
+                })
+                .collect();
+            let mut order: Vec<usize> = (0..parts.len()).collect();
+            order.sort_by_key(|&i| keys[i]);
+            let mut folded = Sketch::new();
+            for i in order {
+                folded.merge(&parts[i]);
+            }
+            let tree = Sketch::merge_tree(parts).expect("non-empty batch");
+            prop_assert!(
+                folded.summary().bits_eq(&tree.summary()),
+                "{:?} against {:?}", folded.summary(), tree.summary()
+            );
+            prop_assert_eq!(folded.stored_buckets(), tree.stored_buckets());
         }
 
         /// Merge order is irrelevant: A∪B == B∪A bit for bit.

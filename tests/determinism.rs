@@ -370,8 +370,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Tree-merging per-part sketches equals recording every sample into
-    /// one sketch — the reduction `run_fleet` applies to its slices'
-    /// sketches, checked here at the workspace level over arbitrary splits.
+    /// one sketch, checked here at the workspace level over arbitrary
+    /// splits. `run_fleet` folds its slices' sketches one by one instead;
+    /// `telemetry`'s `prop_fold_in_any_order_equals_merge_tree` ties that
+    /// fold to this tree merge.
     #[test]
     fn prop_sketch_merge_equals_single(
         vals in proptest::collection::vec(1u64..50_000_000_000u64, 1..300),

@@ -216,7 +216,12 @@ fn controller_strategy() -> impl Strategy<Value = ControllerSpec> {
     (
         (proptest::option::of(0u32..64), us(), us(), us()),
         (
-            proptest::option::of(prop_oneof![Just(0u64), 64u64..16_384]),
+            proptest::option::of(prop_oneof![
+                Just(0u64),
+                64u64..16_384,
+                64u64..16_384,
+                Just(u64::MAX),
+            ]),
             proptest::option::of(prop_oneof![
                 Just(0.0f64),
                 0.05f64..1.0,
@@ -262,23 +267,41 @@ fn sweep_strategy() -> impl Strategy<Value = Option<SweepSpec>> {
 }
 
 /// Fault timelines straddle the valid range like the controller knobs:
-/// zero backoff/multiplier/max-failures, empty rollout keys, and
-/// out-of-range stage percentages must all be *rejected*, never panic.
+/// zero backoff/multiplier/max-failures, empty rollout keys,
+/// out-of-range stage percentages, and milliseconds or backoffs past the
+/// simulated clock must all be *rejected*, never panic.
 fn fault_strategy() -> impl Strategy<Value = FaultSpec> {
+    let at = || prop_oneof![0u64..1_000, 0u64..1_000, Just(u64::MAX)];
+    let span = || prop_oneof![0u64..500, 0u64..500, Just(u64::MAX)];
     let event = prop_oneof![
-        (0u64..1_000, 0u32..300).prop_map(|(at_ms, downtime_polls)| FaultEvent::ControllerCrash {
+        (at(), 0u32..300).prop_map(|(at_ms, downtime_polls)| FaultEvent::ControllerCrash {
             at_ms,
             downtime_polls,
         }),
-        (0u64..1_000, 0u64..500)
+        (at(), span())
             .prop_map(|(at_ms, downtime_ms)| FaultEvent::SecondaryRestart { at_ms, downtime_ms }),
-        (0u64..1_000, 0u64..500)
+        (at(), span())
             .prop_map(|(at_ms, downtime_ms)| FaultEvent::BoxRestart { at_ms, downtime_ms }),
+        (at(), 0u32..4, span(), span()).prop_map(|(at_ms, cycles, period_ms, downtime_ms)| {
+            FaultEvent::ChurnStorm {
+                at_ms,
+                cycles,
+                period_ms,
+                downtime_ms,
+            }
+        }),
+        (at(), span(), 0u32..2_000).prop_map(|(at_ms, duration_ms, extra_qps)| {
+            FaultEvent::ConnectionFlood {
+                at_ms,
+                duration_ms,
+                extra_qps,
+            }
+        }),
         (
-            0u64..1_000,
+            at(),
             prop_oneof![Just(String::new()), Just("doc".to_string())],
             0u8..=150,
-            proptest::option::of(prop_oneof![Just(0u64), 1u64..100]),
+            proptest::option::of(prop_oneof![Just(0u64), 1u64..100, Just(u64::MAX)]),
         )
             .prop_map(|(at_ms, key, staged_pct, rollback_p99_ms)| {
                 FaultEvent::ConfigRollout {
@@ -292,7 +315,11 @@ fn fault_strategy() -> impl Strategy<Value = FaultSpec> {
     ];
     (
         proptest::collection::vec(event, 0..3),
-        (0u64..2_000, 0u32..4, 0u32..6),
+        (
+            prop_oneof![0u64..2_000, 0u64..2_000, Just(u64::MAX)],
+            prop_oneof![0u32..4, 0u32..4, Just(u32::MAX)],
+            prop_oneof![0u32..6, 0u32..6, Just(u32::MAX)],
+        ),
     )
         .prop_map(
             |(events, (base_backoff_ms, multiplier, max_failures))| FaultSpec {
@@ -436,6 +463,22 @@ proptest! {
                 // Errors must render (no panicking Display impls).
                 prop_assert!(!e.to_string().is_empty());
             }
+        }
+    }
+
+    /// Fault timelines grafted onto a valid chaos scenario: `validate()`
+    /// classifies each without panicking, and every timeline it accepts
+    /// compiles into a box configuration without overflowing the clock.
+    #[test]
+    fn prop_accepted_fault_timelines_compile(fault in fault_strategy()) {
+        let mut spec = scenarios::spec::named("chaos-controller-crash").expect("registered");
+        spec.fault = fault;
+        match spec.validate() {
+            Ok(()) => {
+                let cfg = spec.box_config(spec.seed).expect("a validated spec builds a box");
+                prop_assert_eq!(cfg.fault.is_some(), !spec.fault.is_empty());
+            }
+            Err(e) => prop_assert!(!e.to_string().is_empty()),
         }
     }
 
