@@ -60,11 +60,6 @@ pub struct ClusterConfig {
     pub warmup: SimDuration,
     /// Measured window.
     pub measure: SimDuration,
-    /// Median MLA aggregation cost (runs on the MLA's machine and contends
-    /// with its colocated secondary).
-    pub mla_agg_cost_us: f64,
-    /// Fixed TLA processing cost per request (TLA machines run clean).
-    pub tla_cost: SimDuration,
     /// RNG seed.
     pub seed: u64,
     /// Cluster-wide fault timeline; each index box receives its slice
@@ -91,8 +86,6 @@ impl ClusterConfig {
             qps_total: 8_000.0,
             warmup: SimDuration::from_millis(400),
             measure: SimDuration::from_millis(1_200),
-            mla_agg_cost_us: 260.0,
-            tla_cost: SimDuration::from_micros(80),
             seed,
             fault: None,
             telemetry: TelemetryMode::Exact,
@@ -100,6 +93,12 @@ impl ClusterConfig {
         }
     }
 }
+
+/// Median MLA aggregation cost in microseconds (runs on the MLA's machine
+/// and contends with its colocated secondary).
+const MLA_AGG_COST_US: f64 = 260.0;
+/// Fixed TLA processing cost per request (TLA machines run clean).
+const TLA_COST: SimDuration = SimDuration::from_micros(80);
 
 const KIND_SHIFT: u32 = 60;
 const REQ_SHIFT: u32 = 16;
@@ -220,7 +219,7 @@ impl ClusterSim {
         let qmap = (0..n_index).map(|_| HashMap::new()).collect();
         let next_at = boxes.iter().map(next_event_or_max).collect();
         ClusterSim {
-            agg_dist: LogNormal::from_median(cfg.mla_agg_cost_us, 0.4),
+            agg_dist: LogNormal::from_median(MLA_AGG_COST_US, 0.4),
             rr_mla: vec![0; cfg.topology.rows as usize],
             boxes,
             next_at,
@@ -482,7 +481,7 @@ impl ClusterSim {
         // One use at the MLA plus one per remote column.
         self.specs.insert(req, (spec, topo.columns));
         self.net.send(
-            now + self.cfg.tla_cost,
+            now + TLA_COST,
             topo.tla_node(tla),
             topo.index_node(row, mla_col),
             1 << 10,
@@ -563,7 +562,7 @@ impl ClusterSim {
             }
             // MLA → TLA: the response is ready after the TLA's own cost.
             4 => {
-                let done_at = now + self.cfg.tla_cost;
+                let done_at = now + TLA_COST;
                 let Some(r) = self.requests.finish(req) else {
                     return;
                 };

@@ -57,8 +57,6 @@ use workloads::{MlTrainer, ResiliencePolicy};
 /// Fleet experiment parameters.
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
-    /// Simulated fleet size (numbers are extrapolated, not simulated).
-    pub fleet_machines: u32,
     /// Machines actually simulated per minute.
     pub sampled_machines: u32,
     /// Experiment length in minutes.
@@ -102,7 +100,6 @@ pub struct FleetConfig {
 impl Default for FleetConfig {
     fn default() -> Self {
         FleetConfig {
-            fleet_machines: 650,
             sampled_machines: 3,
             minutes: 60,
             slice: SimDuration::from_millis(700),

@@ -216,14 +216,6 @@ impl IndexServe {
         self.admission_queue.len()
     }
 
-    /// Takes accumulated outcomes.
-    ///
-    /// Allocation-free callers should prefer
-    /// [`IndexServe::drain_outcomes_into`].
-    pub fn drain_outcomes(&mut self) -> Vec<QueryOutcome> {
-        std::mem::take(&mut self.outcomes)
-    }
-
     /// Moves accumulated outcomes into `buf` (appending), keeping the
     /// internal buffer's capacity for reuse on the hot path.
     pub fn drain_outcomes_into(&mut self, buf: &mut Vec<QueryOutcome>) {
@@ -551,13 +543,14 @@ mod tests {
     /// Drives machine outputs back into the service until quiescent,
     /// waking blocked threads immediately (zero-latency "disk").
     fn settle(m: &mut Machine, s: &mut IndexServe, upto: SimTime) {
+        let mut outs = Vec::new();
         loop {
             // Drain everything pending at the current instant first, so
             // outputs produced by wakes are handled at the right time.
             let now = m.now();
-            let outs = m.drain_outputs();
+            m.drain_outputs_into(&mut outs);
             if !outs.is_empty() {
-                for o in outs {
+                for o in outs.drain(..) {
                     match o {
                         MachineOutput::ThreadBlocked { tid, .. } => {
                             m.wake(now, tid);
@@ -589,7 +582,8 @@ mod tests {
         let mut s = IndexServe::new(Arc::new(ServiceConfig::default()), job, 1);
         s.on_arrival(SimTime::ZERO, spec(), &mut m);
         settle(&mut m, &mut s, SimTime::from_millis(100));
-        let outcomes = s.drain_outcomes();
+        let mut outcomes = Vec::new();
+        s.drain_outcomes_into(&mut outcomes);
         assert_eq!(outcomes.len(), 1);
         assert!(!outcomes[0].dropped);
         assert!(outcomes[0].latency > SimDuration::from_micros(300));
@@ -607,7 +601,9 @@ mod tests {
         // Run just past the parse stage.
         let t = m.next_timer_at().unwrap();
         m.advance_to(t);
-        for o in m.drain_outputs() {
+        let mut outs = Vec::new();
+        m.drain_outputs_into(&mut outs);
+        for o in outs {
             if let MachineOutput::ThreadExited { tag, .. } = o {
                 let (stage, q, _) = parse_stage_tag(tag).unwrap();
                 assert_eq!(stage, Stage::Parse);
@@ -633,7 +629,9 @@ mod tests {
         assert_eq!(s.in_flight(), 2);
         assert_eq!(s.admission_queue_len(), 3);
         settle(&mut m, &mut s, SimTime::from_secs(1));
-        assert_eq!(s.drain_outcomes().len(), 5);
+        let mut outcomes = Vec::new();
+        s.drain_outcomes_into(&mut outcomes);
+        assert_eq!(outcomes.len(), 5);
         assert_eq!(s.in_flight(), 0);
     }
 
@@ -675,7 +673,8 @@ mod tests {
         // Machine drains without the query ever completing.
         m.advance_to(SimTime::from_millis(50));
         assert_eq!(s.in_flight(), 0);
-        let dropped: Vec<_> = s.drain_outcomes();
+        let mut dropped = Vec::new();
+        s.drain_outcomes_into(&mut dropped);
         assert_eq!(dropped.len(), 1);
     }
 
@@ -707,6 +706,7 @@ mod tests {
         let mut deadlines: VecDeque<(SimTime, u64)> = VecDeque::new();
         let mut reported = vec![false; n as usize];
         let mut high = 0;
+        let mut outcomes = Vec::new();
         for i in 0..n {
             let at = SimTime::from_micros(GAP_US * i);
             while let Some(&(due, q)) = deadlines.front().filter(|(due, _)| *due <= at) {
@@ -718,7 +718,8 @@ mod tests {
             let q = s.on_arrival(at, varied_spec(i), &mut m);
             assert_eq!(q, i, "ids stay dense");
             deadlines.push_back((at + timeout, q));
-            for o in s.drain_outcomes() {
+            s.drain_outcomes_into(&mut outcomes);
+            for o in outcomes.drain(..) {
                 let seen = std::mem::replace(&mut reported[o.qidx as usize], true);
                 assert!(!seen, "query {} reported twice", o.qidx);
             }
@@ -778,8 +779,9 @@ mod tests {
         assert!(open.len() > burst as usize, "streamed queries in flight");
         assert!(s.queries.unretired().start > 0, "finished queries retired");
         s.fail_all(now, &mut m);
-        let mut dropped: Vec<u64> = s
-            .drain_outcomes()
+        let mut outcomes = Vec::new();
+        s.drain_outcomes_into(&mut outcomes);
+        let mut dropped: Vec<u64> = outcomes
             .iter()
             .inspect(|o| assert!(o.dropped, "query {} not dropped", o.qidx))
             .map(|o| o.qidx)
@@ -797,7 +799,9 @@ mod tests {
         let mut s = IndexServe::new(Arc::new(ServiceConfig::default()), job, 6);
         let q = s.on_arrival(SimTime::ZERO, spec(), &mut m);
         settle(&mut m, &mut s, SimTime::from_millis(100));
-        assert_eq!(s.drain_outcomes().len(), 1);
+        let mut outcomes = Vec::new();
+        s.drain_outcomes_into(&mut outcomes);
+        assert_eq!(outcomes.len(), 1);
         assert!(s.on_timeout(SimTime::from_millis(500), q, &mut m).is_none());
     }
 }

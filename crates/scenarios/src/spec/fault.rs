@@ -234,6 +234,12 @@ impl FaultSpec {
         self.events.is_empty()
     }
 
+    /// True for the default timeline (serde skip predicate: a spec file
+    /// that omits `fault` loads back as this).
+    pub(super) fn is_default(&self) -> bool {
+        *self == FaultSpec::default()
+    }
+
     /// Structural checks that do not need the surrounding scenario,
     /// including that every millisecond the timeline declares, and every
     /// restart backoff it can reach, fits the simulated clock.

@@ -13,6 +13,9 @@ use serde::{Deserialize, Serialize};
 use simcore::SimDuration;
 use workloads::service_graph::{GraphEdge, GraphStage, GraphWorkload};
 
+use super::controller::MAX_MIB;
+use super::MAX_RUN_MS;
+
 /// One named compute stage of a declared service graph.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct StageSpec {
@@ -96,7 +99,8 @@ impl ServiceGraphSpec {
     }
 
     /// Checks the graph is well-formed: unique non-empty stage names,
-    /// edges referencing declared stages, a positive deadline, and every
+    /// edges referencing declared stages, a positive deadline, durations
+    /// and footprints the clock and `u64` bytes hold, and every
     /// structural invariant of [`GraphWorkload::validate`] (bounds,
     /// no self-edges or duplicates, acyclicity).
     ///
@@ -106,6 +110,12 @@ impl ServiceGraphSpec {
     pub fn check_shape(&self) -> Result<(), String> {
         if self.timeout_ms == 0 {
             return Err("timeout_ms must be positive".into());
+        }
+        if self.timeout_ms > MAX_RUN_MS {
+            return Err(format!(
+                "timeout_ms {} runs past the simulated clock's range (at most {MAX_RUN_MS} ms)",
+                self.timeout_ms
+            ));
         }
         let mut seen = std::collections::HashSet::new();
         for s in &self.stages {
@@ -117,6 +127,24 @@ impl ServiceGraphSpec {
             }
             if !seen.insert(s.name.as_str()) {
                 return Err(format!("duplicate stage name {:?}", s.name));
+            }
+            if s.memory_mb > MAX_MIB {
+                return Err(format!(
+                    "stage {:?} memory_mb {} is above {MAX_MIB} MiB",
+                    s.name, s.memory_mb
+                ));
+            }
+        }
+        for e in &self.edges {
+            if e.latency_us > MAX_RUN_MS * 1_000 {
+                return Err(format!(
+                    "edge {} -> {} latency_us {} runs past the simulated clock's range \
+                     (at most {} us)",
+                    e.from,
+                    e.to,
+                    e.latency_us,
+                    MAX_RUN_MS * 1_000
+                ));
             }
         }
         self.resolve()?.validate()
@@ -132,9 +160,12 @@ impl ServiceGraphSpec {
         self.resolve()
     }
 
-    /// Total declared resident memory, megabytes.
-    pub fn working_set_mb(&self) -> u64 {
-        self.stages.iter().map(|s| s.memory_mb).sum()
+    /// Total declared resident memory, megabytes; `None` when the sum
+    /// overflows `u64`.
+    pub fn working_set_mb(&self) -> Option<u64> {
+        self.stages
+            .iter()
+            .try_fold(0u64, |sum, s| sum.checked_add(s.memory_mb))
     }
 
     /// One-line topology summary, `stages=N edges=M roots=R sinks=S`.
@@ -244,7 +275,7 @@ mod tests {
         assert_eq!(wl.edges[0].from, 0);
         assert_eq!(wl.edges[0].to, 1);
         assert_eq!(wl.stages[1].memory_bytes, 128 << 20);
-        assert_eq!(spec.working_set_mb(), 192);
+        assert_eq!(spec.working_set_mb(), Some(192));
         assert_eq!(spec.shape_summary(), "stages=2 edges=1 roots=1 sinks=1");
     }
 

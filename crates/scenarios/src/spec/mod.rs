@@ -64,6 +64,9 @@ pub use runner::{
     run_spec, run_sweep, Report, RunOptions, SeedReport, Summary, SweepCellReport, SweepReport,
     SweepRow,
 };
+/// A spec's latency-recording backend (`"telemetry": "Sketch"` in JSON):
+/// the spec-layer name of [`telemetry::TelemetryMode`].
+pub use telemetry::TelemetryMode as TelemetrySpec;
 
 use perfiso::{CpuPolicy, PerfIsoConfig};
 
@@ -85,6 +88,9 @@ const PAPER_CORES: u32 = 48;
 
 /// Paper-server physical memory in megabytes, used by roster validation.
 const PAPER_MEMORY_MB: u64 = 128 * 1024;
+
+/// The paper's Fig 10 fleet size, a fleet target's default display size.
+const PAPER_FLEET_MACHINES: u32 = 650;
 
 /// Megabytes reserved for the secondary tenants when sizing a roster.
 const SECONDARY_RESERVE_MB: u64 = 2 * 1024;
@@ -274,44 +280,6 @@ impl CurveSpec {
     }
 }
 
-/// Latency-recording backend selection: the exact recorder keeps every
-/// sample (bit-stable percentiles, the historical default), the sketch
-/// recorder keeps log-spaced bucket counters with a guaranteed relative
-/// error ([`telemetry::Sketch::RELATIVE_ERROR`]) and constant memory —
-/// the only affordable choice at production fleet scale.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TelemetrySpec {
-    /// Keep every sample (exact percentiles).
-    Exact,
-    /// Mergeable log-bucketed percentile sketch (bounded memory).
-    Sketch,
-}
-
-// The vendored serde_derive does not parse the `#[default]` variant
-// attribute, so this cannot be `#[derive(Default)]`.
-#[allow(clippy::derivable_impls)]
-impl Default for TelemetrySpec {
-    fn default() -> Self {
-        TelemetrySpec::Exact
-    }
-}
-
-impl TelemetrySpec {
-    /// True for the default exact backend (serde skip predicate: the
-    /// default is never serialized, keeping pre-sketch fixtures stable).
-    pub fn is_exact(&self) -> bool {
-        matches!(self, TelemetrySpec::Exact)
-    }
-
-    /// The concrete recorder mode.
-    pub fn mode(&self) -> telemetry::TelemetryMode {
-        match self {
-            TelemetrySpec::Exact => telemetry::TelemetryMode::Exact,
-            TelemetrySpec::Sketch => telemetry::TelemetryMode::Sketch,
-        }
-    }
-}
-
 /// Production-scale extensions of the fleet sweep: strided minutes (a
 /// 24-hour day in 1440/stride slices), a heterogeneous hardware roster,
 /// and deterministic tenant churn.
@@ -369,7 +337,8 @@ pub enum TargetSpec {
     },
     /// The Fig 10 per-minute fleet sweep ([`cluster::fleet::run_fleet`]).
     Fleet {
-        /// Extrapolated fleet size.
+        /// Extrapolated fleet size, shown in tables; the sweep simulates
+        /// only `sampled_machines`.
         fleet_machines: u32,
         /// Machines actually simulated per minute.
         sampled_machines: u32,
@@ -460,8 +429,9 @@ pub struct ScenarioSpec {
     #[serde(default)]
     pub sweep: Option<SweepSpec>,
     /// Fault-injection timeline (absent in older spec files = no chaos;
-    /// empty timelines are not serialized, keeping old fixtures valid).
-    #[serde(default, skip_serializing_if = "FaultSpec::is_empty")]
+    /// the default, an empty timeline under the default restart policy,
+    /// is not serialized, keeping old fixtures valid).
+    #[serde(default, skip_serializing_if = "FaultSpec::is_default")]
     pub fault: FaultSpec,
     /// Latency-recording backend (absent in older spec files = exact;
     /// the default is never serialized, keeping pre-sketch fixtures
@@ -662,6 +632,39 @@ impl ScenarioSpec {
                     _ => {}
                 }
             }
+            // A crash stays down for at least `downtime_polls` CPU polls at
+            // the interval in force when it fires, which a rollout may
+            // have lengthened: bound it by the longest reachable interval.
+            if let Some(base) = &effective {
+                let longest_poll = self
+                    .fault
+                    .events
+                    .iter()
+                    .filter_map(|ev| match ev {
+                        FaultEvent::ConfigRollout { doc, .. } => {
+                            Some(doc.apply(base).cpu_poll_interval)
+                        }
+                        _ => None,
+                    })
+                    .fold(base.cpu_poll_interval, SimDuration::max);
+                for ev in &self.fault.events {
+                    let FaultEvent::ControllerCrash { downtime_polls, .. } = ev else {
+                        continue;
+                    };
+                    let floor_ns = longest_poll
+                        .as_nanos()
+                        .checked_mul(u64::from(*downtime_polls));
+                    if floor_ns
+                        .is_none_or(|ns| ns > SimDuration::from_millis(MAX_RUN_MS).as_nanos())
+                    {
+                        return Err(SpecError::InvalidFault(format!(
+                            "controller-crash downtime_polls {downtime_polls} at a {} us CPU poll \
+                             interval runs past the simulated clock's range (at most {MAX_RUN_MS} ms)",
+                            longest_poll.as_micros()
+                        )));
+                    }
+                }
+            }
         }
         if let Some(sweep) = &self.sweep {
             sweep.check_shape().map_err(SpecError::InvalidSweep)?;
@@ -704,11 +707,12 @@ impl ScenarioSpec {
                     self.target.kind()
                 )));
             }
-            if g.working_set_mb() + SECONDARY_RESERVE_MB > PAPER_MEMORY_MB {
+            let total_mb = g.working_set_mb();
+            if total_mb.is_none_or(|mb| mb > PAPER_MEMORY_MB - SECONDARY_RESERVE_MB) {
                 return Err(SpecError::InvalidWorkload(format!(
                     "graph working set {} MB leaves no room for secondaries on a \
                      {PAPER_MEMORY_MB} MB box",
-                    g.working_set_mb()
+                    total_mb.map_or_else(|| "over u64::MAX".into(), |mb| mb.to_string())
                 )));
             }
         }
@@ -756,13 +760,18 @@ impl ScenarioSpec {
                             s.name
                         )));
                     }
-                    total_mb += s.working_set_mb;
-                }
-                if total_mb + SECONDARY_RESERVE_MB > PAPER_MEMORY_MB {
-                    return Err(SpecError::InvalidWorkload(format!(
-                        "roster working sets total {total_mb} MB; with the secondary \
-                         reserve that exceeds the {PAPER_MEMORY_MB} MB box"
-                    )));
+                    total_mb = total_mb
+                        .checked_add(s.working_set_mb)
+                        .filter(|&mb| mb <= PAPER_MEMORY_MB - SECONDARY_RESERVE_MB)
+                        .ok_or_else(|| {
+                            SpecError::InvalidWorkload(format!(
+                                "roster working sets through {:?} total more than {} MB; \
+                                 with the secondary reserve that exceeds the \
+                                 {PAPER_MEMORY_MB} MB box",
+                                s.name,
+                                PAPER_MEMORY_MB - SECONDARY_RESERVE_MB
+                            ))
+                        })?;
                 }
             }
             TargetSpec::Cluster {
@@ -954,7 +963,7 @@ impl ScenarioSpec {
         let mut cfg = BoxConfig::paper_box(self.secondary.clone(), effective, seed);
         cfg.fault = fault;
         cfg.hosted = self.hosted_roster()?;
-        cfg.telemetry = self.telemetry.mode();
+        cfg.telemetry = self.telemetry;
         cfg.resilience = self.resilience.to_policy();
         Ok(cfg)
     }
@@ -1046,7 +1055,7 @@ impl ScenarioSpec {
                 .to_plan(effective.as_ref())
                 .map(std::sync::Arc::new),
             perfiso: effective,
-            telemetry: self.telemetry.mode(),
+            telemetry: self.telemetry,
             resilience: self.resilience.to_policy(),
             ..ClusterConfig::paper_cluster(self.secondary.clone(), seed)
         })
@@ -1069,13 +1078,13 @@ impl ScenarioSpec {
     pub fn fleet_config(&self, seed: u64, threads: usize) -> Result<FleetConfig, SpecError> {
         self.validate()?;
         let TargetSpec::Fleet {
-            fleet_machines,
             sampled_machines,
             minutes,
             slice_ms,
             curve,
             ref trainer,
             production,
+            ..
         } = self.target
         else {
             return Err(SpecError::TargetMismatch {
@@ -1084,7 +1093,6 @@ impl ScenarioSpec {
             });
         };
         Ok(FleetConfig {
-            fleet_machines,
             sampled_machines,
             minutes,
             slice: SimDuration::from_millis(slice_ms),
@@ -1102,7 +1110,7 @@ impl ScenarioSpec {
                 FleetConfig::default().shapes
             },
             churn: production.is_some_and(|p| p.tenant_churn),
-            telemetry: self.telemetry.mode(),
+            telemetry: self.telemetry,
             resilience: self.resilience.to_policy(),
         })
     }
@@ -1192,7 +1200,7 @@ impl ScenarioBuilder {
     pub fn fleet(mut self, minutes: u32, sampled_machines: u32, slice_ms: u64) -> Self {
         let defaults = FleetConfig::default();
         self.spec.target = TargetSpec::Fleet {
-            fleet_machines: defaults.fleet_machines,
+            fleet_machines: PAPER_FLEET_MACHINES,
             sampled_machines,
             minutes,
             slice_ms,
@@ -1862,6 +1870,46 @@ mod tests {
         let err = rollout.validate();
         assert!(
             matches!(&err, Err(SpecError::InvalidFault(m)) if m.starts_with("rollout doc")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn crash_downtime_floors_past_the_clock_are_rejected() {
+        let crash = |cpu_poll_interval_us, downtime_polls| {
+            let mut s = named("chaos-controller-crash").unwrap();
+            s.controller.cpu_poll_interval_us = Some(cpu_poll_interval_us);
+            s.fault.events[0] = FaultEvent::ControllerCrash {
+                at_ms: 500,
+                downtime_polls,
+            };
+            s
+        };
+        // 2 s × (2^32 - 1) polls fits the clock; 5 s × 4e9 overflows `u64`.
+        let longest = crash(2_000_000, u32::MAX);
+        assert!(longest.validate().is_ok());
+        assert!(longest.box_config(1).is_ok());
+        let err = crash(5_000_000, 4_000_000_000).validate();
+        assert!(
+            matches!(&err, Err(SpecError::InvalidFault(m)) if m.contains("downtime_polls")),
+            "{err:?}"
+        );
+        // A rollout that lengthens the poll interval counts as well.
+        let mut rolled = crash(5_000, 4_000_000_000);
+        assert!(rolled.validate().is_ok());
+        rolled.fault.events.push(FaultEvent::ConfigRollout {
+            at_ms: 100,
+            key: "perfiso".into(),
+            doc: ControllerSpec {
+                cpu_poll_interval_us: Some(5_000_000),
+                ..Default::default()
+            },
+            staged_pct: 100,
+            rollback_p99_ms: None,
+        });
+        let err = rolled.validate();
+        assert!(
+            matches!(&err, Err(SpecError::InvalidFault(m)) if m.contains("downtime_polls")),
             "{err:?}"
         );
     }

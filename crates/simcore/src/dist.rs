@@ -3,6 +3,10 @@
 //! Implemented in-house (rather than via `rand_distr`) so that sampling is
 //! deterministic under our own [`SimRng`] and auditable: each sampler is a
 //! few lines of classic textbook math with unit tests pinning its moments.
+//! The simulators draw from four of them: [`Exp`] (HDFS gaps, fabric
+//! jitter), [`LogNormal`] through [`standard_normal`] (service, compute
+//! and disk times), [`ZipfTable`] (document popularity) and
+//! [`PoissonProcess`] (open-loop arrivals).
 
 use crate::rng::SimRng;
 use crate::time::SimDuration;
@@ -60,34 +64,6 @@ pub fn standard_normal(rng: &mut SimRng) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
-/// Normal distribution `N(mean, std^2)`.
-#[derive(Clone, Copy, Debug)]
-pub struct Normal {
-    mean: f64,
-    std: f64,
-}
-
-impl Normal {
-    /// Creates a normal distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `std` is finite and non-negative.
-    pub fn new(mean: f64, std: f64) -> Self {
-        assert!(
-            std.is_finite() && std >= 0.0,
-            "std must be non-negative: {std}"
-        );
-        Normal { mean, std }
-    }
-}
-
-impl Sample for Normal {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.mean + self.std * standard_normal(rng)
-    }
-}
-
 /// Log-normal distribution parameterised by its *median* and shape `sigma`.
 ///
 /// If `X ~ LogNormal(median, sigma)` then `ln X ~ N(ln median, sigma^2)`,
@@ -140,104 +116,11 @@ impl LogNormal {
             sigma,
         }
     }
-
-    /// The distribution mean, `median · exp(sigma^2 / 2)`.
-    pub fn mean(&self) -> f64 {
-        (self.ln_median + self.sigma * self.sigma / 2.0).exp()
-    }
-
-    /// The `q`-quantile (`q` in `(0,1)`), via the probit approximation.
-    pub fn quantile(&self, q: f64) -> f64 {
-        (self.ln_median + self.sigma * probit(q)).exp()
-    }
 }
 
 impl Sample for LogNormal {
     fn sample(&self, rng: &mut SimRng) -> f64 {
         (self.ln_median + self.sigma * standard_normal(rng)).exp()
-    }
-}
-
-/// Acklam's rational approximation to the standard normal quantile function.
-fn probit(p: f64) -> f64 {
-    assert!(
-        (0.0..1.0).contains(&p) && p > 0.0,
-        "p must be in (0,1): {p}"
-    );
-    const A: [f64; 6] = [
-        -3.969683028665376e+01,
-        2.209460984245205e+02,
-        -2.759285104469687e+02,
-        1.383_577_518_672_69e2,
-        -3.066479806614716e+01,
-        2.506628277459239e+00,
-    ];
-    const B: [f64; 5] = [
-        -5.447609879822406e+01,
-        1.615858368580409e+02,
-        -1.556989798598866e+02,
-        6.680131188771972e+01,
-        -1.328068155288572e+01,
-    ];
-    const C: [f64; 6] = [
-        -7.784894002430293e-03,
-        -3.223964580411365e-01,
-        -2.400758277161838e+00,
-        -2.549732539343734e+00,
-        4.374664141464968e+00,
-        2.938163982698783e+00,
-    ];
-    const D: [f64; 4] = [
-        7.784695709041462e-03,
-        3.224671290700398e-01,
-        2.445134137142996e+00,
-        3.754408661907416e+00,
-    ];
-    const P_LOW: f64 = 0.02425;
-
-    if p < P_LOW {
-        let q = (-2.0 * p.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= 1.0 - P_LOW {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    } else {
-        -probit(1.0 - p)
-    }
-}
-
-/// Pareto distribution with scale `x_min` and shape `alpha`.
-#[derive(Clone, Copy, Debug)]
-pub struct Pareto {
-    x_min: f64,
-    alpha: f64,
-}
-
-impl Pareto {
-    /// Creates a Pareto distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both parameters are finite and strictly positive.
-    pub fn new(x_min: f64, alpha: f64) -> Self {
-        assert!(
-            x_min.is_finite() && x_min > 0.0,
-            "x_min must be positive: {x_min}"
-        );
-        assert!(
-            alpha.is_finite() && alpha > 0.0,
-            "alpha must be positive: {alpha}"
-        );
-        Pareto { x_min, alpha }
-    }
-}
-
-impl Sample for Pareto {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.x_min / rng.next_f64_open().powf(1.0 / self.alpha)
     }
 }
 
@@ -433,9 +316,9 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn moments(d: &impl Sample, seed: u64, n: usize) -> (f64, f64) {
+    fn moments(mut draw: impl FnMut(&mut SimRng) -> f64, seed: u64, n: usize) -> (f64, f64) {
         let mut rng = SimRng::seed_from_u64(seed);
-        let xs: Vec<f64> = (0..n).map(|_| d.sample(&mut rng)).collect();
+        let xs: Vec<f64> = (0..n).map(|_| draw(&mut rng)).collect();
         let mean = xs.iter().sum::<f64>() / n as f64;
         let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         (mean, var)
@@ -444,7 +327,7 @@ mod tests {
     #[test]
     fn exp_mean_and_variance() {
         let d = Exp::new(2.0);
-        let (mean, var) = moments(&d, 17, 200_000);
+        let (mean, var) = moments(|r| d.sample(r), 17, 200_000);
         assert!((mean - 0.5).abs() < 0.01, "mean {mean}");
         assert!((var - 0.25).abs() < 0.02, "var {var}");
     }
@@ -452,16 +335,15 @@ mod tests {
     #[test]
     fn exp_from_mean() {
         let d = Exp::from_mean(3.0);
-        let (mean, _) = moments(&d, 23, 200_000);
+        let (mean, _) = moments(|r| d.sample(r), 23, 200_000);
         assert!((mean - 3.0).abs() < 0.05, "mean {mean}");
     }
 
     #[test]
     fn normal_moments() {
-        let d = Normal::new(10.0, 2.0);
-        let (mean, var) = moments(&d, 29, 200_000);
-        assert!((mean - 10.0).abs() < 0.05, "mean {mean}");
-        assert!((var - 4.0).abs() < 0.1, "var {var}");
+        let (mean, var) = moments(standard_normal, 29, 200_000);
+        assert!(mean.abs() < 0.025, "mean {mean}");
+        assert!((var - 1.0).abs() < 0.025, "var {var}");
     }
 
     #[test]
@@ -475,22 +357,6 @@ mod tests {
         assert!((p50 - 4.0).abs() < 0.1, "p50 {p50}");
         // exp(0.4723 * 2.326) ≈ 3.0, so p99 ≈ 12.
         assert!((p99 - 12.0).abs() < 0.5, "p99 {p99}");
-    }
-
-    #[test]
-    fn lognormal_quantile_matches_samples() {
-        let d = LogNormal::from_median(1.0, 0.8);
-        assert!((d.quantile(0.5) - 1.0).abs() < 1e-9);
-        let q99 = d.quantile(0.99);
-        assert!((q99 - (0.8f64 * 2.3263).exp()).abs() / q99 < 0.01);
-    }
-
-    #[test]
-    fn pareto_tail_is_heavy() {
-        let d = Pareto::new(1.0, 2.0);
-        let (mean, _) = moments(&d, 37, 200_000);
-        // Mean of Pareto(1, 2) is alpha/(alpha-1) = 2.
-        assert!((mean - 2.0).abs() < 0.1, "mean {mean}");
     }
 
     #[test]
@@ -659,12 +525,5 @@ mod tests {
         let total: f64 = (0..n).map(|_| p.next_gap(&mut rng).as_secs_f64()).sum();
         let rate = n as f64 / total;
         assert!((rate - 2_000.0).abs() < 30.0, "rate {rate}");
-    }
-
-    #[test]
-    fn probit_symmetry() {
-        assert!((probit(0.5)).abs() < 1e-9);
-        assert!((probit(0.99) + probit(0.01)).abs() < 1e-6);
-        assert!((probit(0.99) - 2.3263).abs() < 1e-3);
     }
 }

@@ -33,7 +33,8 @@
 //! let job = m.create_job(TenantClass::Primary, CoreMask::all(4));
 //! m.spawn_program(SimTime::ZERO, job, Program::compute_once(SimDuration::from_millis(1)), 7);
 //! m.advance_to(SimTime::from_millis(2));
-//! let out = m.drain_outputs();
+//! let mut out = Vec::new();
+//! m.drain_outputs_into(&mut out);
 //! assert!(out.iter().any(|o| matches!(o, simcpu::MachineOutput::ThreadExited { tag: 7, .. })));
 //! ```
 

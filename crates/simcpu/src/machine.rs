@@ -335,17 +335,10 @@ impl Machine {
         self.timers.peek_time()
     }
 
-    /// Takes all pending outputs.
-    ///
-    /// Allocation-free callers should prefer [`Machine::drain_outputs_into`].
-    pub fn drain_outputs(&mut self) -> Vec<MachineOutput> {
-        std::mem::take(&mut self.outputs)
-    }
-
     /// Moves all pending outputs into `buf` (appending), leaving the
-    /// internal buffer empty but with its capacity intact. This is the
-    /// hot-path variant: drivers keep one scratch `Vec` alive across the
-    /// whole run instead of allocating per step.
+    /// internal buffer empty but with its capacity intact, so callers keep
+    /// one scratch `Vec` alive across the whole run instead of allocating
+    /// per step.
     pub fn drain_outputs_into(&mut self, buf: &mut Vec<MachineOutput>) {
         buf.append(&mut self.outputs);
     }

@@ -36,11 +36,12 @@ fn step_strategy() -> impl Strategy<Value = Step> {
 /// token)` tuples.
 fn drive(m: &mut Machine, upto: SimTime) -> Vec<(u64, u8, u64, u64)> {
     let mut trace = Vec::new();
+    let mut outs = Vec::new();
     loop {
         let now = m.now();
-        let outs = m.drain_outputs();
+        m.drain_outputs_into(&mut outs);
         if !outs.is_empty() {
-            for o in outs {
+            for o in outs.drain(..) {
                 match o {
                     MachineOutput::ThreadBlocked { tid, tag, token } => {
                         trace.push((now.as_nanos(), 0, tag, token));

@@ -80,8 +80,9 @@ proptest! {
         // Long horizon: everything must finish (no Block steps used).
         let horizon = SimTime::from_secs(20);
         m.advance_to(horizon);
-        let exits = m
-            .drain_outputs()
+        let mut outs = Vec::new();
+        m.drain_outputs_into(&mut outs);
+        let exits = outs
             .iter()
             .filter(|o| matches!(o, MachineOutput::ThreadExited { .. }))
             .count() as u64;

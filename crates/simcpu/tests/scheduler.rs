@@ -20,6 +20,13 @@ fn us(x: u64) -> SimDuration {
     SimDuration::from_micros(x)
 }
 
+/// Takes the machine's pending outputs.
+fn outputs(m: &mut Machine) -> Vec<MachineOutput> {
+    let mut out = Vec::new();
+    m.drain_outputs_into(&mut out);
+    out
+}
+
 fn zero_cost_config(cores: u32) -> MachineConfig {
     MachineConfig {
         cores,
@@ -43,7 +50,7 @@ fn single_thread_computes_and_exits() {
         "one core busy right after spawn"
     );
     m.advance_to(SimTime::from_millis(10));
-    let out = m.drain_outputs();
+    let out = outputs(&mut m);
     assert!(matches!(
         out.as_slice(),
         [MachineOutput::ThreadExited {
@@ -66,7 +73,7 @@ fn threads_fill_idle_cores_first() {
     }
     assert_eq!(m.idle_core_mask().count(), 0);
     m.advance_to(SimTime::from_millis(2));
-    assert_eq!(m.drain_outputs().len(), 4);
+    assert_eq!(outputs(&mut m).len(), 4);
     assert_eq!(m.idle_core_mask().count(), 4);
 }
 
@@ -79,8 +86,7 @@ fn excess_threads_wait_fifo() {
         m.spawn_program(SimTime::ZERO, job, Program::compute_once(ms(1)), i);
     }
     m.advance_to(SimTime::from_millis(10));
-    let exits: Vec<u64> = m
-        .drain_outputs()
+    let exits: Vec<u64> = outputs(&mut m)
         .iter()
         .filter_map(|o| match o {
             MachineOutput::ThreadExited { tag, .. } => Some(*tag),
@@ -111,9 +117,9 @@ fn no_preemption_on_wake_same_priority() {
     );
     // It cannot run before the bully's quantum expires at t=20ms.
     m.advance_to(SimTime::from_millis(19));
-    assert!(m.drain_outputs().is_empty(), "primary must still be queued");
+    assert!(outputs(&mut m).is_empty(), "primary must still be queued");
     m.advance_to(SimTime::from_millis(25));
-    let out = m.drain_outputs();
+    let out = outputs(&mut m);
     assert!(
         out.iter()
             .any(|o| matches!(o, MachineOutput::ThreadExited { tag: 1, .. })),
@@ -143,7 +149,7 @@ fn wake_boost_jumps_the_queue() {
     );
     m.advance_to(SimTime::from_millis(1));
     assert!(matches!(
-        m.drain_outputs().as_slice(),
+        outputs(&mut m).as_slice(),
         [MachineOutput::ThreadBlocked { .. }]
     ));
     // The bully takes the core while the primary thread is blocked.
@@ -166,14 +172,13 @@ fn wake_boost_jumps_the_queue() {
     // No preemption: nothing primary runs before the quantum expires.
     m.advance_to(SimTime::from_millis(20));
     assert!(
-        m.drain_outputs().is_empty(),
+        outputs(&mut m).is_empty(),
         "boost must not preempt the running bully"
     );
     // Quantum expiry at t=21ms: the woken thread (front) runs before the
     // earlier spawn.
     m.advance_to(SimTime::from_millis(22));
-    let first: Vec<u64> = m
-        .drain_outputs()
+    let first: Vec<u64> = outputs(&mut m)
         .iter()
         .filter_map(|o| match o {
             MachineOutput::ThreadExited { tag, .. } => Some(*tag),
@@ -207,10 +212,9 @@ fn spawns_queue_fifo_behind_bully_until_quantum_expiry() {
     );
     // Nothing until the first quantum expires at t=40ms.
     m.advance_to(SimTime::from_millis(39));
-    assert!(m.drain_outputs().is_empty());
+    assert!(outputs(&mut m).is_empty());
     m.advance_to(SimTime::from_millis(45));
-    assert!(m
-        .drain_outputs()
+    assert!(outputs(&mut m)
         .iter()
         .any(|o| matches!(o, MachineOutput::ThreadExited { tag: 10, .. })));
 }
@@ -232,7 +236,7 @@ fn wake_boost_prefers_idle_core() {
         7,
     );
     m.advance_to(SimTime::from_millis(1));
-    m.drain_outputs();
+    outputs(&mut m);
     m.spawn_program(
         SimTime::from_millis(1),
         sec,
@@ -248,8 +252,7 @@ fn wake_boost_prefers_idle_core() {
     );
     assert_eq!(m.stats().ipis, ipis_before, "no preemption needed");
     m.advance_to(SimTime::from_millis(5));
-    assert!(m
-        .drain_outputs()
+    assert!(outputs(&mut m)
         .iter()
         .any(|o| matches!(o, MachineOutput::ThreadExited { tag: 7, .. })));
 }
@@ -263,8 +266,7 @@ fn round_robin_shares_the_core() {
     m.spawn_program(SimTime::ZERO, job, Program::compute_once(ms(30)), 0);
     m.spawn_program(SimTime::ZERO, job, Program::compute_once(ms(30)), 1);
     m.advance_to(SimTime::from_millis(70));
-    let exits: Vec<u64> = m
-        .drain_outputs()
+    let exits: Vec<u64> = outputs(&mut m)
         .iter()
         .filter_map(|o| match o {
             MachineOutput::ThreadExited { tag, .. } => Some(*tag),
@@ -288,7 +290,7 @@ fn affinity_restricts_dispatch() {
     let idle = m.idle_core_mask();
     assert!(idle.contains(CoreId(2)) && idle.contains(CoreId(3)));
     m.advance_to(SimTime::from_millis(5));
-    assert_eq!(m.drain_outputs().len(), 4);
+    assert_eq!(outputs(&mut m).len(), 4);
     // 4 x 1ms on 2 cores takes 2ms, not 1ms.
     let b = m.breakdown();
     assert_eq!(b.secondary, ms(4));
@@ -309,7 +311,7 @@ fn affinity_revocation_preempts_immediately() {
     assert!(stats.ipis >= 1, "preemption must be an IPI");
     // The preempted thread continues on core 0 round-robin; both finish.
     m.advance_to(SimTime::from_secs(1));
-    assert_eq!(m.drain_outputs().len(), 2);
+    assert_eq!(outputs(&mut m).len(), 2);
 }
 
 #[test]
@@ -340,7 +342,7 @@ fn block_and_wake_roundtrip() {
         7,
     );
     m.advance_to(SimTime::from_millis(1));
-    let out = m.drain_outputs();
+    let out = outputs(&mut m);
     assert!(matches!(
         out.as_slice(),
         [MachineOutput::ThreadBlocked {
@@ -357,7 +359,7 @@ fn block_and_wake_roundtrip() {
     // Wake at t=3ms; the thread computes 1ms more and exits at 4ms.
     assert!(m.wake(SimTime::from_millis(3), tid));
     m.advance_to(SimTime::from_millis(10));
-    let out = m.drain_outputs();
+    let out = outputs(&mut m);
     assert!(matches!(
         out.as_slice(),
         [MachineOutput::ThreadExited { tag: 7, .. }]
@@ -399,7 +401,7 @@ fn sleep_releases_core_and_resumes() {
         "sleeping thread leaves the core"
     );
     m.advance_to(SimTime::from_millis(10));
-    let out = m.drain_outputs();
+    let out = outputs(&mut m);
     assert!(out
         .iter()
         .any(|o| matches!(o, MachineOutput::ThreadExited { .. })));
@@ -413,7 +415,7 @@ fn kill_running_thread_frees_core() {
     let tid = m.spawn_program(SimTime::ZERO, job, Program::compute_once(ms(100)), 0);
     assert!(m.kill_thread(SimTime::from_millis(10), tid));
     assert_eq!(m.idle_core_mask().count(), 1);
-    let out = m.drain_outputs();
+    let out = outputs(&mut m);
     assert!(matches!(
         out.as_slice(),
         [MachineOutput::ThreadExited { killed: true, .. }]
@@ -430,8 +432,7 @@ fn kill_queued_thread_never_runs() {
     let queued = m.spawn_program(SimTime::ZERO, job, Program::compute_once(ms(10)), 1);
     assert!(m.kill_thread(SimTime::from_millis(1), queued));
     m.advance_to(SimTime::from_millis(30));
-    let exits: Vec<(u64, bool)> = m
-        .drain_outputs()
+    let exits: Vec<(u64, bool)> = outputs(&mut m)
         .iter()
         .filter_map(|o| match o {
             MachineOutput::ThreadExited { tag, killed, .. } => Some((*tag, *killed)),
@@ -448,7 +449,7 @@ fn kill_queued_thread_never_runs() {
 }
 
 fn exit_tags(m: &mut Machine) -> Vec<u64> {
-    m.drain_outputs()
+    outputs(m)
         .iter()
         .filter_map(|o| match o {
             MachineOutput::ThreadExited { tag, .. } => Some(*tag),
@@ -502,7 +503,7 @@ fn wake_boost_jumps_ahead_of_other_jobs() {
         7,
     );
     m.advance_to(SimTime::from_millis(1));
-    m.drain_outputs();
+    outputs(&mut m);
     // The bully takes the core; a secondary spawn queues at the back.
     m.spawn_program(
         SimTime::from_millis(1),
@@ -594,7 +595,7 @@ fn killed_ready_threads_never_dispatch_across_prune() {
     m.advance_to(SimTime::from_millis(100));
     let mut completed = Vec::new();
     let mut killed = Vec::new();
-    for o in m.drain_outputs() {
+    for o in outputs(&mut m) {
         if let MachineOutput::ThreadExited { tag, killed: k, .. } = o {
             if k {
                 killed.push(tag);
@@ -704,8 +705,7 @@ fn quota_leaves_other_jobs_unaffected() {
     m.set_job_quota(SimTime::ZERO, sec, Some(CpuRateQuota::percent(5.0)));
     m.spawn_program(SimTime::ZERO, pri, Program::compute_once(ms(80)), 1);
     m.advance_to(SimTime::from_millis(100));
-    assert!(m
-        .drain_outputs()
+    assert!(outputs(&mut m)
         .iter()
         .any(|o| matches!(o, MachineOutput::ThreadExited { tag: 1, .. })));
     assert_eq!(m.job_cpu_time(pri), ms(80));
@@ -766,8 +766,7 @@ fn outputs_preserve_order() {
     m.spawn_program(SimTime::ZERO, job, Program::compute_once(ms(1)), 0);
     m.spawn_program(SimTime::ZERO, job, Program::compute_once(ms(2)), 1);
     m.advance_to(SimTime::from_millis(5));
-    let tags: Vec<u64> = m
-        .drain_outputs()
+    let tags: Vec<u64> = outputs(&mut m)
         .iter()
         .filter_map(|o| match o {
             MachineOutput::ThreadExited { tag, .. } => Some(*tag),

@@ -145,7 +145,8 @@ enum DiskTimer {
 /// while let Some(t) = d.next_timer_at() {
 ///     d.advance_to(t);
 /// }
-/// let done = d.drain_completions();
+/// let mut done = Vec::new();
+/// d.drain_completions_into(&mut done);
 /// assert_eq!(done.len(), 1);
 /// assert_eq!(done[0].token, 7);
 /// ```
@@ -302,14 +303,6 @@ impl DiskSim {
     /// Time of the next internal event, if any.
     pub fn next_timer_at(&self) -> Option<SimTime> {
         self.timers.peek_time()
-    }
-
-    /// Takes all pending completions.
-    ///
-    /// Allocation-free callers should prefer
-    /// [`DiskSim::drain_completions_into`].
-    pub fn drain_completions(&mut self) -> Vec<IoCompletion> {
-        std::mem::take(&mut self.completions)
     }
 
     /// Moves all pending completions into `buf` (appending), keeping the
@@ -503,7 +496,9 @@ mod tests {
         while let Some(t) = d.next_timer_at() {
             d.advance_to(t);
         }
-        d.drain_completions()
+        let mut done = Vec::new();
+        d.drain_completions_into(&mut done);
+        done
     }
 
     #[test]

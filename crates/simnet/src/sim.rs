@@ -86,7 +86,8 @@ enum NetTimer {
 /// while let Some(t) = n.next_timer_at() {
 ///     n.advance_to(t);
 /// }
-/// let d = n.drain_deliveries();
+/// let mut d = Vec::new();
+/// n.drain_deliveries_into(&mut d);
 /// assert_eq!(d.len(), 1);
 /// assert_eq!(d[0].token, 7);
 /// ```
@@ -176,14 +177,6 @@ impl NetSim {
             .push(land, NetTimer::Deliver { to, from, token });
     }
 
-    /// Takes all pending deliveries.
-    ///
-    /// Allocation-free callers should prefer
-    /// [`NetSim::drain_deliveries_into`].
-    pub fn drain_deliveries(&mut self) -> Vec<Delivery> {
-        std::mem::take(&mut self.deliveries)
-    }
-
     /// Moves all pending deliveries into `buf` (appending), keeping the
     /// internal buffer's capacity for reuse on the hot path.
     pub fn drain_deliveries_into(&mut self, buf: &mut Vec<Delivery>) {
@@ -270,7 +263,9 @@ mod tests {
         while let Some(t) = n.next_timer_at() {
             n.advance_to(t);
         }
-        n.drain_deliveries()
+        let mut d = Vec::new();
+        n.drain_deliveries_into(&mut d);
+        d
     }
 
     #[test]

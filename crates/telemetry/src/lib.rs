@@ -8,7 +8,8 @@
 //!   guaranteed relative error, for production-scale fleets.
 //! - [`CpuBreakdown`] — the Primary/Secondary/OS/Idle utilization split shown
 //!   in every CPU-utilization bar chart (Figs 4b–8b).
-//! - [`TimeSeries`] — bucketed series for the Fig 10 production timeline.
+//! - [`TimeSeries`] — fixed-width buckets stored densely from t=0, for the
+//!   Fig 10 production timeline (one sample per simulated minute).
 //! - [`RunStats`] — mean/std/CI across repeated runs (the paper runs each
 //!   cluster experiment 8 times).
 //! - [`table::Table`] — plain-text tables for the CLI and example output.

@@ -10,18 +10,33 @@ use crate::sketch::{Sketch, SketchSummary};
 /// `Exact` keeps every sample and reports exact order statistics — the
 /// default, and what every golden fixture was blessed with. `Sketch`
 /// switches to the bounded-memory [`Sketch`] estimator for
-/// production-scale runs where per-sample storage is unaffordable.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// production-scale runs where per-sample storage is unaffordable. Spec
+/// files name it as a unit variant (`"telemetry": "Sketch"`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TelemetryMode {
     /// Keep all samples; percentiles are exact order statistics.
-    #[default]
     Exact,
     /// Log-bucketed sketch with a guaranteed relative error
     /// ([`Sketch::RELATIVE_ERROR`]).
     Sketch,
 }
 
+// The vendored serde_derive does not parse the `#[default]` variant
+// attribute, so this cannot be `#[derive(Default)]`.
+#[allow(clippy::derivable_impls)]
+impl Default for TelemetryMode {
+    fn default() -> Self {
+        TelemetryMode::Exact
+    }
+}
+
 impl TelemetryMode {
+    /// True for the default exact backend (serde skip predicate: the
+    /// default is never serialized, keeping pre-sketch fixtures stable).
+    pub fn is_exact(&self) -> bool {
+        matches!(self, TelemetryMode::Exact)
+    }
+
     /// Creates a recorder using this backend.
     pub fn recorder(self) -> LatencyRecorder {
         match self {
@@ -101,11 +116,6 @@ impl LatencyRecorder {
         LatencyRecorder {
             backend: Backend::Sketch(Sketch::new()),
         }
-    }
-
-    /// True when this recorder uses the sketch backend.
-    pub fn is_sketch(&self) -> bool {
-        matches!(self.backend, Backend::Sketch(_))
     }
 
     /// Records a completed-query latency.
@@ -203,36 +213,6 @@ impl LatencyRecorder {
                 SimDuration::from_nanos(e.samples_ns.iter().copied().max().unwrap_or(0))
             }
             Backend::Sketch(s) => s.max(),
-        }
-    }
-
-    /// Merges another recorder into this one. Exact merges into exact,
-    /// sketch merges into sketch, and an exact recorder's samples replay
-    /// into a sketch.
-    ///
-    /// # Panics
-    ///
-    /// Panics when merging a sketch into an exact recorder — the samples
-    /// behind the sketch's counters are gone, so no exact merge exists.
-    pub fn merge(&mut self, other: &LatencyRecorder) {
-        match (&mut self.backend, &other.backend) {
-            (Backend::Exact(a), Backend::Exact(b)) => {
-                a.samples_ns.extend_from_slice(&b.samples_ns);
-                a.dropped += b.dropped;
-                a.sorted = false;
-            }
-            (Backend::Sketch(a), Backend::Sketch(b)) => a.merge(b),
-            (Backend::Sketch(a), Backend::Exact(b)) => {
-                for &ns in &b.samples_ns {
-                    a.record(SimDuration::from_nanos(ns));
-                }
-                for _ in 0..b.dropped {
-                    a.record_dropped();
-                }
-            }
-            (Backend::Exact(_), Backend::Sketch(_)) => {
-                panic!("cannot merge a sketch-backed recorder into an exact one")
-            }
         }
     }
 
@@ -348,19 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_combines() {
-        let mut a = LatencyRecorder::new();
-        let mut b = LatencyRecorder::new();
-        a.record(SimDuration::from_millis(1));
-        b.record(SimDuration::from_millis(3));
-        b.record_dropped();
-        a.merge(&b);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.dropped(), 1);
-        assert_eq!(a.percentile(1.0).as_millis(), 3);
-    }
-
-    #[test]
     fn summary_is_consistent() {
         let mut r = LatencyRecorder::new();
         for i in 1..=1000u64 {
@@ -377,7 +344,6 @@ mod tests {
     fn sketch_backend_tracks_exact_within_bound() {
         let mut exact = LatencyRecorder::new();
         let mut sk = LatencyRecorder::sketch();
-        assert!(sk.is_sketch() && !exact.is_sketch());
         for i in 1..=5_000u64 {
             let v = SimDuration::from_micros(i * 7 % 4_000 + 1);
             exact.record(v);
@@ -401,33 +367,15 @@ mod tests {
     }
 
     #[test]
-    fn exact_samples_replay_into_sketch_merge() {
-        let mut sk = LatencyRecorder::sketch();
-        let mut exact = LatencyRecorder::new();
-        exact.record(SimDuration::from_millis(2));
-        exact.record_dropped();
-        sk.record(SimDuration::from_millis(8));
-        sk.merge(&exact);
-        assert_eq!(sk.len(), 2);
-        assert_eq!(sk.dropped(), 1);
-        assert_eq!(sk.max().as_millis(), 8);
-        let sketch = sk.take_sketch().expect("sketch backend");
-        assert_eq!(sketch.count(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot merge a sketch")]
-    fn sketch_into_exact_panics() {
-        let mut exact = LatencyRecorder::new();
-        let sk = LatencyRecorder::sketch();
-        exact.merge(&sk);
-    }
-
-    #[test]
     fn mode_selects_backend() {
-        assert!(!TelemetryMode::Exact.recorder().is_sketch());
-        assert!(TelemetryMode::Sketch.recorder().is_sketch());
+        assert!(TelemetryMode::Exact.recorder().take_sketch().is_none());
+        let mut sk = TelemetryMode::Sketch.recorder();
+        sk.record(SimDuration::from_millis(8));
+        sk.record_dropped();
+        let sketch = sk.take_sketch().expect("sketch backend");
+        assert_eq!((sketch.count(), sketch.dropped()), (1, 1));
         assert_eq!(TelemetryMode::default(), TelemetryMode::Exact);
+        assert!(TelemetryMode::default().is_exact());
     }
 
     proptest! {

@@ -1,13 +1,9 @@
 //! Fixed-bucket time series, used for the Fig 10 production timeline
 //! (QPS, p99 latency, and CPU utilization over one hour).
 //!
-//! Storage is offset-based: only the window from the first recorded
-//! bucket onward is materialized, so a series that first sees data at
-//! simulated hour 23 with one-second buckets stores one bucket, not
-//! ~86k empty ones. Leading gaps are still observable through
-//! [`TimeSeries::bucket`]/[`TimeSeries::iter`] as empty buckets, and the
-//! serialized form of a series that starts at t=0 (every series the
-//! existing fixtures contain) is byte-identical to the old dense layout.
+//! Buckets are stored densely from t=0, gaps included. The fleet records
+//! each series once per simulated minute, from bucket 0, in order, so its
+//! series have no gaps to store.
 
 use serde::{Deserialize, Serialize};
 use simcore::{SimDuration, SimTime};
@@ -34,13 +30,6 @@ impl Bucket {
     }
 }
 
-/// The bucket returned for indices inside a leading gap.
-static EMPTY_BUCKET: Bucket = Bucket {
-    count: 0,
-    sum: 0.0,
-    max: 0.0,
-};
-
 /// A time series aggregated into fixed-width buckets.
 ///
 /// # Examples
@@ -59,11 +48,6 @@ static EMPTY_BUCKET: Bucket = Bucket {
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct TimeSeries {
     width: SimDuration,
-    /// Index of the first stored bucket. Omitted from (and defaulted in)
-    /// JSON when zero, which keeps every series starting at t=0 — all
-    /// existing fixtures — byte-identical to the old dense layout.
-    #[serde(default, skip_serializing_if = "TimeSeries::index_is_zero")]
-    first: usize,
     buckets: Vec<Bucket>,
 }
 
@@ -77,14 +61,8 @@ impl TimeSeries {
         assert!(!width.is_zero(), "bucket width must be positive");
         TimeSeries {
             width,
-            first: 0,
             buckets: Vec::new(),
         }
-    }
-
-    /// `skip_serializing_if` predicate for the `first` offset.
-    fn index_is_zero(v: &usize) -> bool {
-        *v == 0
     }
 
     /// Bucket width.
@@ -95,18 +73,10 @@ impl TimeSeries {
     /// Records a sample at virtual time `t`.
     pub fn record(&mut self, t: SimTime, value: f64) {
         let idx = (t.as_nanos() / self.width.as_nanos()) as usize;
-        if self.buckets.is_empty() {
-            self.first = idx;
-            self.buckets.push(Bucket::default());
-        } else if idx < self.first {
-            let grow = self.first - idx;
-            self.buckets
-                .splice(0..0, std::iter::repeat_n(Bucket::default(), grow));
-            self.first = idx;
-        } else if idx >= self.first + self.buckets.len() {
-            self.buckets.resize(idx - self.first + 1, Bucket::default());
+        if idx >= self.buckets.len() {
+            self.buckets.resize(idx + 1, Bucket::default());
         }
-        let b = &mut self.buckets[idx - self.first];
+        let b = &mut self.buckets[idx];
         b.count += 1;
         b.sum += value;
         b.max = if b.count == 1 {
@@ -116,14 +86,9 @@ impl TimeSeries {
         };
     }
 
-    /// Number of buckets (up to the latest recorded sample), counting
-    /// any unmaterialized leading gap.
+    /// Number of buckets (up to the latest recorded sample).
     pub fn len(&self) -> usize {
-        if self.buckets.is_empty() {
-            0
-        } else {
-            self.first + self.buckets.len()
-        }
+        self.buckets.len()
     }
 
     /// True when no samples have been recorded.
@@ -131,43 +96,9 @@ impl TimeSeries {
         self.buckets.is_empty()
     }
 
-    /// Number of buckets actually materialized in memory — the series'
-    /// footprint, independent of how late its window starts.
-    pub fn stored_buckets(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Index of the first stored bucket (0 when empty).
-    pub fn first_index(&self) -> usize {
-        if self.buckets.is_empty() {
-            0
-        } else {
-            self.first
-        }
-    }
-
-    /// Returns bucket `idx` if it exists. Indices inside the leading gap
-    /// resolve to an empty bucket.
+    /// Returns bucket `idx` if it exists.
     pub fn bucket(&self, idx: usize) -> Option<&Bucket> {
-        if idx >= self.len() {
-            None
-        } else if idx < self.first {
-            Some(&EMPTY_BUCKET)
-        } else {
-            self.buckets.get(idx - self.first)
-        }
-    }
-
-    /// Iterates `(bucket_start_time, bucket)` pairs, leading gap
-    /// included.
-    pub fn iter(&self) -> impl Iterator<Item = (SimTime, &Bucket)> {
-        let w = self.width;
-        (0..self.len()).map(move |i| {
-            (
-                SimTime::from_nanos(i as u64 * w.as_nanos()),
-                self.bucket(i).expect("index in range"),
-            )
-        })
+        self.buckets.get(idx)
     }
 
     /// Mean of all bucket means that contain data.
@@ -181,54 +112,6 @@ impl TimeSeries {
             0.0
         } else {
             sum / n as f64
-        }
-    }
-
-    /// Merges `other` into `self` bucket-by-bucket, summing counts and
-    /// sums and keeping the larger maximum. Used by parallel reducers that
-    /// record partial series per worker and combine them afterwards. The
-    /// stored window grows only to the union of the two windows — merging
-    /// a late-starting series never materializes the leading gap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bucket widths differ.
-    pub fn merge(&mut self, other: &TimeSeries) {
-        assert_eq!(
-            self.width, other.width,
-            "cannot merge series with different bucket widths"
-        );
-        if other.buckets.is_empty() {
-            return;
-        }
-        if self.buckets.is_empty() {
-            self.first = other.first;
-            self.buckets = other.buckets.clone();
-            return;
-        }
-        let new_first = self.first.min(other.first);
-        let new_end = self.len().max(other.len());
-        if new_first < self.first {
-            let grow = self.first - new_first;
-            self.buckets
-                .splice(0..0, std::iter::repeat_n(Bucket::default(), grow));
-            self.first = new_first;
-        }
-        if new_end - self.first > self.buckets.len() {
-            self.buckets.resize(new_end - self.first, Bucket::default());
-        }
-        for (i, b) in other.buckets.iter().enumerate() {
-            if b.count == 0 {
-                continue;
-            }
-            let a = &mut self.buckets[other.first + i - self.first];
-            a.max = if a.count == 0 {
-                b.max
-            } else {
-                a.max.max(b.max)
-            };
-            a.count += b.count;
-            a.sum += b.sum;
         }
     }
 }
@@ -268,24 +151,6 @@ mod tests {
     }
 
     #[test]
-    fn late_first_sample_does_not_materialize_the_prefix() {
-        // The motivating regression: one sample at simulated hour 23 with
-        // 1 s buckets used to allocate ~86k empty buckets.
-        let mut s = TimeSeries::new(SimDuration::from_secs(1));
-        s.record(SimTime::from_secs(23 * 3600), 42.0);
-        assert_eq!(s.len(), 23 * 3600 + 1);
-        assert_eq!(s.stored_buckets(), 1);
-        assert_eq!(s.first_index(), 23 * 3600);
-        assert_eq!(s.bucket(0).unwrap().count, 0);
-        assert_eq!(s.bucket(23 * 3600).unwrap().max, 42.0);
-        assert!(s.bucket(23 * 3600 + 1).is_none());
-        // Filling backwards materializes only what the window needs.
-        s.record(SimTime::from_secs(23 * 3600 - 2), 7.0);
-        assert_eq!(s.stored_buckets(), 3);
-        assert_eq!(s.bucket(23 * 3600 - 2).unwrap().max, 7.0);
-    }
-
-    #[test]
     fn overall_mean_skips_empty() {
         let mut s = TimeSeries::new(SimDuration::from_secs(1));
         s.record(SimTime::from_secs(0), 10.0);
@@ -294,104 +159,18 @@ mod tests {
     }
 
     #[test]
-    fn merge_combines_buckets() {
-        let mut a = TimeSeries::new(SimDuration::from_secs(1));
-        let mut b = TimeSeries::new(SimDuration::from_secs(1));
-        a.record(SimTime::from_millis(100), 10.0);
-        b.record(SimTime::from_millis(200), 30.0);
-        b.record(SimTime::from_secs(3), 7.0);
-        a.merge(&b);
-        assert_eq!(a.len(), 4);
-        assert_eq!(a.bucket(0).unwrap().count, 2);
-        assert_eq!(a.bucket(0).unwrap().mean(), 20.0);
-        assert_eq!(a.bucket(0).unwrap().max, 30.0);
-        assert_eq!(a.bucket(3).unwrap().mean(), 7.0);
-    }
-
-    #[test]
-    fn merge_matches_direct_recording() {
-        let samples: Vec<(u64, f64)> = (0..200)
-            .map(|i| (i * 137 % 5_000, (i as f64) * 0.75 - 30.0))
-            .collect();
-        let mut whole = TimeSeries::new(SimDuration::from_millis(500));
-        let mut left = TimeSeries::new(SimDuration::from_millis(500));
-        let mut right = TimeSeries::new(SimDuration::from_millis(500));
-        for (i, &(t, v)) in samples.iter().enumerate() {
-            whole.record(SimTime::from_millis(t), v);
-            if i % 2 == 0 {
-                left.record(SimTime::from_millis(t), v);
-            } else {
-                right.record(SimTime::from_millis(t), v);
-            }
-        }
-        left.merge(&right);
-        assert_eq!(left.len(), whole.len());
-        for i in 0..whole.len() {
-            let (a, b) = (left.bucket(i).unwrap(), whole.bucket(i).unwrap());
-            assert_eq!(a.count, b.count, "bucket {i} count");
-            assert!((a.sum - b.sum).abs() < 1e-9, "bucket {i} sum");
-            assert_eq!(a.max.to_bits(), b.max.to_bits(), "bucket {i} max");
-        }
-    }
-
-    #[test]
-    fn merging_late_series_into_empty_keeps_the_window() {
-        // The satellite regression: merge used to resize the target to the
-        // source's *dense* length, materializing the whole prefix.
-        let mut late = TimeSeries::new(SimDuration::from_secs(1));
-        late.record(SimTime::from_secs(80_000), 1.5);
-        late.record(SimTime::from_secs(80_003), 2.5);
-        let mut acc = TimeSeries::new(SimDuration::from_secs(1));
-        acc.merge(&late);
-        assert_eq!(acc.len(), 80_004);
-        assert_eq!(acc.stored_buckets(), 4);
-        assert_eq!(acc.first_index(), 80_000);
-        assert_eq!(acc.bucket(80_003).unwrap().max, 2.5);
-
-        // Merging two disjoint late windows stores only their union.
-        let mut other = TimeSeries::new(SimDuration::from_secs(1));
-        other.record(SimTime::from_secs(79_990), 9.0);
-        acc.merge(&other);
-        assert_eq!(acc.first_index(), 79_990);
-        assert_eq!(acc.stored_buckets(), 14);
-        assert_eq!(acc.len(), 80_004);
-        assert_eq!(acc.bucket(79_990).unwrap().max, 9.0);
-        assert_eq!(acc.bucket(80_000).unwrap().max, 1.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "different bucket widths")]
-    fn merge_rejects_mismatched_widths() {
-        let mut a = TimeSeries::new(SimDuration::from_secs(1));
-        let b = TimeSeries::new(SimDuration::from_secs(2));
-        a.merge(&b);
-    }
-
-    #[test]
-    fn iter_yields_start_times() {
-        let mut s = TimeSeries::new(SimDuration::from_secs(60));
-        s.record(SimTime::from_secs(90), 1.0);
-        let times: Vec<u64> = s.iter().map(|(t, _)| t.as_millis() / 1000).collect();
-        assert_eq!(times, vec![0, 60]);
-    }
-
-    #[test]
     fn serde_shape_is_stable() {
-        // A series starting at t=0 serializes without a `first` key —
-        // byte-identical to the pre-offset layout the fixtures pin.
+        // The JSON the fleet fixtures pin: the width and the dense buckets.
         let mut s = TimeSeries::new(SimDuration::from_secs(60));
         s.record(SimTime::from_secs(30), 1.0);
         let text = serde_json::to_string(&s).expect("serializes");
-        assert!(!text.contains("first"), "{text}");
-
-        // A late-starting series round-trips with its offset intact.
-        let mut late = TimeSeries::new(SimDuration::from_secs(1));
-        late.record(SimTime::from_secs(5_000), 3.0);
-        let text = serde_json::to_string(&late).expect("serializes");
-        assert!(text.contains("first"), "{text}");
+        assert!(text.starts_with("{\"width\":"), "{text}");
+        assert!(
+            text.ends_with("\"buckets\":[{\"count\":1,\"sum\":1.0,\"max\":1.0}]}"),
+            "{text}"
+        );
         let back: TimeSeries = serde_json::from_str(&text).expect("parses");
-        assert_eq!(back.len(), late.len());
-        assert_eq!(back.stored_buckets(), 1);
-        assert_eq!(back.bucket(5_000).unwrap().max, 3.0);
+        assert_eq!(back.len(), 1);
+        assert_eq!(back.bucket(0).unwrap().max, 1.0);
     }
 }

@@ -25,12 +25,10 @@
 //! [`GraphEngine::advance_to`] alongside its other event sources, and
 //! routes thread exits back via [`GraphEngine::on_thread_exited`].
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use simcore::dist::{LogNormal, Sample};
-use simcore::{RequestTable, SimDuration, SimRng, SimTime};
+use simcore::{EventQueue, RequestTable, SimDuration, SimRng, SimTime};
 use simcpu::{JobId, Machine, Program, ThreadId};
 use simnet::{NetConfig, NetSim, NodeId};
 use telemetry::ResilienceStats;
@@ -218,16 +216,8 @@ struct RequestState {
 }
 
 /// An engine-internal timer (retry backoff, attempt deadlines, hedge
-/// fire points). Ordered by time with a sequence tie-break so the heap
-/// pops deterministically.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct TimerEntry {
-    at: SimTime,
-    seq: u64,
-    kind: TimerKind,
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+/// fire points).
+#[derive(Clone, Copy, Debug)]
 enum TimerKind {
     /// Launch retry `attempt` of `ridx` (backoff elapsed).
     RetryStart { ridx: u64, attempt: u32 },
@@ -271,8 +261,8 @@ pub struct GraphEngine {
     breakers: Vec<CircuitBreaker>,
     /// Per-stage hedge delays (empty without a hedge policy).
     hedge_delays: Vec<SimDuration>,
-    timers: BinaryHeap<Reverse<TimerEntry>>,
-    timer_seq: u64,
+    /// Resilience timers, popped in `(time, push order)`.
+    timers: EventQueue<TimerKind>,
     /// Total stage worker threads spawned (fan-out statistics).
     pub workers_spawned: u64,
 }
@@ -363,8 +353,7 @@ impl GraphEngine {
             live: 0,
             breakers,
             hedge_delays,
-            timers: BinaryHeap::new(),
-            timer_seq: 0,
+            timers: EventQueue::new(),
             workers_spawned: 0,
         }
     }
@@ -404,12 +393,6 @@ impl GraphEngine {
     /// the pre-resilience `(ridx << 8) | eidx` layout.
     fn net_token(ridx: u64, eidx: usize, attempt: u32) -> u64 {
         ((attempt as u64) << (8 + REQUEST_BITS)) | (ridx << 8) | eidx as u64
-    }
-
-    fn push_timer(&mut self, at: SimTime, kind: TimerKind) {
-        let seq = self.timer_seq;
-        self.timer_seq += 1;
-        self.timers.push(Reverse(TimerEntry { at, seq, kind }));
     }
 
     fn retry_policy(&self) -> Option<&RetryPolicy> {
@@ -489,7 +472,7 @@ impl GraphEngine {
         if !self.hedge_delays.is_empty() {
             let attempt = self.req(ridx).attempt;
             let at = now + self.hedge_delays[stage as usize];
-            self.push_timer(
+            self.timers.push(
                 at,
                 TimerKind::HedgeFire {
                     ridx,
@@ -689,7 +672,7 @@ impl GraphEngine {
                 req.pending_workers.iter_mut().for_each(|w| *w = 0);
                 req.hedge_workers.iter_mut().for_each(|w| *w = 0);
                 self.stats.retries += 1;
-                self.push_timer(
+                self.timers.push(
                     now + delay,
                     TimerKind::RetryStart {
                         ridx,
@@ -737,7 +720,7 @@ impl GraphEngine {
     /// own resilience timers.
     pub fn next_timer_at(&self) -> Option<SimTime> {
         let net = self.net.next_timer_at();
-        let timer = self.timers.peek().map(|Reverse(e)| e.at);
+        let timer = self.timers.peek_time();
         match (net, timer) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -750,11 +733,7 @@ impl GraphEngine {
     pub fn advance_to(&mut self, now: SimTime, machine: &mut Machine) {
         loop {
             let tnet = self.net.next_timer_at().filter(|&t| t <= now);
-            let ttimer = self
-                .timers
-                .peek()
-                .map(|Reverse(e)| e.at)
-                .filter(|&t| t <= now);
+            let ttimer = self.timers.peek_time().filter(|&t| t <= now);
             match (tnet, ttimer) {
                 (None, None) => break,
                 (Some(tn), None) => self.pump_net(tn, machine),
@@ -813,12 +792,12 @@ impl GraphEngine {
     }
 
     fn fire_timer(&mut self, machine: &mut Machine) {
-        let Some(Reverse(entry)) = self.timers.pop() else {
+        let Some((due, kind)) = self.timers.pop() else {
             return;
         };
         // Hosts that overshoot the timer still act in machine time.
-        let at = entry.at.max(machine.now());
-        match entry.kind {
+        let at = due.max(machine.now());
+        match kind {
             TimerKind::RetryStart { ridx, attempt } => {
                 let valid = self
                     .requests
@@ -841,7 +820,8 @@ impl GraphEngine {
                     .pending_inputs
                     .extend_from_slice(&in_degree);
                 self.in_degree = in_degree;
-                self.push_timer(deadline, TimerKind::AttemptTimeout { ridx, attempt });
+                self.timers
+                    .push(deadline, TimerKind::AttemptTimeout { ridx, attempt });
                 for i in 0..self.roots.len() {
                     let stage = self.roots[i];
                     if self.requests.is_finished(ridx) {

@@ -4,6 +4,7 @@
 //! round-trip bit-identically through its JSON form.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 use scenarios::spec::{
     AdmissionSpec, BreakerSpec, ControllerSpec, CurveSpec, EdgeSpec, FaultEvent, FaultSpec,
     FleetProductionSpec, HedgeSpec, ResilienceSpec, RestartSpec, RetrySpec, ScaleSpec,
@@ -18,6 +19,9 @@ fn policy_strategy() -> impl Strategy<Value = Policy> {
         Just(Policy::Standalone),
         Just(Policy::NoIsolation),
         Just(Policy::FullPerfIso),
+        Just(Policy::FullPerfIso),
+        Just(Policy::Blind { buffer_cores: 8 }),
+        Just(Policy::Blind { buffer_cores: 8 }),
         // Includes out-of-range parameters on purpose: validation must
         // reject them with an error, never a panic.
         (0u32..64).prop_map(|b| Policy::Blind { buffer_cores: b }),
@@ -27,7 +31,7 @@ fn policy_strategy() -> impl Strategy<Value = Policy> {
 }
 
 fn secondary_strategy() -> impl Strategy<Value = indexserve::SecondaryKind> {
-    (
+    let mix = (
         proptest::option::of(prop_oneof![
             Just(BullyIntensity::Mid),
             Just(BullyIntensity::High),
@@ -43,13 +47,16 @@ fn secondary_strategy() -> impl Strategy<Value = indexserve::SecondaryKind> {
             cpu_bully,
             disk_bully,
             hdfs,
-        })
+        });
+    // No secondary at all, which `Policy::Standalone` requires.
+    prop_oneof![Just(indexserve::SecondaryKind::none()), mix]
 }
 
 fn target_strategy() -> impl Strategy<Value = TargetSpec> {
     // Roster entries straddle validity: zero qps, empty/duplicate names
-    // (name collisions arise naturally from the tiny name pool), and
-    // working sets big enough that two of them overflow the box.
+    // (name collisions arise naturally from the tiny name pool), working
+    // sets big enough that two of them overflow the box, and ones whose
+    // sum overflows `u64`.
     let service = (
         prop_oneof![
             Just(String::new()),
@@ -57,7 +64,7 @@ fn target_strategy() -> impl Strategy<Value = TargetSpec> {
             Just("ads".to_string()),
         ],
         prop_oneof![Just(0.0f64), 100.0f64..3_000.0],
-        prop_oneof![Just(0u64), 1_024u64..70_000],
+        prop_oneof![Just(0u64), 1_024u64..70_000, Just(u64::MAX)],
     )
         .prop_map(|(name, qps, working_set_mb)| ServiceLoadSpec {
             name,
@@ -118,7 +125,8 @@ fn target_strategy() -> impl Strategy<Value = TargetSpec> {
 }
 
 /// Service graphs straddle validity exactly like the other strategies:
-/// empty graphs, zero fan-outs, dangling edge names, self-loops, and —
+/// empty graphs, zero fan-outs, dangling edge names, self-loops,
+/// footprints and durations past `u64` bytes or the clock, and —
 /// because edges are drawn from a tiny stage-name pool in both
 /// directions — cycles, all alongside genuinely well-formed DAGs.
 fn graph_strategy() -> impl Strategy<Value = ServiceGraphSpec> {
@@ -136,7 +144,7 @@ fn graph_strategy() -> impl Strategy<Value = ServiceGraphSpec> {
         prop_oneof![Just(0u32), 1u32..16],
         prop_oneof![Just(0.0f64), 50.0f64..500.0],
         0.0f64..0.6,
-        prop_oneof![Just(0u64), 64u64..4_096],
+        prop_oneof![Just(0u64), 64u64..4_096, 64u64..4_096, Just(u64::MAX)],
     )
         .prop_map(|(name, fan_out, compute_us, sigma, memory_mb)| StageSpec {
             name,
@@ -154,7 +162,8 @@ fn graph_strategy() -> impl Strategy<Value = ServiceGraphSpec> {
             Just("dangling".to_string()),
         ]
     };
-    let edge = (edge_name(), edge_name(), 1u64..65_536, 0u64..200).prop_map(
+    let latency_us = prop_oneof![0u64..200, 0u64..200, Just(u64::MAX)];
+    let edge = (edge_name(), edge_name(), 1u64..65_536, latency_us).prop_map(
         |(from, to, bytes, latency_us)| EdgeSpec {
             from,
             to,
@@ -165,7 +174,7 @@ fn graph_strategy() -> impl Strategy<Value = ServiceGraphSpec> {
     (
         proptest::collection::vec(stage, 0..5),
         proptest::collection::vec(edge, 0..6),
-        prop_oneof![Just(0u64), 1u64..100],
+        prop_oneof![Just(0u64), 1u64..100, 1u64..100, Just(u64::MAX)],
     )
         .prop_map(|(stages, edges, timeout_ms)| ServiceGraphSpec {
             stages,
@@ -376,42 +385,75 @@ fn resilience_strategy() -> impl Strategy<Value = ResilienceSpec> {
         )
 }
 
+/// Draws `valid` three times in four and `hostile` otherwise. A spec is
+/// assembled from a dozen parts, each of which `validate` must accept, so
+/// without this weighting almost no generated spec validates and the
+/// properties' accepting branches never run; every hostile value still
+/// reaches `validate` in about a quarter of the cases.
+fn mostly<T>(
+    valid: impl Strategy<Value = T>,
+    hostile: impl Strategy<Value = T>,
+) -> impl Strategy<Value = T> {
+    (0u32..4, valid, hostile)
+        .prop_map(|(pick, valid, hostile)| if pick == 0 { hostile } else { valid })
+}
+
 fn spec_strategy() -> impl Strategy<Value = ScenarioSpec> {
     (
         (
-            prop_oneof![
-                Just("prop-spec".to_string()),
-                Just("p".to_string()),
-                Just(String::new()),
-                Just("has space".to_string()),
-            ],
-            target_strategy(),
-            workload_strategy(),
+            mostly(
+                prop_oneof![Just("prop-spec".to_string()), Just("p".to_string())],
+                prop_oneof![Just(String::new()), Just("has space".to_string())],
+            ),
+            mostly(
+                (100.0f64..5_000.0).prop_map(|qps| TargetSpec::SingleBox { qps }),
+                target_strategy(),
+            ),
+            mostly(Just(WorkloadSpec::IndexServe), workload_strategy()),
             secondary_strategy(),
         ),
-        (policy_strategy(), controller_strategy(), sweep_strategy()),
         (
-            prop_oneof![
+            policy_strategy(),
+            mostly(Just(ControllerSpec::default()), controller_strategy()),
+            mostly(
+                prop_oneof![
+                    Just(None),
+                    Just(Some(SweepSpec {
+                        axes: vec![SweepAxis::Policy(vec![
+                            Policy::FullPerfIso,
+                            Policy::Blind { buffer_cores: 8 },
+                        ])],
+                    })),
+                ],
+                sweep_strategy(),
+            ),
+        ),
+        (
+            mostly(
                 Just(ScaleSpec::Quick),
-                // Only validated and rescaled here, never run, so the
-                // 6.5 s bench window costs nothing.
-                Just(ScaleSpec::Bench),
-                // A window past the simulated clock must be rejected.
-                (
-                    prop_oneof![0u64..300, 0u64..300, Just(u64::MAX)],
-                    prop_oneof![0u64..500, 0u64..500, Just(u64::MAX)],
-                )
-                    .prop_map(|(warmup_ms, measure_ms)| ScaleSpec::Custom {
-                        warmup_ms,
-                        measure_ms,
-                    }),
-            ],
+                prop_oneof![
+                    // Only validated and rescaled here, never run, so the
+                    // 6.5 s bench window costs nothing.
+                    Just(ScaleSpec::Bench),
+                    // A window past the simulated clock must be rejected.
+                    (
+                        prop_oneof![0u64..300, 0u64..300, Just(u64::MAX)],
+                        prop_oneof![0u64..500, 0u64..500, Just(u64::MAX)],
+                    )
+                        .prop_map(|(warmup_ms, measure_ms)| {
+                            ScaleSpec::Custom {
+                                warmup_ms,
+                                measure_ms,
+                            }
+                        }),
+                ],
+            ),
             any::<u64>(),
-            0u32..4,
-            fault_strategy(),
+            mostly(1u32..4, 0u32..4),
+            mostly(Just(FaultSpec::default()), fault_strategy()),
             prop_oneof![Just(TelemetrySpec::Exact), Just(TelemetrySpec::Sketch)],
         ),
-        resilience_strategy(),
+        mostly(Just(ResilienceSpec::default()), resilience_strategy()),
     )
         .prop_map(
             |(
@@ -550,6 +592,30 @@ proptest! {
     }
 }
 
+/// The properties above check the window, controller and JSON round
+/// trip only on the specs `validate` accepts, and expand only accepted
+/// sweeps. Over the same 256 cases, at least 1 in 8 specs must validate
+/// and at least one of them must carry a sweep, or those checks never run.
+#[test]
+fn spec_strategy_reaches_the_accepting_branches() {
+    let strategy = spec_strategy();
+    let specs: Vec<ScenarioSpec> = (0..256)
+        .map(|case| strategy.sample(&mut TestRng::for_case(case)))
+        .collect();
+    let valid: Vec<&ScenarioSpec> = specs.iter().filter(|s| s.validate().is_ok()).collect();
+    assert!(
+        valid.len() * 8 >= specs.len(),
+        "{} of {} generated specs validate",
+        valid.len(),
+        specs.len()
+    );
+    assert!(
+        valid.iter().any(|s| s.sweep.is_some()),
+        "none of the {} accepted specs carries a sweep",
+        valid.len()
+    );
+}
+
 /// The issue's named bad inputs must be `Err` — never a panic and never
 /// silently accepted.
 #[test]
@@ -585,6 +651,19 @@ fn named_bad_inputs_are_rejected_without_panicking() {
             "buffer_cores {b} accepted"
         );
     }
+    // Two roster working sets of 2^63 MB: their sum overflows `u64`.
+    let mut s = scenarios::spec::named("dual-primary-arbitration").expect("registered");
+    let TargetSpec::MultiBox { services } = &mut s.target else {
+        panic!("dual-primary-arbitration is a multi-box roster");
+    };
+    for service in services.iter_mut() {
+        service.working_set_mb = 1 << 63;
+    }
+    let err = s.validate().expect_err("overflowing roster accepted");
+    assert!(
+        matches!(&err, SpecError::InvalidWorkload(m) if m.contains("roster working sets")),
+        "{err}"
+    );
 }
 
 /// The canonical malformed graphs must be `Err` with a telling message —
@@ -637,6 +716,39 @@ fn named_bad_graphs_are_rejected_without_panicking() {
         timeout_ms: 10,
     };
     assert!(ring.check_shape().unwrap_err().contains("cycle"));
+    // The registered chain with a deadline, a hop or a footprint past the
+    // clock or `u64` bytes.
+    let chain = || {
+        let spec = scenarios::spec::named("graph-chain").expect("registered");
+        let graph = spec.workload.as_graph().expect("graph workload").clone();
+        (spec, graph)
+    };
+    let (mut s, mut g) = chain();
+    g.timeout_ms = u64::MAX;
+    s.workload = WorkloadSpec::ServiceGraph(g);
+    let err = s.validate().expect_err("unbounded deadline accepted");
+    assert!(
+        matches!(&err, SpecError::InvalidWorkload(m) if m.contains("timeout_ms")),
+        "{err}"
+    );
+    let (mut s, mut g) = chain();
+    g.edges[0].latency_us = u64::MAX;
+    s.workload = WorkloadSpec::ServiceGraph(g);
+    let err = s.validate().expect_err("unbounded hop latency accepted");
+    assert!(
+        matches!(&err, SpecError::InvalidWorkload(m) if m.contains("latency_us")),
+        "{err}"
+    );
+    let (mut s, mut g) = chain();
+    for stage in &mut g.stages[..2] {
+        stage.memory_mb = 1 << 63;
+    }
+    s.workload = WorkloadSpec::ServiceGraph(g);
+    let err = s.validate().expect_err("overflowing working set accepted");
+    assert!(
+        matches!(&err, SpecError::InvalidWorkload(m) if m.contains("memory_mb")),
+        "{err}"
+    );
     // A valid spec embedding an invalid graph is rejected as a whole.
     let mut s = ScenarioSpec::builder("bad-graph").build().unwrap();
     s.workload = WorkloadSpec::ServiceGraph(cycle);
