@@ -10,7 +10,24 @@
 //! [`BoxSim`] is an embeddable component (the cluster simulator runs 44 of
 //! them); [`run_multi`] wraps it with one open-loop client per hosted
 //! service and produces the per-figure measurements.
+//!
+//! # Deadlines
+//!
+//! A hosted service drops a request still unfinished `timeout` after it
+//! arrived, and nearly every request finishes long before that. So the box
+//! keeps no timer per request: each service slot holds a ring of its
+//! admitted arrival instants, 8 bytes each, and the box visits every
+//! deadline instant, whether or not its request is still running, so the
+//! instants it processes (and the CPU breakdowns a cluster reads at them)
+//! do not depend on how many requests finish in time. A request keeps the
+//! app-queue sequence number reserved when it arrived
+//! ([`EventQueue::reserve_seq`]); only a deadline that finds its request
+//! unfinished becomes an app-queue event, pushed under that number, so it
+//! fires exactly where an event pushed at arrival would have among the
+//! controller polls, flood ticks and other deadlines of its instant. The
+//! app queue itself holds only the recurring events and the fault plan.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use autopilot::{ConfigStore, RestartDecision, ServiceManager};
@@ -187,10 +204,12 @@ pub enum BoxEvent {
 
 #[derive(Debug)]
 enum AppEvent {
-    /// A query deadline: service index in the top byte, service-local
-    /// query index below (service 0 packs to the bare index, so
-    /// single-service timelines are unchanged).
-    Timeout(u64),
+    /// A query deadline that found the query unfinished when it came due
+    /// (see [`BoxSim::arm_deadlines`]).
+    Timeout {
+        service: usize,
+        qidx: u64,
+    },
     CpuPoll,
     IoPoll,
     MemPoll,
@@ -235,6 +254,12 @@ const ROLLBACK_ACCEPT_SAMPLES: usize = 400;
 /// benchmark's boxes routes at most 2 machine outputs, 2 disk completions
 /// and 1 query outcome; a kill sweep that routes more grows a buffer once.
 const SETTLE_SCRATCH: usize = 8;
+/// App-queue cells reserved for the recurring events: three controller
+/// polls, two HDFS traffic generators and a flood tick. A fault plan
+/// reserves one more per planned fault, which also covers the restart it
+/// may schedule; a deadline that finds its query unfinished holds a cell
+/// only for the instant it fires in.
+const APP_RECURRING: usize = 6;
 
 /// A config rollout under observation by the tail-latency watchdog.
 struct RolloutWatch {
@@ -331,14 +356,18 @@ impl ChaosState {
     }
 }
 
-/// Shift packing a service index into a [`AppEvent::Timeout`] payload.
-const TIMEOUT_SVC_SHIFT: u32 = 56;
-
 /// One hosted service and its machine job.
 struct ServiceSlot {
     name: String,
     port: Box<dyn ServicePort>,
     job: JobId,
+    /// The port's [`ServicePort::timeout`].
+    timeout: SimDuration,
+    /// Arrival instant of every admitted request whose deadline has not
+    /// come due, oldest first. The box visits each deadline instant, live
+    /// or not, so a run processes the same instants whether or not its
+    /// queries finish in time.
+    arrivals: VecDeque<SimTime>,
 }
 
 /// One simulated production server.
@@ -382,6 +411,10 @@ pub struct BoxSim {
     scratch_outputs: Vec<MachineOutput>,
     scratch_completions: Vec<simdisk::IoCompletion>,
     scratch_outcomes: Vec<QueryOutcome>,
+    /// `(qidx, deadline_seq)` of the live deadlines one arrival instant
+    /// leaves (see [`BoxSim::arm_deadlines`]); empty unless a query misses
+    /// its deadline.
+    scratch_deadlines: Vec<(u64, u64)>,
 }
 
 impl BoxSim {
@@ -453,11 +486,19 @@ impl BoxSim {
                         i as u8,
                     )),
                 };
-                ServiceSlot { name, port, job }
+                let timeout = port.timeout();
+                assert!(!timeout.is_zero(), "service {name} has a zero deadline");
+                ServiceSlot {
+                    name,
+                    port,
+                    job,
+                    timeout,
+                    arrivals: VecDeque::new(),
+                }
             })
             .collect();
         let rng = SimRng::seed_from_u64(cfg.seed ^ 0xB0);
-        let app = EventQueue::with_capacity(256);
+        let app = EventQueue::with_capacity(APP_RECURRING);
         let hdfs_repl = HdfsNode::replication();
         let hdfs_client = HdfsNode::client();
 
@@ -488,6 +529,7 @@ impl BoxSim {
             scratch_outputs: Vec::with_capacity(SETTLE_SCRATCH),
             scratch_completions: Vec::with_capacity(SETTLE_SCRATCH),
             scratch_outcomes: Vec::with_capacity(SETTLE_SCRATCH),
+            scratch_deadlines: Vec::new(),
         };
 
         // Secondary tenants.
@@ -509,6 +551,7 @@ impl BoxSim {
         // across threads).
         if let Some(plan) = sim.cfg.fault.clone() {
             let ch = Box::new(ChaosState::new(plan));
+            sim.app.reserve_total(APP_RECURRING + ch.plan.faults.len());
             for (i, f) in ch.plan.faults.iter().enumerate() {
                 sim.app.push(f.at, AppEvent::Fault(i as u32));
             }
@@ -800,7 +843,7 @@ impl BoxSim {
         self.machine.set_job_memory(self.secondary_job, bytes);
     }
 
-    /// Injects a query arriving now at service slot 0; schedules its
+    /// Injects a query arriving now at service slot 0 and times its
     /// deadline. Returns the service-local query index echoed in
     /// [`BoxEvent::QueryDone`].
     pub fn inject_query(&mut self, now: SimTime, spec: QuerySpec) -> u64 {
@@ -835,15 +878,22 @@ impl BoxSim {
             self.settle();
             return qidx;
         }
-        let qidx = self.services[service]
-            .port
-            .on_arrival(now, spec, &mut self.machine);
-        let deadline = now + self.services[service].port.timeout();
-        self.app.push(
-            deadline,
-            AppEvent::Timeout(((service as u64) << TIMEOUT_SVC_SHIFT) | qidx),
-        );
+        let qidx = self.admit(service, spec);
         self.settle();
+        qidx
+    }
+
+    /// Admits an arrival at `service` now and times its deadline: the
+    /// arrival instant joins the service's ring, and the query keeps the
+    /// app-queue sequence number its deadline event would have taken if
+    /// pushed now.
+    fn admit(&mut self, service: usize, spec: QuerySpec) -> u64 {
+        let deadline_seq = self.app.reserve_seq();
+        let slot = &mut self.services[service];
+        let qidx = slot
+            .port
+            .on_arrival(self.now, spec, deadline_seq, &mut self.machine);
+        slot.arrivals.push_back(self.now);
         qidx
     }
 
@@ -911,7 +961,11 @@ impl BoxSim {
         .into_iter()
         .flatten()
         .chain(self.services.iter().filter_map(|s| s.port.next_timer_at()))
-        {
+        .chain(
+            self.services
+                .iter()
+                .filter_map(|s| Some(*s.arrivals.front()? + s.timeout)),
+        ) {
             next = Some(next.map_or(c, |n: SimTime| n.min(c)));
         }
         next
@@ -960,10 +1014,37 @@ impl BoxSim {
         self.machine.advance_to(at);
         self.disk.advance_to(at);
         self.advance_services(at);
+        self.arm_deadlines(at);
         while let Some((_, ev)) = self.app.pop_before(at) {
             self.handle_app_event(ev);
         }
         self.settle();
+    }
+
+    /// Takes every arrival whose deadline is due by `at` off its ring and
+    /// pushes a [`AppEvent::Timeout`] for each query among them that is
+    /// still unfinished, under the sequence number reserved at its arrival.
+    /// A live deadline therefore pops exactly where one pushed at arrival
+    /// would have. Deadlines are positive, so every arrival this instant
+    /// admits comes due at a later one.
+    fn arm_deadlines(&mut self, at: SimTime) {
+        for (service, slot) in self.services.iter_mut().enumerate() {
+            while let Some(&arrival) = slot.arrivals.front() {
+                let deadline = arrival + slot.timeout;
+                if deadline > at {
+                    break;
+                }
+                while slot.arrivals.front() == Some(&arrival) {
+                    slot.arrivals.pop_front();
+                }
+                slot.port
+                    .live_deadlines(arrival, &mut self.scratch_deadlines);
+                for (qidx, seq) in self.scratch_deadlines.drain(..) {
+                    self.app
+                        .push_reserved(deadline, seq, AppEvent::Timeout { service, qidx });
+                }
+            }
+        }
     }
 
     /// Pumps services with internal event sources (graph fabrics) to `t`.
@@ -1106,14 +1187,10 @@ impl BoxSim {
 
     fn handle_app_event(&mut self, ev: AppEvent) {
         match ev {
-            AppEvent::Timeout(packed) => {
-                let svc = (packed >> TIMEOUT_SVC_SHIFT) as usize;
-                let qidx = packed & ((1 << TIMEOUT_SVC_SHIFT) - 1);
-                if svc < self.services.len() {
-                    self.services[svc]
-                        .port
-                        .on_timeout(self.now, qidx, &mut self.machine);
-                }
+            AppEvent::Timeout { service, qidx } => {
+                self.services[service]
+                    .port
+                    .on_timeout(self.now, qidx, &mut self.machine);
             }
             AppEvent::CpuPoll => {
                 // The controller's poll loop also checks the Autopilot
@@ -1215,11 +1292,7 @@ impl BoxSim {
                 }
                 self.services[0].port.refuse_arrival(self.now, spec);
             } else {
-                let qidx = self.services[0]
-                    .port
-                    .on_arrival(self.now, spec, &mut self.machine);
-                let deadline = self.now + self.services[0].port.timeout();
-                self.app.push(deadline, AppEvent::Timeout(qidx));
+                self.admit(0, spec);
             }
         }
         self.app.push(self.now + interval, AppEvent::FloodTick);
@@ -1916,6 +1989,7 @@ pub fn run_multi(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::PlannedFault;
 
     /// One service at `qps` on a 300 + 1,500 ms window.
     fn quick_run(cfg: BoxConfig, qps: f64) -> BoxReport {
@@ -2066,6 +2140,62 @@ mod tests {
             drained(&mut a).collect::<Vec<_>>()
         );
         assert_eq!(end_state(&b), end_state(&a));
+    }
+
+    /// A box at 4,000 qps keeps no timer per query: its app queue never
+    /// holds more than the recurring events and the fault plan, and each
+    /// service's deadline ring holds exactly the arrivals of the last
+    /// timeout window.
+    #[test]
+    fn deadlines_take_no_app_queue_cell_per_query() {
+        let plan = FaultPlan {
+            faults: vec![
+                PlannedFault {
+                    at: SimTime::from_millis(300),
+                    kind: PlannedFaultKind::ControllerCrash { downtime_polls: 5 },
+                },
+                PlannedFault {
+                    at: SimTime::from_millis(600),
+                    kind: PlannedFaultKind::SecondaryRestart {
+                        downtime: SimDuration::from_millis(20),
+                    },
+                },
+            ],
+            restart: autopilot::RestartPolicy::default(),
+        };
+        let cells = APP_RECURRING + plan.faults.len();
+        let secondary = SecondaryKind {
+            cpu_bully: Some(BullyIntensity::High),
+            hdfs: true,
+            ..SecondaryKind::default()
+        };
+        let mut cfg = BoxConfig::paper_box(secondary, Some(PerfIsoConfig::paper_cluster()), 13);
+        cfg.fault = Some(Arc::new(plan));
+        let end = SimTime::from_secs(1);
+        let mut client = ServicePlan { qps: 4_000.0 }.client(end.since(SimTime::ZERO), 13);
+        let mut sim = BoxSim::new(cfg);
+        let timeout = sim.max_timeout();
+        let mut window = VecDeque::new();
+        let mut injected = 0;
+        while let Some((at, spec)) = client.pop().filter(|&(at, _)| at <= end) {
+            sim.inject_query(at, spec);
+            injected += 1;
+            window.push_back(at);
+            while window.front().is_some_and(|&a| a + timeout <= at) {
+                window.pop_front();
+            }
+            assert!(
+                sim.app.len() <= cells,
+                "{} app events at {at}",
+                sim.app.len()
+            );
+            assert_eq!(sim.services[0].arrivals, window, "ring at {at}");
+        }
+        assert!(injected > 3_800, "{injected} arrivals");
+        assert!(window.len() > 1_000, "{} arrivals in flight", window.len());
+        sim.advance_to(end + timeout);
+        assert!(sim.services[0].arrivals.is_empty());
+        assert_eq!(sim.services_in_flight(), 0);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! encoding, which is what keeps the golden fixtures byte-stable.
 
 use qtrace::QuerySpec;
-use simcore::{SimDuration, SimTime};
+use simcore::{RequestTable, SimDuration, SimTime};
 use simcpu::{Machine, ThreadId};
 use telemetry::ResilienceStats;
 use workloads::service_graph::{GraphEngine, GraphOutcome};
@@ -43,6 +43,10 @@ pub enum BlockedAction {
 /// Implementations are driven entirely by the box: arrivals come from
 /// [`ServicePort::on_arrival`], machine outputs are routed back through
 /// the `on_thread_*` hooks, and deadlines through [`ServicePort::on_timeout`].
+/// The box keeps no per-request deadline state beyond each admitted
+/// arrival's instant: the service holds the sequence number of a request's
+/// deadline event while the request is unfinished and hands it back through
+/// [`ServicePort::live_deadlines`] when the deadline comes due.
 /// Services with internal timers (e.g. a service graph pumping its own
 /// fabric) expose them via [`ServicePort::next_timer_at`] /
 /// [`ServicePort::advance_to`].
@@ -53,15 +57,32 @@ pub trait ServicePort {
     /// Declared working-set bytes registered against the service's job.
     fn working_set(&self) -> u64;
 
-    /// Per-request deadline; the box schedules a timeout event at
-    /// `arrival + timeout()` for every admitted arrival.
+    /// Per-request deadline, positive and constant over the run; the box
+    /// fires [`ServicePort::on_timeout`] at `arrival + timeout()` for every
+    /// admitted arrival still unfinished then.
     fn timeout(&self) -> SimDuration;
 
     /// Per-completion log write on the shared HDD volume (0 = none).
     fn log_write_bytes(&self) -> u64;
 
     /// Handles a request arrival; returns the service-local dense index.
-    fn on_arrival(&mut self, now: SimTime, spec: QuerySpec, machine: &mut Machine) -> u64;
+    /// `deadline_seq` is the box's sequence number for the request's
+    /// deadline event, kept until the request finishes or the deadline
+    /// fires.
+    fn on_arrival(
+        &mut self,
+        now: SimTime,
+        spec: QuerySpec,
+        deadline_seq: u64,
+        machine: &mut Machine,
+    ) -> u64;
+
+    /// Appends `(index, deadline_seq)` for each request that arrived at
+    /// `arrival`, is unfinished, and has not had its deadline fire, oldest
+    /// first. The box asks once `arrival + timeout()` comes due. Listing a
+    /// request that finished since is harmless: its
+    /// [`ServicePort::on_timeout`] is a no-op.
+    fn live_deadlines(&self, arrival: SimTime, out: &mut Vec<(u64, u64)>);
 
     /// Records an arrival refused at the connection level (the process is
     /// restarting): dropped immediately, never touches the machine.
@@ -126,8 +147,18 @@ impl ServicePort for IndexServe {
         self.config().log_write_bytes
     }
 
-    fn on_arrival(&mut self, now: SimTime, spec: QuerySpec, machine: &mut Machine) -> u64 {
-        IndexServe::on_arrival(self, now, spec, machine)
+    fn on_arrival(
+        &mut self,
+        now: SimTime,
+        spec: QuerySpec,
+        deadline_seq: u64,
+        machine: &mut Machine,
+    ) -> u64 {
+        IndexServe::on_arrival(self, now, spec, deadline_seq, machine)
+    }
+
+    fn live_deadlines(&self, arrival: SimTime, out: &mut Vec<(u64, u64)>) {
+        IndexServe::live_deadlines(self, arrival, out);
     }
 
     fn refuse_arrival(&mut self, now: SimTime, spec: QuerySpec) -> u64 {
@@ -176,6 +207,30 @@ impl ServicePort for IndexServe {
     }
 }
 
+/// Appends `(index, deadline_seq)` for each request in `table` that
+/// arrived at `arrival`, where `key` reads a request's arrival and deadline
+/// sequence number. The scan runs over unfinished requests oldest first
+/// and stops at the first later arrival: once `arrival + timeout()` is
+/// due, every earlier deadline has fired, so it usually ends at once.
+pub(crate) fn arrived_at<T>(
+    table: &RequestTable<T>,
+    arrival: SimTime,
+    key: impl Fn(&T) -> (SimTime, u64),
+    out: &mut Vec<(u64, u64)>,
+) {
+    for index in table.unretired() {
+        let Some((at, seq)) = table.get(index).map(&key) else {
+            continue;
+        };
+        if at > arrival {
+            break;
+        }
+        if at == arrival {
+            out.push((index, seq));
+        }
+    }
+}
+
 /// Adapter hosting a [`GraphEngine`] (the `workloads::service_graph`
 /// execution engine) as a box service: converts engine completions into
 /// [`QueryOutcome`]s stamped with the slot index.
@@ -184,6 +239,11 @@ pub struct GraphPort {
     engine: GraphEngine,
     service: u8,
     scratch: Vec<GraphOutcome>,
+    /// `(arrival, deadline_seq)` by request index, from arrival until the
+    /// request reports an outcome or its host deadline fires: the engine
+    /// keeps its own request state, so the port holds what a firing
+    /// deadline needs beside it, under the same dense ids.
+    deadlines: RequestTable<(SimTime, u64)>,
 }
 
 impl GraphPort {
@@ -194,6 +254,7 @@ impl GraphPort {
             engine,
             service,
             scratch: Vec::new(),
+            deadlines: RequestTable::new(),
         }
     }
 
@@ -220,15 +281,31 @@ impl ServicePort for GraphPort {
         0
     }
 
-    fn on_arrival(&mut self, now: SimTime, _spec: QuerySpec, machine: &mut Machine) -> u64 {
-        self.engine.on_arrival(now, machine)
+    fn on_arrival(
+        &mut self,
+        now: SimTime,
+        _spec: QuerySpec,
+        deadline_seq: u64,
+        machine: &mut Machine,
+    ) -> u64 {
+        let ridx = self.deadlines.insert((now, deadline_seq));
+        let engine_ridx = self.engine.on_arrival(now, machine);
+        debug_assert_eq!(ridx, engine_ridx, "port and engine ids agree");
+        engine_ridx
+    }
+
+    fn live_deadlines(&self, arrival: SimTime, out: &mut Vec<(u64, u64)>) {
+        arrived_at(&self.deadlines, arrival, |&deadline| deadline, out);
     }
 
     fn refuse_arrival(&mut self, now: SimTime, _spec: QuerySpec) -> u64 {
+        let ridx = self.deadlines.insert((now, 0));
+        self.deadlines.finish(ridx);
         self.engine.refuse_arrival(now)
     }
 
     fn on_timeout(&mut self, now: SimTime, qidx: u64, machine: &mut Machine) {
+        self.deadlines.finish(qidx);
         self.engine.on_timeout(now, qidx, machine);
     }
 
@@ -253,6 +330,7 @@ impl ServicePort for GraphPort {
         self.scratch.clear();
         self.engine.drain_outcomes_into(&mut self.scratch);
         for o in self.scratch.drain(..) {
+            self.deadlines.finish(o.ridx);
             buf.push(QueryOutcome {
                 qidx: o.ridx,
                 arrival: o.arrival,

@@ -4,6 +4,16 @@
 //! the cluster simulator) feeds it arrivals, thread-exit notifications and
 //! timeout events; it spawns stage threads on the simulated machine and
 //! emits query outcomes.
+//!
+//! A query keeps no handles to its threads. Every thread it spawns carries
+//! a tag naming the service, the query, the stage and the worker (see
+//! [`crate::tags`]), so a deadline that finds the query unfinished finds its
+//! threads with one scan of [`Machine::live_threads`] and kills them in tag
+//! order, which is spawn order: parse, the workers by index, rank,
+//! aggregate. An unfinished query also holds the sequence number its host
+//! reserved for its deadline event ([`IndexServe::on_arrival`]), and
+//! [`IndexServe::live_deadlines`] hands it back when that deadline comes
+//! due, so the host keeps no per-query timer.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -15,7 +25,8 @@ use simcore::{RequestTable, SimDuration, SimRng, SimTime};
 use simcpu::{JobId, Machine, Program, ThreadId};
 
 use crate::cache::CacheModel;
-use crate::tags::{service_bits, stage_tag, Stage};
+use crate::port::arrived_at;
+use crate::tags::{parse_stage_tag, service_bits, stage_tag, tag_service, Stage};
 
 /// Service-model parameters (calibrated to the paper's standalone profile).
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -127,9 +138,17 @@ pub struct QueryOutcome {
 struct QueryState {
     spec: QuerySpec,
     arrival: SimTime,
-    started: bool,
+    /// The host's sequence number for this query's deadline event.
+    deadline_seq: u64,
+    /// Tag of the newest thread spawned for the query; 0 until it starts.
+    newest_tag: u64,
     pending_workers: u32,
-    live_tids: Vec<ThreadId>,
+}
+
+impl QueryState {
+    fn started(&self) -> bool {
+        self.newest_tag != 0
+    }
 }
 
 /// The per-machine IndexServe instance.
@@ -149,9 +168,9 @@ pub struct IndexServe {
     /// [`crate::tags::service_bits`]) and stamped on outcomes. Zero for the
     /// classic single-service box, so tags stay bit-identical there.
     service: u8,
-    /// Recycled `live_tids` vectors: finished queries return their vector
-    /// here so steady-state arrivals never allocate one.
-    tid_pool: Vec<Vec<ThreadId>>,
+    /// A timed-out query's live threads as `(tag, handle)`, sorted into
+    /// kill order; kept across deadlines so only the first one allocates.
+    kill_scratch: Vec<(u64, ThreadId)>,
     /// Stage cost distributions, prebuilt from the config once: the spawn
     /// paths sample them per stage, and `LogNormal::from_median` costs a
     /// runtime `ln` that has no place in the per-query hot loop.
@@ -188,7 +207,7 @@ impl IndexServe {
             rng: SimRng::seed_from_u64(seed ^ 0x1D5),
             workers_spawned: 0,
             service,
-            tid_pool: Vec::new(),
+            kill_scratch: Vec::new(),
             parse_dist,
             worker_jitter,
             rank_dist,
@@ -227,15 +246,24 @@ impl IndexServe {
         !self.outcomes.is_empty()
     }
 
-    /// Handles a query arrival; returns the dense query index (schedule the
-    /// timeout for `arrival + cfg.timeout` against it).
-    pub fn on_arrival(&mut self, now: SimTime, spec: QuerySpec, machine: &mut Machine) -> u64 {
+    /// Handles a query arrival; returns the dense query index. The host
+    /// fires [`IndexServe::on_timeout`] for it at `now + cfg.timeout` and
+    /// names the event `deadline_seq` in its own queue; the query keeps
+    /// that number while it is unfinished (see
+    /// [`IndexServe::live_deadlines`]).
+    pub fn on_arrival(
+        &mut self,
+        now: SimTime,
+        spec: QuerySpec,
+        deadline_seq: u64,
+        machine: &mut Machine,
+    ) -> u64 {
         let qidx = self.queries.insert(QueryState {
             spec,
             arrival: now,
-            started: false,
+            deadline_seq,
+            newest_tag: 0,
             pending_workers: 0,
-            live_tids: self.tid_pool.pop().unwrap_or_default(),
         });
         if self.in_flight < self.cfg.max_concurrent {
             self.start_query(now, qidx, machine);
@@ -255,19 +283,26 @@ impl IndexServe {
         self.queries.get_mut(qidx).expect("query is unfinished")
     }
 
+    /// Appends `(qidx, deadline_seq)` for each unfinished query that
+    /// arrived at `arrival`, oldest first: the deadlines still live when
+    /// `arrival + cfg.timeout` comes due.
+    pub fn live_deadlines(&self, arrival: SimTime, out: &mut Vec<(u64, u64)>) {
+        arrived_at(&self.queries, arrival, |q| (q.arrival, q.deadline_seq), out);
+    }
+
     fn start_query(&mut self, now: SimTime, qidx: u64, machine: &mut Machine) {
         self.in_flight += 1;
-        self.query_mut(qidx).started = true;
         // Stage 1: parse. A single compute burst is the inline one-shot
         // program — no box, no script, no arena traffic.
         let burst = self.parse_dist.sample(&mut self.rng);
-        let tid = machine.spawn_program(
+        let tag = self.tag(Stage::Parse, qidx, 0);
+        self.query_mut(qidx).newest_tag = tag;
+        machine.spawn_program(
             now,
             self.job,
             Program::compute_once(SimDuration::from_micros_f64(burst)),
-            self.tag(Stage::Parse, qidx, 0),
+            tag,
         );
-        self.query_mut(qidx).live_tids.push(tid);
     }
 
     /// The compensation multiplier at current pressure.
@@ -343,8 +378,8 @@ impl IndexServe {
             // Pre-sample the worker's whole script — per-round burst jitter
             // and cache misses — streaming the steps straight into recycled
             // arena memory.
-            let mut writer =
-                machine.spawn_scripted(now, self.job, self.tag(Stage::Worker, qidx, w as u16));
+            let tag = self.tag(Stage::Worker, qidx, w as u16);
+            let mut writer = machine.spawn_scripted(now, self.job, tag);
             for round in 0..rounds {
                 let burst = base_burst_ns * jitter.sample(&mut self.rng);
                 writer.compute(SimDuration::from_nanos(burst as u64));
@@ -352,8 +387,8 @@ impl IndexServe {
                     writer.block(round as u64);
                 }
             }
-            let tid = writer.finish();
-            self.query_mut(qidx).live_tids.push(tid);
+            writer.finish();
+            self.query_mut(qidx).newest_tag = tag;
         }
     }
 
@@ -365,32 +400,32 @@ impl IndexServe {
             self.cfg.rank_rounds
         };
         let dist = self.rank_dist;
+        let tag = self.tag(Stage::Rank, qidx, 0);
         // Rank is a continuation of in-flight work (a pool thread woken by
         // the last worker's completion), so it carries the wake boost —
         // only the initial fan-out pays the back-of-queue price.
-        let mut writer = machine
-            .spawn_scripted(now, self.job, self.tag(Stage::Rank, qidx, 0))
-            .boosted(true);
+        let mut writer = machine.spawn_scripted(now, self.job, tag).boosted(true);
         for round in 0..rounds {
             let burst = dist.sample(&mut self.rng);
             writer.compute(SimDuration::from_micros_f64(burst));
             writer.block(round as u64);
         }
-        let tid = writer.finish();
-        self.query_mut(qidx).live_tids.push(tid);
+        writer.finish();
+        self.query_mut(qidx).newest_tag = tag;
     }
 
     fn spawn_agg(&mut self, now: SimTime, qidx: u64, machine: &mut Machine) {
         let burst = self.agg_dist.sample(&mut self.rng);
+        let tag = self.tag(Stage::Aggregate, qidx, 0);
+        self.query_mut(qidx).newest_tag = tag;
         // A continuation, like rank.
-        let tid = machine.spawn_program_with(
+        machine.spawn_program_with(
             now,
             self.job,
             Program::compute_once(SimDuration::from_micros_f64(burst)),
-            self.tag(Stage::Aggregate, qidx, 0),
+            tag,
             true,
         );
-        self.query_mut(qidx).live_tids.push(tid);
     }
 
     fn complete(&mut self, now: SimTime, qidx: u64, machine: &mut Machine) -> Option<QueryOutcome> {
@@ -402,7 +437,6 @@ impl IndexServe {
             dropped: false,
             service: self.service,
         };
-        self.recycle_tids(q.live_tids);
         self.release_slot(now, machine);
         self.outcomes.push(outcome);
         Some(outcome)
@@ -417,12 +451,9 @@ impl IndexServe {
         machine: &mut Machine,
     ) -> Option<QueryOutcome> {
         let q = self.queries.finish(qidx)?;
-        // Abandon: kill whatever is still running for this query.
-        for &tid in &q.live_tids {
-            machine.kill_thread(now, tid);
-        }
-        self.recycle_tids(q.live_tids);
-        if q.started {
+        if q.started() {
+            // Abandon: kill whatever is still running for this query.
+            self.kill_threads(now, qidx, q.newest_tag, machine);
             self.release_slot(now, machine);
         } else {
             // Still waiting for admission: remove from the queue.
@@ -437,6 +468,36 @@ impl IndexServe {
         };
         self.outcomes.push(outcome);
         Some(outcome)
+    }
+
+    /// Kills query `qidx`'s live threads in spawn order, which is tag
+    /// order: parse, the workers by index, rank, aggregate.
+    ///
+    /// The model kills every thread the query spawned, oldest first, and
+    /// a kill of a thread that already exited only brings the machine to
+    /// `now`. Only the last such kill can matter, when the newest thread
+    /// is gone: a kill before it may have armed a quota timer due at
+    /// `now`, which runs then rather than at the machine's next call.
+    fn kill_threads(&mut self, now: SimTime, qidx: u64, newest_tag: u64, machine: &mut Machine) {
+        let mut doomed = std::mem::take(&mut self.kill_scratch);
+        doomed.extend(
+            machine
+                .live_threads()
+                .filter(|&(_, tag)| {
+                    tag_service(tag) == self.service
+                        && parse_stage_tag(tag).is_some_and(|(_, q, _)| q == qidx)
+                })
+                .map(|(tid, tag)| (tag, tid)),
+        );
+        doomed.sort_unstable();
+        for &(_, tid) in &doomed {
+            machine.kill_thread(now, tid);
+        }
+        if doomed.last().map(|&(tag, _)| tag) != Some(newest_tag) {
+            machine.advance_to(now);
+        }
+        doomed.clear();
+        self.kill_scratch = doomed;
     }
 
     /// Fails every unfinished query at once (the process died): each one is
@@ -455,9 +516,9 @@ impl IndexServe {
         let qidx = self.queries.insert(QueryState {
             spec,
             arrival: now,
-            started: false,
+            deadline_seq: 0,
+            newest_tag: 0,
             pending_workers: 0,
-            live_tids: Vec::new(),
         });
         self.queries.finish(qidx);
         self.outcomes.push(QueryOutcome {
@@ -482,8 +543,7 @@ impl IndexServe {
         let Some(q) = self.queries.finish(qidx) else {
             return;
         };
-        debug_assert!(!q.started);
-        self.recycle_tids(q.live_tids);
+        debug_assert!(!q.started());
         self.outcomes.push(QueryOutcome {
             qidx,
             arrival: q.arrival,
@@ -491,15 +551,6 @@ impl IndexServe {
             dropped: true,
             service: self.service,
         });
-    }
-
-    /// Returns a finished query's `live_tids` vector to the pool (bounded
-    /// by the admission cap so the pool cannot grow without limit).
-    fn recycle_tids(&mut self, mut v: Vec<ThreadId>) {
-        if self.tid_pool.len() < self.cfg.max_concurrent as usize + 8 {
-            v.clear();
-            self.tid_pool.push(v);
-        }
     }
 
     /// Releases a finished started query's admission slot and starts the
@@ -580,7 +631,7 @@ mod tests {
         let mut m = Machine::new(MachineConfig::small(16));
         let job = m.create_job(TenantClass::Primary, CoreMask::all(16));
         let mut s = IndexServe::new(Arc::new(ServiceConfig::default()), job, 1);
-        s.on_arrival(SimTime::ZERO, spec(), &mut m);
+        s.on_arrival(SimTime::ZERO, spec(), 0, &mut m);
         settle(&mut m, &mut s, SimTime::from_millis(100));
         let mut outcomes = Vec::new();
         s.drain_outcomes_into(&mut outcomes);
@@ -597,7 +648,7 @@ mod tests {
         let mut m = Machine::new(MachineConfig::small(16));
         let job = m.create_job(TenantClass::Primary, CoreMask::all(16));
         let mut s = IndexServe::new(Arc::new(ServiceConfig::default()), job, 2);
-        s.on_arrival(SimTime::ZERO, spec(), &mut m);
+        s.on_arrival(SimTime::ZERO, spec(), 0, &mut m);
         // Run just past the parse stage.
         let t = m.next_timer_at().unwrap();
         m.advance_to(t);
@@ -624,7 +675,7 @@ mod tests {
         };
         let mut s = IndexServe::new(Arc::new(cfg), job, 3);
         for _ in 0..5 {
-            s.on_arrival(SimTime::ZERO, spec(), &mut m);
+            s.on_arrival(SimTime::ZERO, spec(), 0, &mut m);
         }
         assert_eq!(s.in_flight(), 2);
         assert_eq!(s.admission_queue_len(), 3);
@@ -650,7 +701,7 @@ mod tests {
         // Pile up arrivals past the admission cap without driving the
         // machine: the backlog builds until the multiplier saturates.
         for _ in 0..12 {
-            s.on_arrival(SimTime::ZERO, spec(), &mut m);
+            s.on_arrival(SimTime::ZERO, spec(), 0, &mut m);
         }
         assert_eq!(s.admission_queue_len(), 10);
         assert!(s.compensation() > 1.2, "compensation {}", s.compensation());
@@ -665,7 +716,7 @@ mod tests {
         let mut m = Machine::new(MachineConfig::small(2));
         let job = m.create_job(TenantClass::Primary, CoreMask::all(2));
         let mut s = IndexServe::new(Arc::new(ServiceConfig::default()), job, 5);
-        let q = s.on_arrival(SimTime::ZERO, spec(), &mut m);
+        let q = s.on_arrival(SimTime::ZERO, spec(), 0, &mut m);
         // Fire the deadline while the query is still mid-flight.
         m.advance_to(SimTime::from_micros(200));
         let out = s.on_timeout(SimTime::from_micros(200), q, &mut m).unwrap();
@@ -676,6 +727,82 @@ mod tests {
         let mut dropped = Vec::new();
         s.drain_outcomes_into(&mut dropped);
         assert_eq!(dropped.len(), 1);
+    }
+
+    /// A deadline that finds the query fanned out kills exactly its live
+    /// workers, each reported `killed`, in worker order. Thread slots
+    /// recycled in reverse order put the workers' handles out of worker
+    /// order in the machine's table, and a second query's threads live
+    /// beside them.
+    #[test]
+    fn timeout_kills_live_workers_in_worker_order() {
+        let mut m = Machine::new(MachineConfig::small(4));
+        let job = m.create_job(TenantClass::Primary, CoreMask::all(4));
+        let filler: Vec<ThreadId> = (0..6)
+            .map(|i| {
+                let program = Program::compute_once(SimDuration::from_millis(1));
+                m.spawn_program(SimTime::ZERO, job, program, i)
+            })
+            .collect();
+        for &tid in &filler {
+            m.kill_thread(SimTime::ZERO, tid);
+        }
+        let mut outs = Vec::new();
+        m.drain_outputs_into(&mut outs);
+        outs.clear();
+        let mut s = IndexServe::new(Arc::new(ServiceConfig::default()), job, 8);
+        let q = s.on_arrival(SimTime::ZERO, spec(), 0, &mut m);
+        let other = s.on_arrival(SimTime::ZERO, spec(), 1, &mut m);
+        // Run until one of the query's workers finishes: its ten workers
+        // share four cores with the other query's, so the rest are
+        // running, queued or blocked on a read.
+        let mut finished = Vec::new();
+        while finished.is_empty() {
+            let t = m.next_timer_at().expect("work pending");
+            m.advance_to(t);
+            m.drain_outputs_into(&mut outs);
+            for o in outs.drain(..) {
+                match o {
+                    MachineOutput::ThreadBlocked { tid, .. } => {
+                        m.wake(t, tid);
+                    }
+                    MachineOutput::ThreadExited { tag, .. } => {
+                        let (stage, qidx, worker) = parse_stage_tag(tag).unwrap();
+                        if stage == Stage::Worker && qidx == q {
+                            finished.push(worker);
+                        }
+                        s.on_stage_exited(t, stage, qidx, &mut m);
+                    }
+                }
+            }
+        }
+        let owned_by = |m: &Machine, qidx: u64| {
+            m.live_threads()
+                .filter(|&(_, tag)| parse_stage_tag(tag).is_some_and(|(_, q, _)| q == qidx))
+                .count()
+        };
+        let others = owned_by(&m, other);
+        assert!(others > 0, "the other query still runs");
+        let now = m.now();
+        assert!(s.on_timeout(now, q, &mut m).unwrap().dropped);
+        m.drain_outputs_into(&mut outs);
+        let killed: Vec<u16> = outs
+            .iter()
+            .map(|o| match *o {
+                MachineOutput::ThreadExited {
+                    tag, killed: true, ..
+                } => {
+                    let (stage, qidx, worker) = parse_stage_tag(tag).unwrap();
+                    assert_eq!((stage, qidx), (Stage::Worker, q));
+                    worker
+                }
+                ref o => panic!("unexpected output {o:?}"),
+            })
+            .collect();
+        let live: Vec<u16> = (0..10).filter(|w| !finished.contains(w)).collect();
+        assert_eq!(killed, live);
+        assert_eq!(owned_by(&m, q), 0);
+        assert_eq!(owned_by(&m, other), others);
     }
 
     /// The `i`-th query of a stream with 8–15 workers; every tenth is
@@ -715,7 +842,7 @@ mod tests {
                 s.on_timeout(due, q, &mut m);
             }
             settle(&mut m, &mut s, at);
-            let q = s.on_arrival(at, varied_spec(i), &mut m);
+            let q = s.on_arrival(at, varied_spec(i), 0, &mut m);
             assert_eq!(q, i, "ids stay dense");
             deadlines.push_back((at + timeout, q));
             s.drain_outcomes_into(&mut outcomes);
@@ -771,7 +898,7 @@ mod tests {
         // running when the process dies.
         let burst = 200;
         for i in n..n + burst {
-            s.on_arrival(now, varied_spec(i), &mut m);
+            s.on_arrival(now, varied_spec(i), 0, &mut m);
         }
         reported.resize((n + burst) as usize, false);
         assert!(s.admission_queue_len() > 0);
@@ -797,7 +924,7 @@ mod tests {
         let mut m = Machine::new(MachineConfig::small(16));
         let job = m.create_job(TenantClass::Primary, CoreMask::all(16));
         let mut s = IndexServe::new(Arc::new(ServiceConfig::default()), job, 6);
-        let q = s.on_arrival(SimTime::ZERO, spec(), &mut m);
+        let q = s.on_arrival(SimTime::ZERO, spec(), 0, &mut m);
         settle(&mut m, &mut s, SimTime::from_millis(100));
         let mut outcomes = Vec::new();
         s.drain_outcomes_into(&mut outcomes);

@@ -21,7 +21,13 @@
 //! into one cell per knob combination; every `(cell, seed)` job fans out
 //! across the same worker pool, a cross-cell summary table is printed,
 //! and `--out` receives the full [`scenarios::spec::SweepReport`].
+//!
+//! A reader that closes standard output early (`perfiso-run show x |
+//! head`) ends the printing quietly, not the command: `run` still writes
+//! its `--out` report, and the exit status is 0.
 
+use std::error::Error;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use scenarios::spec::{self, Report, RunOptions, ScenarioSpec, SeedReport, SweepReport};
@@ -39,19 +45,72 @@ const USAGE: &str = "usage:
   --threads T   seed-sweep workers; 0 = all cores (default), 1 = serial
   --out PATH    write the full JSON report to PATH";
 
+/// A command's failure: a labelled message, or a write error on standard
+/// output other than a closed reader.
+type Failure = Box<dyn Error>;
+
+/// Standard output that a closed reader silences instead of failing.
+///
+/// After the first broken pipe every write succeeds without output, so a
+/// command runs to its end; any other write error is returned.
+struct Out {
+    stdout: io::Stdout,
+    closed: bool,
+}
+
+impl Out {
+    /// Maps a broken pipe to success, remembering that the reader left,
+    /// and labels any other error.
+    fn absorb<T>(&mut self, result: io::Result<T>, closed: T) -> io::Result<T> {
+        match result {
+            Err(e) if e.kind() == io::ErrorKind::BrokenPipe => {
+                self.closed = true;
+                Ok(closed)
+            }
+            Err(e) => Err(io::Error::new(
+                e.kind(),
+                format!("cannot write to standard output: {e}"),
+            )),
+            ok => ok,
+        }
+    }
+}
+
+impl Write for Out {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if self.closed {
+            return Ok(buf.len());
+        }
+        let written = self.stdout.write(buf);
+        self.absorb(written, buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        if self.closed {
+            return Ok(());
+        }
+        let flushed = self.stdout.flush();
+        self.absorb(flushed, ())
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut out = Out {
+        stdout: io::stdout(),
+        closed: false,
+    };
     let result = match args.first().map(String::as_str) {
-        Some("list") => cmd_list(),
+        Some("list") => cmd_list(&mut out),
         Some("show") => match args.get(1) {
-            Some(name) => cmd_show(name),
+            Some(name) => cmd_show(name, &mut out),
             None => Err("`show` needs a scenario name".into()),
         },
-        Some("run") => cmd_run(&args[1..]),
-        Some(other) => Err(format!("unknown command {other:?}\n{USAGE}")),
-        None => Err(USAGE.to_string()),
+        Some("run") => cmd_run(&args[1..], &mut out),
+        Some(other) => Err(format!("unknown command {other:?}\n{USAGE}").into()),
+        None => Err(USAGE.into()),
     };
-    match result {
+    match result.and_then(|()| out.flush().map_err(Failure::from)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("{msg}");
@@ -60,7 +119,7 @@ fn main() -> ExitCode {
     }
 }
 
-fn cmd_list() -> Result<(), String> {
+fn cmd_list(out: &mut Out) -> Result<(), Failure> {
     let mut t = Table::new(&[
         "name",
         "target",
@@ -85,15 +144,15 @@ fn cmd_list() -> Result<(), String> {
             s.description.clone(),
         ]);
     }
-    print!("{}", t.render());
+    write!(out, "{}", t.render())?;
     Ok(())
 }
 
-fn cmd_show(name: &str) -> Result<(), String> {
-    let s = spec::named(name).map_err(|e| e.to_string())?;
-    println!("{}", s.to_json());
+fn cmd_show(name: &str, out: &mut Out) -> Result<(), Failure> {
+    let s = spec::named(name)?;
+    writeln!(out, "{}", s.to_json())?;
     if let Some(g) = s.workload.as_graph() {
-        println!("\nservice graph ({}):", g.shape_summary());
+        writeln!(out, "\nservice graph ({}):", g.shape_summary())?;
         let mut t = Table::new(&["stage", "fan-out", "compute (us)", "sigma", "memory (mb)"]);
         for st in &g.stages {
             t.row_owned(vec![
@@ -104,17 +163,18 @@ fn cmd_show(name: &str) -> Result<(), String> {
                 format!("{}", st.memory_mb),
             ]);
         }
-        print!("{}", t.render());
+        write!(out, "{}", t.render())?;
         for e in &g.edges {
-            println!(
+            writeln!(
+                out,
                 "  {} -> {} ({} B, +{} us)",
                 e.from, e.to, e.bytes, e.latency_us
-            );
+            )?;
         }
-        println!("  deadline: {} ms", g.timeout_ms);
+        writeln!(out, "  deadline: {} ms", g.timeout_ms)?;
     }
     if let spec::TargetSpec::MultiBox { services } = &s.target {
-        println!("\nhosted services ({}):", services.len());
+        writeln!(out, "\nhosted services ({}):", services.len())?;
         let mut t = Table::new(&["service", "qps", "working set (mb)"]);
         for svc in services {
             t.row_owned(vec![
@@ -123,22 +183,24 @@ fn cmd_show(name: &str) -> Result<(), String> {
                 format!("{}", svc.working_set_mb),
             ]);
         }
-        print!("{}", t.render());
+        write!(out, "{}", t.render())?;
     }
     if !s.fault.is_empty() {
         let r = &s.fault.restart;
-        println!(
+        writeln!(
+            out,
             "\nfault timeline ({} events; restart backoff {} ms x{}, give up after {} failures):",
             s.fault.events.len(),
             r.base_backoff_ms,
             r.multiplier,
             r.max_failures
-        );
+        )?;
         for ev in &s.fault.events {
-            println!("  {}", ev.describe());
+            writeln!(out, "  {}", ev.describe())?;
         }
     }
-    println!(
+    writeln!(
+        out,
         "\ntelemetry: {}",
         match s.telemetry {
             spec::TelemetrySpec::Exact => "exact (every sample kept)".to_string(),
@@ -147,21 +209,25 @@ fn cmd_show(name: &str) -> Result<(), String> {
                 telemetry::Sketch::RELATIVE_ERROR * 100.0
             ),
         }
-    );
+    )?;
     if !s.resilience.is_disabled() {
-        println!("\nresilience policy:");
+        writeln!(out, "\nresilience policy:")?;
         for line in s.resilience.describe() {
-            println!("  {line}");
+            writeln!(out, "  {line}")?;
         }
     }
     if s.sweep.is_some() {
-        let cells = s.expand_sweep().map_err(|e| e.to_string())?;
-        println!("\nsweep grid ({} cells, run with --sweep):", cells.len());
+        let cells = s.expand_sweep()?;
+        writeln!(
+            out,
+            "\nsweep grid ({} cells, run with --sweep):",
+            cells.len()
+        )?;
         let mut t = Table::new(&["cell", "knobs"]);
         for (i, cell) in cells.iter().enumerate() {
             t.row_owned(vec![format!("{i}"), cell.label.clone()]);
         }
-        print!("{}", t.render());
+        write!(out, "{}", t.render())?;
     }
     Ok(())
 }
@@ -179,15 +245,15 @@ fn resolve_spec(operand: &str) -> Result<ScenarioSpec, String> {
     }
 }
 
-fn cmd_run(args: &[String]) -> Result<(), String> {
+fn cmd_run(args: &[String], out: &mut Out) -> Result<(), Failure> {
     let Some(operand) = args.first() else {
-        return Err(format!("`run` needs a scenario name or spec file\n{USAGE}"));
+        return Err(format!("`run` needs a scenario name or spec file\n{USAGE}").into());
     };
     let mut opts = RunOptions {
         seeds: None,
         threads: 0,
     };
-    let mut out: Option<String> = None;
+    let mut report_path: Option<String> = None;
     let mut sweep = false;
     let mut scale: Option<f64> = None;
     let mut it = args[1..].iter();
@@ -213,51 +279,60 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
                 let v = value("--threads")?;
                 opts.threads = v.parse().map_err(|_| format!("invalid --threads {v:?}"))?;
             }
-            "--out" => out = Some(value("--out")?),
-            other => return Err(format!("unknown flag {other:?}\n{USAGE}")),
+            "--out" => report_path = Some(value("--out")?),
+            other => return Err(format!("unknown flag {other:?}\n{USAGE}").into()),
         }
     }
 
     let mut spec = resolve_spec(operand)?;
     if let Some(f) = scale {
-        spec = spec.scaled(f).map_err(|e| e.to_string())?;
+        spec = spec.scaled(f)?;
     }
     if sweep {
-        return run_sweep_cmd(&spec, &opts, out.as_deref());
+        return run_sweep_cmd(&spec, &opts, report_path.as_deref(), out);
     }
     if spec.sweep.is_some() {
-        println!(
+        writeln!(
+            out,
             "note: {} declares a {}-cell sweep; running the base point only \
              (pass --sweep for the grid)",
             spec.name,
             spec.sweep.as_ref().map_or(0, |s| s.cell_count()),
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "running {} ({}) under {} ...",
         spec.name,
         spec.target.describe(),
         spec.policy.label()
-    );
+    )?;
     let started = std::time::Instant::now();
-    let report = spec::run_spec(&spec, &opts).map_err(|e| e.to_string())?;
+    let report = spec::run_spec(&spec, &opts)?;
     let wall = started.elapsed().as_secs_f64();
 
-    print_report(&report);
-    println!(
+    print_report(&report, out)?;
+    writeln!(
+        out,
         "\n{} seed(s) in {wall:.2}s wall ({} sweep)",
         report.seeds.len(),
         sweep_label(&opts, report.seeds.len()),
-    );
-    if let Some(path) = out {
+    )?;
+    if let Some(path) = report_path {
         std::fs::write(&path, report.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("wrote {path}");
+        writeln!(out, "wrote {path}")?;
     }
     Ok(())
 }
 
-fn run_sweep_cmd(spec: &ScenarioSpec, opts: &RunOptions, out: Option<&str>) -> Result<(), String> {
-    println!(
+fn run_sweep_cmd(
+    spec: &ScenarioSpec,
+    opts: &RunOptions,
+    report_path: Option<&str>,
+    out: &mut Out,
+) -> Result<(), Failure> {
+    writeln!(
+        out,
         "sweeping {} ({}) under {}: {} cells x {} seed(s) ...",
         spec.name,
         spec.target.describe(),
@@ -266,21 +341,22 @@ fn run_sweep_cmd(spec: &ScenarioSpec, opts: &RunOptions, out: Option<&str>) -> R
         // needed up front.
         spec.sweep.as_ref().map_or(0, |s| s.cell_count()),
         opts.seeds.unwrap_or(spec.seeds),
-    );
+    )?;
     let started = std::time::Instant::now();
-    let sweep = spec::run_sweep(spec, opts).map_err(|e| e.to_string())?;
+    let sweep = spec::run_sweep(spec, opts)?;
     let wall = started.elapsed().as_secs_f64();
 
-    print_sweep(&sweep);
-    println!(
+    print_sweep(&sweep, out)?;
+    writeln!(
+        out,
         "\n{} cells x {} seed(s) in {wall:.2}s wall ({} sweep)",
         sweep.cells.len(),
         sweep.seeds.len(),
         sweep_label(opts, sweep.cells.len() * sweep.seeds.len()),
-    );
-    if let Some(path) = out {
+    )?;
+    if let Some(path) = report_path {
         std::fs::write(path, sweep.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("wrote {path}");
+        writeln!(out, "wrote {path}")?;
     }
     Ok(())
 }
@@ -294,7 +370,7 @@ fn sweep_label(opts: &RunOptions, jobs: usize) -> &'static str {
     }
 }
 
-fn print_sweep(sweep: &SweepReport) {
+fn print_sweep(sweep: &SweepReport, out: &mut Out) -> io::Result<()> {
     let fleet = matches!(
         sweep.cells.first().and_then(|c| c.report.runs.first()),
         Some(SeedReport::Fleet(_))
@@ -314,7 +390,7 @@ fn print_sweep(sweep: &SweepReport) {
             format!("{:.1}", row.secondary_mean),
         ]);
     }
-    print!("{}", t.render());
+    write!(out, "{}", t.render())
 }
 
 /// Resilience counters as one summary line.
@@ -351,7 +427,7 @@ fn fault_line(f: &indexserve::FaultRecord) -> String {
     s
 }
 
-fn print_report(report: &Report) {
+fn print_report(report: &Report, out: &mut Out) -> io::Result<()> {
     let mut t = Table::new(&["seed", "p99 (ms)", "utilization", "drops", "secondary"]);
     for (seed, run) in report.seeds.iter().zip(report.runs.iter()) {
         let secondary = match run {
@@ -366,7 +442,7 @@ fn print_report(report: &Report) {
             secondary,
         ]);
     }
-    print!("{}", t.render());
+    write!(out, "{}", t.render())?;
     // Per-service breakdowns (multi-service boxes only; classic runs
     // carry no service rows).
     if report.box_reports().iter().any(|r| !r.services.is_empty()) {
@@ -397,34 +473,40 @@ fn print_report(report: &Report) {
                 ]);
             }
         }
-        print!("{}", t.render());
+        write!(out, "{}", t.render())?;
     }
     for (seed, run) in report.seeds.iter().zip(report.runs.iter()) {
         match run {
             SeedReport::SingleBox(r) => {
                 for f in &r.faults {
-                    println!("seed {seed} fault: {}", fault_line(f));
+                    writeln!(out, "seed {seed} fault: {}", fault_line(f))?;
                 }
                 if let Some(rs) = &r.resilience {
-                    println!("seed {seed} resilience: {}", resilience_line(rs));
+                    writeln!(out, "seed {seed} resilience: {}", resilience_line(rs))?;
                 }
             }
             SeedReport::Cluster(r) => {
                 for bf in &r.faults {
                     for f in &bf.faults {
-                        println!("seed {seed} box {} fault: {}", bf.box_index, fault_line(f));
+                        writeln!(
+                            out,
+                            "seed {seed} box {} fault: {}",
+                            bf.box_index,
+                            fault_line(f)
+                        )?;
                     }
                 }
                 if let Some(rs) = &r.resilience {
-                    println!("seed {seed} resilience: {}", resilience_line(rs));
+                    writeln!(out, "seed {seed} resilience: {}", resilience_line(rs))?;
                 }
             }
             SeedReport::Fleet(r) => {
                 if let Some(rs) = &r.resilience {
-                    println!("seed {seed} resilience: {}", resilience_line(rs));
+                    writeln!(out, "seed {seed} resilience: {}", resilience_line(rs))?;
                 }
                 if let Some(sk) = &r.latency_sketch {
-                    println!(
+                    writeln!(
+                        out,
                         "seed {seed} fleet sketch: p50 {} ms  p99 {} ms  max {} ms \
                          (±{:.1}% guaranteed, {} samples, {} dropped)",
                         ms(sk.p50),
@@ -433,16 +515,17 @@ fn print_report(report: &Report) {
                         sk.relative_error * 100.0,
                         sk.count,
                         sk.dropped,
-                    );
+                    )?;
                 }
             }
         }
     }
     let s = &report.summary;
-    println!(
+    writeln!(
+        out,
         "summary: p99 {} ms   utilization {:.1}%   drops {:.2}%",
         s.p99_ms.to_ci_string(),
         s.utilization.mean() * 100.0,
         s.drop_ratio.mean() * 100.0,
-    );
+    )
 }

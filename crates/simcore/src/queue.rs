@@ -3,7 +3,11 @@
 //! Events are ordered by `(time, sequence)`, where `sequence` is a
 //! monotonically increasing tiebreaker assigned at push time. Two events at
 //! the same instant therefore pop in insertion order, which keeps whole-system
-//! runs bit-for-bit reproducible for a fixed seed.
+//! runs bit-for-bit reproducible for a fixed seed. An owner that knows an
+//! event's time early but may never need it can take its sequence number
+//! with [`EventQueue::reserve_seq`] and store the event only once it comes
+//! due ([`EventQueue::push_reserved`]); it then pops exactly where it would
+//! have if pushed up front.
 //!
 //! Storage is a hierarchical timer wheel (the private `wheel` module)
 //! rather than a binary heap: pushes and pops are O(1) amortized instead of
@@ -65,8 +69,46 @@ impl<E> EventQueue<E> {
     /// Schedules `payload` at time `at`.
     #[inline]
     pub fn push(&mut self, at: SimTime, payload: E) {
+        let seq = self.reserve_seq();
+        self.wheel.push(at, seq, payload);
+    }
+
+    /// Takes the sequence number a [`EventQueue::push`] made now would
+    /// take, without storing anything. An event pushed later under it by
+    /// [`EventQueue::push_reserved`] pops exactly where it would have,
+    /// had it been pushed now.
+    ///
+    /// ```
+    /// use simcore::{queue::EventQueue, SimTime};
+    ///
+    /// let t = SimTime::from_micros(3);
+    /// let mut q = EventQueue::new();
+    /// let first = q.reserve_seq();
+    /// q.push(t, "second");
+    /// // Merged back before the queue pops anything at `t`.
+    /// q.push_reserved(t, first, "first");
+    /// assert_eq!(q.pop(), Some((t, "first")));
+    /// assert_eq!(q.pop(), Some((t, "second")));
+    /// ```
+    #[inline]
+    pub fn reserve_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
+        seq
+    }
+
+    /// Schedules `payload` at `(at, seq)`, where `seq` came from
+    /// [`EventQueue::reserve_seq`] on this queue since its last
+    /// [`EventQueue::clear`]. Each reserved number is pushed at most once,
+    /// and before the queue pops anything that sorts after `(at, seq)`;
+    /// pops then follow the `(time, seq)` order of a queue that held the
+    /// event from the moment its number was reserved.
+    #[inline]
+    pub fn push_reserved(&mut self, at: SimTime, seq: u64, payload: E) {
+        debug_assert!(
+            seq < self.next_seq,
+            "sequence number {seq} was never reserved"
+        );
         self.wheel.push(at, seq, payload);
     }
 
@@ -133,6 +175,7 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
     use proptest::prelude::*;
 
     #[test]
@@ -240,6 +283,54 @@ mod tests {
                 }
                 last = Some((t, idx));
             }
+        }
+
+        /// Events whose number was reserved at push time and that are
+        /// merged back only once the clock reaches them pop in exactly the
+        /// order of one queue that held every event from its push: the
+        /// way a box arms a query deadline only when it comes due.
+        #[test]
+        fn prop_reserved_events_merge_back_in_place(
+            ops in proptest::collection::vec((0u64..40, 0u64..120, any::<bool>()), 1..200),
+        ) {
+            let mut q = EventQueue::new();
+            let mut reference = EventQueue::new();
+            let mut held: Vec<(SimTime, u64, usize)> = Vec::new();
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let mut now = SimTime::ZERO;
+            let mut drain = |q: &mut EventQueue<usize>,
+                             reference: &mut EventQueue<usize>,
+                             held: &mut Vec<(SimTime, u64, usize)>,
+                             t: SimTime| {
+                // Merge back every held event that is due, newest first:
+                // the order of the merge does not matter.
+                for i in (0..held.len()).rev() {
+                    if held[i].0 <= t {
+                        let (at, seq, id) = held.swap_remove(i);
+                        q.push_reserved(at, seq, id);
+                    }
+                }
+                while let Some(ev) = q.pop_before(t) {
+                    got.push(ev);
+                }
+                while let Some(ev) = reference.pop_before(t) {
+                    want.push(ev);
+                }
+            };
+            for (id, &(step, delay, reserved)) in ops.iter().enumerate() {
+                now += SimDuration::from_nanos(step);
+                drain(&mut q, &mut reference, &mut held, now);
+                let at = now + SimDuration::from_nanos(delay);
+                reference.push(at, id);
+                if reserved {
+                    held.push((at, q.reserve_seq(), id));
+                } else {
+                    q.push(at, id);
+                }
+            }
+            drain(&mut q, &mut reference, &mut held, SimTime::MAX);
+            prop_assert!(held.is_empty() && q.is_empty() && reference.is_empty());
+            prop_assert_eq!(got, want);
         }
 
         /// The queue must return exactly the multiset of pushed payloads.

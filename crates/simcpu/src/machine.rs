@@ -327,7 +327,21 @@ impl Machine {
 
     /// Number of live (not exited) threads.
     pub fn live_thread_count(&self) -> usize {
-        self.threads.iter().filter(|s| s.body.is_some()).count()
+        self.live_threads().count()
+    }
+
+    /// Every live (not exited) thread with its user tag, in thread-table
+    /// order: a read-only scan, for owners that find their threads by tag
+    /// rather than keep handles.
+    pub fn live_threads(&self) -> impl Iterator<Item = (ThreadId, u64)> + '_ {
+        self.threads.iter().enumerate().filter_map(|(index, slot)| {
+            let body = slot.body.as_ref()?;
+            let tid = ThreadId {
+                index: index as u32,
+                gen: slot.gen,
+            };
+            Some((tid, body.tag))
+        })
     }
 
     /// Time of the next internal timer, if any.

@@ -448,6 +448,37 @@ fn kill_queued_thread_never_runs() {
     );
 }
 
+#[test]
+fn live_threads_lists_handles_and_tags_of_the_living() {
+    let mut m = Machine::new(zero_cost_config(2));
+    let job = m.create_job(TenantClass::Primary, CoreMask::all(2));
+    let tids: Vec<_> = (0..4)
+        .map(|tag| m.spawn_program(SimTime::ZERO, job, Program::compute_once(ms(10)), tag))
+        .collect();
+    assert!(m.kill_thread(SimTime::from_millis(1), tids[1]));
+    // A recycled slot shows its new thread under the new generation.
+    let fresh = m.spawn_program(
+        SimTime::from_millis(1),
+        job,
+        Program::compute_once(ms(1)),
+        9,
+    );
+    assert_eq!(fresh.index, tids[1].index);
+    let mut live: Vec<_> = m.live_threads().collect();
+    live.sort_unstable_by_key(|&(_, tag)| tag);
+    assert_eq!(
+        live,
+        vec![(tids[0], 0), (tids[2], 2), (tids[3], 3), (fresh, 9)]
+    );
+    assert_eq!(m.live_thread_count(), 4);
+    // Every handle listed is live: killing each succeeds exactly once.
+    for (tid, _) in live {
+        assert!(m.kill_thread(SimTime::from_millis(1), tid));
+        assert!(!m.kill_thread(SimTime::from_millis(1), tid));
+    }
+    assert_eq!(m.live_threads().count(), 0);
+}
+
 fn exit_tags(m: &mut Machine) -> Vec<u64> {
     outputs(m)
         .iter()

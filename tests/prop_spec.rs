@@ -1,7 +1,9 @@
 //! Property-based coverage of the spec layer: randomly generated
 //! [`ScenarioSpec`]s (including controller overrides and sweeps) must
 //! never panic in `validate()`, and every spec that validates must
-//! round-trip bit-identically through its JSON form.
+//! round-trip bit-identically through its JSON form. Registry scenarios
+//! with one part replaced by a generated value carry the same checks to
+//! clusters, fleets, rosters, graphs and fault timelines.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -256,6 +258,41 @@ fn controller_strategy() -> impl Strategy<Value = ControllerSpec> {
         )
 }
 
+/// Controller overrides with every knob in range and at most one limit
+/// per tenant, which `validate` accepts on any policy with a controller.
+fn valid_controller_strategy() -> impl Strategy<Value = ControllerSpec> {
+    let us = || proptest::option::of(100u64..100_000);
+    (
+        (proptest::option::of(1u32..16), us(), us(), us()),
+        (
+            proptest::option::of(64u64..16_384),
+            proptest::option::of(0.05f64..1.0),
+            proptest::option::of((1u64..500, 10u64..5_000)),
+        ),
+    )
+        .prop_map(
+            |(
+                (buffer_cores, cpu_poll_interval_us, io_poll_interval_us, memory_poll_interval_us),
+                (secondary_memory_limit_mb, memory_kill_watermark, hdfs_client),
+            )| ControllerSpec {
+                buffer_cores,
+                cpu_poll_interval_us,
+                io_poll_interval_us,
+                memory_poll_interval_us,
+                secondary_memory_limit_mb,
+                memory_kill_watermark,
+                tenant_limits: hdfs_client
+                    .map(|(mbps, iops)| TenantLimitSpec {
+                        service: "hdfs-client".into(),
+                        mbps: Some(mbps),
+                        iops: Some(iops),
+                    })
+                    .into_iter()
+                    .collect(),
+            },
+        )
+}
+
 fn sweep_strategy() -> impl Strategy<Value = Option<SweepSpec>> {
     let axis = prop_oneof![
         proptest::collection::vec(prop_oneof![Just(0u32), 1u32..16], 0..3)
@@ -385,6 +422,71 @@ fn resilience_strategy() -> impl Strategy<Value = ResilienceSpec> {
         )
 }
 
+/// Run lengths other than `Quick`: the bench window, and explicit windows
+/// some of which overflow the simulated clock and must be rejected.
+fn scale_strategy() -> impl Strategy<Value = ScaleSpec> {
+    prop_oneof![
+        // Only validated and rescaled here, never run, so the 6.5 s bench
+        // window costs nothing.
+        Just(ScaleSpec::Bench),
+        (
+            prop_oneof![0u64..300, 0u64..300, Just(u64::MAX)],
+            prop_oneof![0u64..500, 0u64..500, Just(u64::MAX)],
+        )
+            .prop_map(|(warmup_ms, measure_ms)| ScaleSpec::Custom {
+                warmup_ms,
+                measure_ms,
+            }),
+    ]
+}
+
+/// One part of a registry scenario, replaced by a generated value.
+#[derive(Clone, Debug)]
+enum Graft {
+    Controller(ControllerSpec),
+    Fault(FaultSpec),
+    Resilience(ResilienceSpec),
+    Scale(ScaleSpec),
+}
+
+/// A registry scenario with one of its controller overrides, fault
+/// timeline, resilience policy or run length replaced, the rest as
+/// registered. Every target class, graph workload and chaos timeline the
+/// registry holds is reached this way, where `spec_strategy` builds
+/// mostly plain single boxes.
+fn grafted_strategy() -> impl Strategy<Value = ScenarioSpec> {
+    let graft = prop_oneof![
+        mostly(valid_controller_strategy(), controller_strategy()).prop_map(Graft::Controller),
+        fault_strategy().prop_map(Graft::Fault),
+        resilience_strategy().prop_map(Graft::Resilience),
+        mostly(Just(ScaleSpec::Quick), scale_strategy()).prop_map(Graft::Scale),
+    ];
+    (0usize..1024, graft).prop_map(|(pick, graft)| {
+        let mut registry = scenarios::spec::registry();
+        let mut spec = registry.swap_remove(pick % registry.len());
+        match graft {
+            Graft::Controller(c) => spec.controller = c,
+            Graft::Fault(f) => spec.fault = f,
+            Graft::Resilience(r) => spec.resilience = r,
+            Graft::Scale(s) => spec.scale = s,
+        }
+        spec
+    })
+}
+
+/// Builds what a run of `spec` builds first for its target: the box
+/// simulator (single and multi-box), or the cluster or fleet
+/// configuration.
+fn build_target(spec: &ScenarioSpec) -> Result<(), SpecError> {
+    match spec.target {
+        TargetSpec::SingleBox { .. } | TargetSpec::MultiBox { .. } => {
+            spec.box_sim(spec.seed).map(drop)
+        }
+        TargetSpec::Cluster { .. } => spec.cluster_config(spec.seed, 1).map(drop),
+        TargetSpec::Fleet { .. } => spec.fleet_config(spec.seed, 1).map(drop),
+    }
+}
+
 /// Draws `valid` three times in four and `hostile` otherwise. A spec is
 /// assembled from a dozen parts, each of which `validate` must accept, so
 /// without this weighting almost no generated spec validates and the
@@ -429,25 +531,7 @@ fn spec_strategy() -> impl Strategy<Value = ScenarioSpec> {
             ),
         ),
         (
-            mostly(
-                Just(ScaleSpec::Quick),
-                prop_oneof![
-                    // Only validated and rescaled here, never run, so the
-                    // 6.5 s bench window costs nothing.
-                    Just(ScaleSpec::Bench),
-                    // A window past the simulated clock must be rejected.
-                    (
-                        prop_oneof![0u64..300, 0u64..300, Just(u64::MAX)],
-                        prop_oneof![0u64..500, 0u64..500, Just(u64::MAX)],
-                    )
-                        .prop_map(|(warmup_ms, measure_ms)| {
-                            ScaleSpec::Custom {
-                                warmup_ms,
-                                measure_ms,
-                            }
-                        }),
-                ],
-            ),
+            mostly(Just(ScaleSpec::Quick), scale_strategy()),
             any::<u64>(),
             mostly(1u32..4, 0u32..4),
             mostly(Just(FaultSpec::default()), fault_strategy()),
@@ -577,6 +661,30 @@ proptest! {
         }
     }
 
+    /// Registry scenarios with one part grafted on: `validate()` classifies
+    /// each without panicking, and every spec it accepts round-trips
+    /// through JSON unchanged, builds its target, and expands its sweep
+    /// (if any) into valid cells.
+    #[test]
+    fn prop_grafted_registry_scenarios_round_trip_and_build(spec in grafted_strategy()) {
+        match spec.validate() {
+            Ok(()) => {
+                let back = ScenarioSpec::from_json(&spec.to_json())
+                    .expect("a valid spec's JSON must load back");
+                prop_assert_eq!(&back, &spec);
+                if let Err(e) = build_target(&spec) {
+                    panic!("{} validated but does not build: {e}", spec.name);
+                }
+                if spec.sweep.is_some() {
+                    for cell in spec.expand_sweep().expect("validated sweep expands") {
+                        prop_assert!(cell.spec.validate().is_ok());
+                    }
+                }
+            }
+            Err(e) => prop_assert!(!e.to_string().is_empty()),
+        }
+    }
+
     /// Sweep expansion of accepted specs yields only valid, sweep-free
     /// cells, exactly `cell_count()` of them.
     #[test]
@@ -613,6 +721,32 @@ fn spec_strategy_reaches_the_accepting_branches() {
         valid.iter().any(|s| s.sweep.is_some()),
         "none of the {} accepted specs carries a sweep",
         valid.len()
+    );
+}
+
+/// Over the grafted property's 256 cases, the specs `validate` accepts
+/// cover every target class, a service-graph workload and a non-empty
+/// fault timeline, so its round trip and builds reach each of them.
+#[test]
+fn grafted_strategy_reaches_every_target_class() {
+    let strategy = grafted_strategy();
+    let accepted: Vec<ScenarioSpec> = (0..256)
+        .map(|case| strategy.sample(&mut TestRng::for_case(case)))
+        .filter(|s| s.validate().is_ok())
+        .collect();
+    for kind in ["single-box", "multi-box", "cluster", "fleet"] {
+        let n = accepted.iter().filter(|s| s.target.kind() == kind).count();
+        assert!(n > 0, "no accepted {kind} spec among {}", accepted.len());
+    }
+    assert!(
+        accepted
+            .iter()
+            .any(|s| matches!(s.workload, WorkloadSpec::ServiceGraph(_))),
+        "no accepted graph workload"
+    );
+    assert!(
+        accepted.iter().any(|s| !s.fault.is_empty()),
+        "no accepted fault timeline"
     );
 }
 
