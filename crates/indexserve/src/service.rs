@@ -502,8 +502,11 @@ impl IndexServe {
 
     /// Fails every unfinished query at once (the process died): each one is
     /// killed and reported dropped, exactly as if its deadline fired now.
-    /// The sweep covers only the ids the table has not retired.
+    /// The sweep covers only the ids the table has not retired. The
+    /// admission queue empties first, so a freed slot starts nothing and
+    /// the drops come out in query-index order.
     pub fn fail_all(&mut self, now: SimTime, machine: &mut Machine) {
+        self.admission_queue.clear();
         for qidx in self.queries.unretired() {
             self.on_timeout(now, qidx, machine);
         }
@@ -905,16 +908,18 @@ mod tests {
         let open: Vec<u64> = (0..n + burst).filter(|&q| !reported[q as usize]).collect();
         assert!(open.len() > burst as usize, "streamed queries in flight");
         assert!(s.queries.unretired().start > 0, "finished queries retired");
+        let spawns = m.stats().spawns;
         s.fail_all(now, &mut m);
+        // A dying process starts none of its queued queries.
+        assert_eq!(m.stats().spawns, spawns, "fail_all spawned threads");
         let mut outcomes = Vec::new();
         s.drain_outcomes_into(&mut outcomes);
-        let mut dropped: Vec<u64> = outcomes
+        let dropped: Vec<u64> = outcomes
             .iter()
             .inspect(|o| assert!(o.dropped, "query {} not dropped", o.qidx))
             .map(|o| o.qidx)
             .collect();
-        dropped.sort_unstable();
-        assert_eq!(dropped, open);
+        assert_eq!(dropped, open, "drops in ascending query index");
         assert_eq!(s.queries.window(), 0);
         assert_eq!((s.in_flight(), s.admission_queue_len()), (0, 0));
     }

@@ -32,7 +32,6 @@ pub mod queue;
 pub mod rng;
 pub mod table;
 pub mod time;
-pub(crate) mod wheel;
 
 pub use ids::{CoreId, JobId, ThreadId};
 pub use mask::CoreMask;

@@ -1,13 +1,13 @@
-//! Equivalence proof for the timer-wheel event queue.
+//! Executable specification of the event queue's pop order.
 //!
-//! The pre-wheel `EventQueue` core — a `BinaryHeap` ordered by
-//! `(time, seq)` — is reimplemented here as the executable specification,
-//! and the wheel is driven against it under arbitrary interleaved
-//! push/pop/pop_before/peek/clear sequences, including same-instant FIFO
-//! bursts and far-future pushes that exercise the overflow levels and their
-//! cascades. Every observable (popped pairs, peeked times, lengths) must be
-//! identical, which is exactly the determinism contract the golden-report
-//! suite leans on.
+//! A reference queue — a `BinaryHeap` ordered by `(time, seq)`, written
+//! out independently of `EventQueue` — serves as the model, and the queue
+//! is driven against it under arbitrary interleaved
+//! push/pop/pop_before/peek sequences, including same-instant FIFO bursts,
+//! pushes earlier than events already popped, and far-future pushes. Every
+//! observable (popped pairs, peeked times, lengths) must be identical,
+//! which is exactly the determinism contract the golden-report suite leans
+//! on.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -46,7 +46,7 @@ impl Ord for Scheduled {
     }
 }
 
-/// The old binary-heap queue, verbatim semantics.
+/// The reference queue: `(time, seq)` order, FIFO within an instant.
 struct HeapModel {
     heap: BinaryHeap<Scheduled>,
     next_seq: u64,
@@ -84,11 +84,6 @@ impl HeapModel {
     fn len(&self) -> usize {
         self.heap.len()
     }
-
-    fn clear(&mut self) {
-        self.heap.clear();
-        self.next_seq = 0;
-    }
 }
 
 #[derive(Clone, Debug)]
@@ -97,14 +92,13 @@ enum Op {
     Pop,
     PopBefore(u64),
     Peek,
-    Clear,
 }
 
 /// Arbitrary operations, biased toward pushes so queues actually build up.
 /// Push/bound times mix three regimes: dense sub-microsecond values (many
-/// same-granule and same-instant collisions), a mid range spanning a few
-/// level-0 rotations, and a far-future range that lands in the overflow
-/// levels and must cascade back down.
+/// same-instant collisions), a millisecond range like the simulators'
+/// slices and polls, and a far-future range up to ten hours out. A push may
+/// land before events already popped.
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0u64..2_000).prop_map(Op::Push),
@@ -118,43 +112,38 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0u64..5_000_000).prop_map(Op::PopBefore),
         (0u64..(1 << 45)).prop_map(Op::PopBefore),
         Just(Op::Peek),
-        Just(Op::Clear),
     ]
 }
 
 proptest! {
-    /// The wheel is observationally identical to the reference heap under
+    /// The queue is observationally identical to the reference heap under
     /// arbitrary interleavings, and the final drain pops the exact same
     /// `(time, payload)` sequence.
     #[test]
-    fn prop_wheel_matches_heap(ops in proptest::collection::vec(op_strategy(), 1..400)) {
-        let mut wheel = EventQueue::new();
+    fn prop_queue_matches_heap_model(ops in proptest::collection::vec(op_strategy(), 1..400)) {
+        let mut queue = EventQueue::new();
         let mut model = HeapModel::new();
         let mut id = 0u32;
         for op in ops {
             match op {
                 Op::Push(ns) => {
                     let at = SimTime::from_nanos(ns);
-                    wheel.push(at, id);
+                    queue.push(at, id);
                     model.push(at, id);
                     id += 1;
                 }
-                Op::Pop => prop_assert_eq!(wheel.pop(), model.pop()),
+                Op::Pop => prop_assert_eq!(queue.pop(), model.pop()),
                 Op::PopBefore(ns) => {
                     let t = SimTime::from_nanos(ns);
-                    prop_assert_eq!(wheel.pop_before(t), model.pop_before(t));
+                    prop_assert_eq!(queue.pop_before(t), model.pop_before(t));
                 }
-                Op::Peek => prop_assert_eq!(wheel.peek_time(), model.peek_time()),
-                Op::Clear => {
-                    wheel.clear();
-                    model.clear();
-                }
+                Op::Peek => prop_assert_eq!(queue.peek_time(), model.peek_time()),
             }
-            prop_assert_eq!(wheel.len(), model.len());
-            prop_assert_eq!(wheel.is_empty(), model.len() == 0);
+            prop_assert_eq!(queue.len(), model.len());
+            prop_assert_eq!(queue.is_empty(), model.len() == 0);
         }
         loop {
-            let (a, b) = (wheel.pop(), model.pop());
+            let (a, b) = (queue.pop(), model.pop());
             prop_assert_eq!(a, b);
             if a.is_none() {
                 break;
@@ -188,11 +177,11 @@ proptest! {
         prop_assert_eq!(burst_ids, (0..n as u32).collect::<Vec<_>>());
     }
 
-    /// Far-future pushes park in the overflow levels and cascade back down
-    /// in globally sorted order: popping with an ascending sweep of
-    /// `pop_before` horizons yields the fully sorted `(time, seq)` order.
+    /// Times up to 2^52 ns (about 52 days) pop in globally sorted order:
+    /// popping with an ascending sweep of `pop_before` horizons yields the
+    /// fully sorted `(time, seq)` order.
     #[test]
-    fn prop_overflow_cascade_sorted(times in proptest::collection::vec(0u64..(1 << 52), 1..200)) {
+    fn prop_far_future_times_sorted(times in proptest::collection::vec(0u64..(1 << 52), 1..200)) {
         let mut q = EventQueue::new();
         let mut expect: Vec<(u64, u32)> = Vec::new();
         for (i, &t) in times.iter().enumerate() {
@@ -201,7 +190,7 @@ proptest! {
         }
         expect.sort_unstable();
         let mut got = Vec::new();
-        // Sweep horizons through the level boundaries, then drain.
+        // Sweep horizons across the orders of magnitude, then drain.
         for shift in [10u32, 16, 22, 28, 34, 40, 46, 52] {
             let horizon = SimTime::from_nanos(1 << shift);
             while let Some((at, idx)) = q.pop_before(horizon) {
