@@ -15,12 +15,19 @@
 //! drains the boxes holding output there in index order, exactly the
 //! order a one-step-per-event loop would use, and re-runs only the boxes
 //! whose horizon moved (every delivery destination and every drained
-//! box). A box clock only moves to instants that box processes, and
-//! windows stop short of warm-up end until the warm-up snapshot is
-//! taken, so reports are byte-identical to stepping every box event
-//! globally. At seed 1 the benchmark's `cluster-fig09` workload takes
-//! 109,699 global steps instead of 1,454,386, and its median wall time
-//! on a 2-core Xeon VM fell from 1.44 s to 0.81 s.
+//! box). A box clock only moves to instants that box processes, so
+//! reports are byte-identical to stepping every box event globally. At
+//! seed 1 the benchmark's `cluster-fig09` workload takes 109,699 global
+//! steps instead of 1,454,386, and its median wall time on a 2-core Xeon
+//! VM fell from 1.44 s to 0.81 s.
+//!
+//! Every box's CPU is read at two fixed instants, warm-up end and `end`
+//! ([`BoxSim::breakdown_at`]), so `mean_utilization` and `breakdown`
+//! cover exactly the measured window and sum to index boxes × cores ×
+//! its length. Windows stop 1 ns short of each mark until that mark's
+//! snapshot is taken: every box has then processed its instants before
+//! the mark and none after, and no report depends on which no-op
+//! instants a box visits.
 //!
 //! The loop runs on one thread. A window opens with about 21 box
 //! run-aheads of 60–80 µs in total, about as long as waking a parked
@@ -259,8 +266,10 @@ impl ClusterSim {
         .generate(self.cfg.seed ^ 0x7ACE);
         let mut client = OpenLoopClient::new(trace, self.cfg.qps_total, self.cfg.seed ^ 0xC1);
 
-        let mut warm_bd: Option<Vec<CpuBreakdown>> = None;
-        let warmup_end = SimTime::ZERO + self.cfg.warmup;
+        // Every box's CPU is read at these two marks, so the breakdown
+        // covers exactly the measured window.
+        let marks = [SimTime::ZERO + self.cfg.warmup, end];
+        let mut snapshots: Vec<Vec<CpuBreakdown>> = Vec::with_capacity(marks.len());
         // Arrivals stop at `end`; requests still in flight resolve within
         // one timeout, so box and fabric events run until `drain_until`.
         let drain_until = end + self.cfg.service.timeout + SimDuration::from_millis(50);
@@ -272,20 +281,20 @@ impl ClusterSim {
 
         loop {
             let t0 = next_arrival(&client, end).min(self.next_any_event());
+            // Windows stop 1 ns short of the next mark, so once nothing is
+            // pending before it every box has processed all its instants
+            // before the mark and none after, and reads as of the mark.
+            while let Some(&mark) = marks.get(snapshots.len()).filter(|&&m| m <= t0) {
+                snapshots.push(self.boxes.iter().map(|b| b.breakdown_at(mark)).collect());
+            }
             if t0 > drain_until {
                 break;
             }
             // Nothing lands before `t0 + lookahead` unless it is already
             // scheduled or a box's loopback to itself.
             let mut last = (t0 + lookahead - SimDuration::from_nanos(1)).min(drain_until);
-            // The warm-up snapshot must see every box as the last instant
-            // before warm-up end left it, so windows stop short of it.
-            if warm_bd.is_none() && t0 <= end {
-                if t0 >= warmup_end {
-                    warm_bd = Some(self.boxes.iter().map(|b| b.breakdown()).collect());
-                } else {
-                    last = last.min(warmup_end - SimDuration::from_nanos(1));
-                }
+            if let Some(&mark) = marks.get(snapshots.len()) {
+                last = last.min(mark - SimDuration::from_nanos(1));
             }
             self.start_window(last);
             loop {
@@ -316,10 +325,9 @@ impl ClusterSim {
             );
         }
 
-        let warm = warm_bd.unwrap_or_else(|| self.boxes.iter().map(|b| b.breakdown()).collect());
         let mut agg = CpuBreakdown::default();
-        for (b, w) in self.boxes.iter().zip(warm.iter()) {
-            agg.merge(&b.breakdown().since(w));
+        for (warm, at_end) in snapshots[0].iter().zip(&snapshots[1]) {
+            agg.merge(&at_end.since(warm));
         }
         let mut faults = Vec::new();
         let mut resilience = telemetry::ResilienceStats::default();
@@ -709,6 +717,32 @@ mod tests {
             "capacity {}",
             sim.requests.capacity()
         );
+    }
+
+    /// CPU accounting balances: every index box is read at warm-up end and
+    /// at `end`, so the summed breakdown is index boxes × cores × the
+    /// measured window to the nanosecond, with no drain time in it.
+    #[test]
+    fn cluster_cpu_breakdown_covers_exactly_the_measured_window() {
+        let cfg = small_config(
+            SecondaryKind {
+                cpu_bully: Some(workloads::BullyIntensity::High),
+                disk_bully: None,
+                hdfs: true,
+            },
+            7,
+        );
+        let capacity = u64::from(cfg.topology.index_machines())
+            * u64::from(cfg.machine.cores)
+            * cfg.measure.as_nanos();
+        let report = ClusterSim::new(cfg).run();
+        let b = report.breakdown;
+        assert_eq!(
+            (b.primary + b.secondary + b.os + b.idle).as_nanos(),
+            capacity,
+            "breakdown {b:?}"
+        );
+        assert_eq!(report.mean_utilization.to_bits(), b.utilization().to_bits());
     }
 
     #[test]

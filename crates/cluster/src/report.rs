@@ -45,9 +45,12 @@ pub struct ClusterReport {
     pub completed: u64,
     /// Requests that lost at least one column to a timeout.
     pub degraded: u64,
-    /// Mean CPU utilization across index machines.
+    /// Mean CPU utilization across index machines over the measured
+    /// window (`breakdown.utilization()`).
     pub mean_utilization: f64,
-    /// Mean CPU breakdown across index machines.
+    /// CPU breakdown summed over index machines, from warm-up end to the
+    /// end of the measured window: it totals index machines × cores × the
+    /// window's length.
     pub breakdown: CpuBreakdown,
     /// Executed fault timelines, per index box, when a chaos plan ran.
     #[serde(default, skip_serializing_if = "Vec::is_empty")]

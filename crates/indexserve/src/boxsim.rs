@@ -728,6 +728,18 @@ impl BoxSim {
         self.machine.breakdown()
     }
 
+    /// CPU breakdown at `t`, an instant at or after the clock with no box
+    /// event due before it: what [`BoxSim::breakdown`] reads after
+    /// `advance_to(t)`, without processing anything (see
+    /// [`Machine::breakdown_at`]).
+    pub fn breakdown_at(&self, t: SimTime) -> CpuBreakdown {
+        debug_assert!(
+            self.next_event_time().is_none_or(|n| n >= t),
+            "box read past a due event"
+        );
+        self.machine.breakdown_at(t)
+    }
+
     /// Secondary job CPU time (covers every secondary workload).
     pub fn secondary_cpu_time(&self) -> SimDuration {
         self.machine.job_cpu_time(self.secondary_job)

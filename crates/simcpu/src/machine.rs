@@ -365,20 +365,32 @@ impl Machine {
     /// The CPU-time breakdown up to the current instant, including partial
     /// in-flight slices and idle intervals.
     pub fn breakdown(&self) -> CpuBreakdown {
+        self.breakdown_at(self.now)
+    }
+
+    /// The CPU-time breakdown up to `t`: what [`Machine::breakdown`] reads
+    /// after `advance_to(t)`, without moving the clock. Valid for a `t` at
+    /// or after the clock with no timer due before it, so every core keeps
+    /// its slice or idle interval until `t` and is projected as one.
+    pub fn breakdown_at(&self, t: SimTime) -> CpuBreakdown {
+        debug_assert!(t >= self.now, "breakdown read before the clock");
+        debug_assert!(
+            self.next_timer_at().is_none_or(|n| n >= t),
+            "breakdown read past a due timer"
+        );
         let mut b = self.breakdown;
         for core in &self.cores {
             match core.running {
                 Some(tid) => {
-                    let elapsed = self.now.since(core.slice_start);
+                    let elapsed = t.since(core.slice_start);
                     let os_part = core.slice_os_cost.min(elapsed);
                     let busy = elapsed - os_part;
                     b.add(TenantClass::Os, os_part);
-                    let job = self.thread(tid).map(|t| t.job);
-                    if let Some(job) = job {
-                        b.add(self.jobs[job.0 as usize].class, busy);
+                    if let Some(body) = self.thread(tid) {
+                        b.add(self.jobs[body.job.0 as usize].class, busy);
                     }
                 }
-                None => b.add_idle(self.now.since(core.idle_since)),
+                None => b.add_idle(t.since(core.idle_since)),
             }
         }
         b

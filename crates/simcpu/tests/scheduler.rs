@@ -791,6 +791,47 @@ fn idle_mask_matches_breakdown_under_load() {
 }
 
 #[test]
+fn breakdown_at_projects_to_the_next_timer() {
+    // One primary thread, two quota-capped secondary threads and a spare
+    // core; dispatch and switch costs put an OS share in every slice.
+    let build = || {
+        let mut cfg = zero_cost_config(4);
+        cfg.dispatch_cost = us(2);
+        cfg.ctx_switch_cost = us(5);
+        let mut m = Machine::with_seed(cfg, 1);
+        let pri = m.create_job(TenantClass::Primary, CoreMask::all(4));
+        let sec = m.create_job(TenantClass::Secondary, CoreMask::all(4));
+        m.spawn_program(SimTime::ZERO, pri, Program::compute_once(ms(300)), 0);
+        for i in 0..2 {
+            m.spawn_program(SimTime::ZERO, sec, Program::compute_loop(ms(3)), 1 + i);
+        }
+        // 10 % of 4 cores: two threads burn each period's 40 ms in 20 ms.
+        m.set_job_quota(SimTime::ZERO, sec, Some(CpuRateQuota::percent(10.0)));
+        m
+    };
+    // Both tenants running; the secondary throttled; after its refill.
+    for (from, idle) in [(10, 1), (50, 3), (110, 1)] {
+        let from = SimTime::from_millis(from);
+        let mut read = build();
+        read.advance_to(from);
+        assert_eq!(read.idle_core_mask().count(), idle, "at {from}");
+        let next = read.next_timer_at().expect("a slice is running");
+        let mut stepped = build();
+        for k in 0..=3 {
+            let t = from + SimDuration::from_nanos(next.since(from).as_nanos() * k / 3);
+            stepped.advance_to(t);
+            let (a, b) = (read.breakdown_at(t), stepped.breakdown());
+            assert_eq!(
+                (a.primary, a.secondary, a.os, a.idle),
+                (b.primary, b.secondary, b.os, b.idle),
+                "from {from} to {t}"
+            );
+        }
+        assert_eq!(read.now(), from, "reading moved the clock");
+    }
+}
+
+#[test]
 fn outputs_preserve_order() {
     let mut m = Machine::new(zero_cost_config(2));
     let job = m.create_job(TenantClass::Primary, CoreMask::all(2));
