@@ -15,17 +15,17 @@
 //!
 //! A hosted service drops a request still unfinished `timeout` after it
 //! arrived, and nearly every request finishes long before that. So the box
-//! keeps no timer per request: each service slot holds a ring of its
-//! admitted arrival instants, 8 bytes each, and the box visits every
-//! deadline instant, whether or not its request is still running, so the
-//! instants it processes (and the CPU breakdowns a cluster reads at them)
-//! do not depend on how many requests finish in time. A request keeps the
-//! app-queue sequence number reserved when it arrived
-//! ([`EventQueue::reserve_seq`]); only a deadline that finds its request
-//! unfinished becomes an app-queue event, pushed under that number, so it
-//! fires exactly where an event pushed at arrival would have among the
-//! controller polls, flood ticks and other deadlines of its instant. The
-//! app queue itself holds only the recurring events and the fault plan.
+//! keeps no timer per request: each service slot queues the arrival, index
+//! and reserved app-queue sequence number ([`EventQueue::reserve_seq`]) of
+//! every request it admitted, from the oldest unfinished one on, and drops
+//! finished requests off the front as their outcomes drain. The box visits
+//! only the front's deadline, so a request that finishes in time costs no
+//! instant. A deadline that comes due pops its entry; only one that finds
+//! its request unfinished becomes an app-queue event, pushed under the
+//! reserved number, so it fires exactly where an event pushed at arrival
+//! would have among the controller polls, flood ticks and other deadlines
+//! of its instant. The app queue itself holds only the recurring events
+//! and the fault plan, and the services keep no deadline state at all.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -363,11 +363,11 @@ struct ServiceSlot {
     job: JobId,
     /// The port's [`ServicePort::timeout`].
     timeout: SimDuration,
-    /// Arrival instant of every admitted request whose deadline has not
-    /// come due, oldest first. The box visits each deadline instant, live
-    /// or not, so a run processes the same instants whether or not its
-    /// queries finish in time.
-    arrivals: VecDeque<SimTime>,
+    /// `(arrival, qidx, deadline_seq)` of every admitted request whose
+    /// deadline has not come due, in admission order, from the oldest
+    /// unfinished one on; `deadline_seq` is the app-queue number reserved
+    /// at its arrival.
+    deadlines: VecDeque<(SimTime, u64, u64)>,
 }
 
 /// One simulated production server.
@@ -411,10 +411,6 @@ pub struct BoxSim {
     scratch_outputs: Vec<MachineOutput>,
     scratch_completions: Vec<simdisk::IoCompletion>,
     scratch_outcomes: Vec<QueryOutcome>,
-    /// `(qidx, deadline_seq)` of the live deadlines one arrival instant
-    /// leaves (see [`BoxSim::arm_deadlines`]); empty unless a query misses
-    /// its deadline.
-    scratch_deadlines: Vec<(u64, u64)>,
 }
 
 impl BoxSim {
@@ -493,7 +489,7 @@ impl BoxSim {
                     port,
                     job,
                     timeout,
-                    arrivals: VecDeque::new(),
+                    deadlines: VecDeque::new(),
                 }
             })
             .collect();
@@ -529,7 +525,6 @@ impl BoxSim {
             scratch_outputs: Vec::with_capacity(SETTLE_SCRATCH),
             scratch_completions: Vec::with_capacity(SETTLE_SCRATCH),
             scratch_outcomes: Vec::with_capacity(SETTLE_SCRATCH),
-            scratch_deadlines: Vec::new(),
         };
 
         // Secondary tenants.
@@ -896,16 +891,13 @@ impl BoxSim {
     }
 
     /// Admits an arrival at `service` now and times its deadline: the
-    /// arrival instant joins the service's ring, and the query keeps the
-    /// app-queue sequence number its deadline event would have taken if
-    /// pushed now.
+    /// request joins the service's deadline queue with the app-queue
+    /// sequence number its deadline event would have taken if pushed now.
     fn admit(&mut self, service: usize, spec: QuerySpec) -> u64 {
         let deadline_seq = self.app.reserve_seq();
         let slot = &mut self.services[service];
-        let qidx = slot
-            .port
-            .on_arrival(self.now, spec, deadline_seq, &mut self.machine);
-        slot.arrivals.push_back(self.now);
+        let qidx = slot.port.on_arrival(self.now, spec, &mut self.machine);
+        slot.deadlines.push_back((self.now, qidx, deadline_seq));
         qidx
     }
 
@@ -976,7 +968,7 @@ impl BoxSim {
         .chain(
             self.services
                 .iter()
-                .filter_map(|s| Some(*s.arrivals.front()? + s.timeout)),
+                .filter_map(|s| Some(s.deadlines.front()?.0 + s.timeout)),
         ) {
             next = Some(next.map_or(c, |n: SimTime| n.min(c)));
         }
@@ -1033,25 +1025,21 @@ impl BoxSim {
         self.settle();
     }
 
-    /// Takes every arrival whose deadline is due by `at` off its ring and
-    /// pushes a [`AppEvent::Timeout`] for each query among them that is
-    /// still unfinished, under the sequence number reserved at its arrival.
-    /// A live deadline therefore pops exactly where one pushed at arrival
+    /// Pops every deadline due by `at`, finished or not, and pushes a
+    /// [`AppEvent::Timeout`] for each one whose request is still
+    /// unfinished, under the sequence number reserved at its arrival. A
+    /// live deadline therefore pops exactly where one pushed at arrival
     /// would have. Deadlines are positive, so every arrival this instant
     /// admits comes due at a later one.
     fn arm_deadlines(&mut self, at: SimTime) {
         for (service, slot) in self.services.iter_mut().enumerate() {
-            while let Some(&arrival) = slot.arrivals.front() {
+            while let Some(&(arrival, qidx, seq)) = slot.deadlines.front() {
                 let deadline = arrival + slot.timeout;
                 if deadline > at {
                     break;
                 }
-                while slot.arrivals.front() == Some(&arrival) {
-                    slot.arrivals.pop_front();
-                }
-                slot.port
-                    .live_deadlines(arrival, &mut self.scratch_deadlines);
-                for (qidx, seq) in self.scratch_deadlines.drain(..) {
+                slot.deadlines.pop_front();
+                if !slot.port.is_finished(qidx) {
                     self.app
                         .push_reserved(deadline, seq, AppEvent::Timeout { service, qidx });
                 }
@@ -1123,6 +1111,16 @@ impl BoxSim {
                     self.events.push(BoxEvent::QueryDone(outcome));
                 }
                 self.scratch_outcomes = outcomes;
+                // The queue starts at the oldest unfinished request, so
+                // no finished one leaves an instant to visit.
+                let slot = &mut self.services[i];
+                while slot
+                    .deadlines
+                    .front()
+                    .is_some_and(|&(_, qidx, _)| slot.port.is_finished(qidx))
+                {
+                    slot.deadlines.pop_front();
+                }
             }
         }
     }
@@ -2156,8 +2154,9 @@ mod tests {
 
     /// A box at 4,000 qps keeps no timer per query: its app queue never
     /// holds more than the recurring events and the fault plan, and each
-    /// service's deadline ring holds exactly the arrivals of the last
-    /// timeout window.
+    /// service's deadline queue starts at the oldest admitted query with
+    /// no outcome yet and holds every admitted query from there on, in
+    /// order.
     #[test]
     fn deadlines_take_no_app_queue_cell_per_query() {
         let plan = FaultPlan {
@@ -2187,27 +2186,62 @@ mod tests {
         let mut client = ServicePlan { qps: 4_000.0 }.client(end.since(SimTime::ZERO), 13);
         let mut sim = BoxSim::new(cfg);
         let timeout = sim.max_timeout();
-        let mut window = VecDeque::new();
+        // Admitted queries from the oldest one with no outcome on.
+        let mut open: VecDeque<(SimTime, u64)> = VecDeque::new();
+        let mut done = std::collections::HashSet::new();
+        let mut events = Vec::new();
         let mut injected = 0;
         while let Some((at, spec)) = client.pop().filter(|&(at, _)| at <= end) {
-            sim.inject_query(at, spec);
+            let qidx = sim.inject_query(at, spec);
             injected += 1;
-            window.push_back(at);
-            while window.front().is_some_and(|&a| a + timeout <= at) {
-                window.pop_front();
+            open.push_back((at, qidx));
+            sim.drain_events_into(&mut events);
+            for ev in events.drain(..) {
+                if let BoxEvent::QueryDone(out) = ev {
+                    done.insert(out.qidx);
+                }
+            }
+            while open.front().is_some_and(|(_, q)| done.contains(q)) {
+                open.pop_front();
             }
             assert!(
                 sim.app.len() <= cells,
                 "{} app events at {at}",
                 sim.app.len()
             );
-            assert_eq!(sim.services[0].arrivals, window, "ring at {at}");
+            let queued: VecDeque<(SimTime, u64)> = sim.services[0]
+                .deadlines
+                .iter()
+                .map(|&(arrival, qidx, _)| (arrival, qidx))
+                .collect();
+            assert_eq!(queued, open, "deadline queue at {at}");
         }
         assert!(injected > 3_800, "{injected} arrivals");
-        assert!(window.len() > 1_000, "{} arrivals in flight", window.len());
         sim.advance_to(end + timeout);
-        assert!(sim.services[0].arrivals.is_empty());
+        assert!(sim.services[0].deadlines.is_empty());
         assert_eq!(sim.services_in_flight(), 0);
+    }
+
+    /// A query that finishes leaves no deadline instant behind: on a box
+    /// with no controller and no secondary nothing recurs, so once the
+    /// query and its log write are done the box has no event at all.
+    #[test]
+    fn finished_query_leaves_no_deadline_instant() {
+        let mut sim = BoxSim::new(BoxConfig::paper_box(SecondaryKind::none(), None, 3));
+        let total = SimDuration::from_secs(1);
+        let (arrival, spec) = ServicePlan { qps: 100.0 }
+            .client(total, 3)
+            .pop()
+            .expect("one arrival");
+        sim.inject_query(arrival, spec);
+        sim.advance_to(arrival + SimDuration::from_millis(100));
+        let mut events = Vec::new();
+        sim.drain_events_into(&mut events);
+        assert!(
+            matches!(events.as_slice(), [BoxEvent::QueryDone(out)] if !out.dropped),
+            "{events:?}"
+        );
+        assert_eq!(sim.next_event_time(), None);
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //! [`crate::tags`]), so a deadline that finds the query unfinished finds its
 //! threads with one scan of [`Machine::live_threads`] and kills them in tag
 //! order, which is spawn order: parse, the workers by index, rank,
-//! aggregate. An unfinished query also holds the sequence number its host
-//! reserved for its deadline event ([`IndexServe::on_arrival`]), and
-//! [`IndexServe::live_deadlines`] hands it back when that deadline comes
-//! due, so the host keeps no per-query timer.
+//! aggregate. The host times every deadline itself and fires
+//! [`IndexServe::on_timeout`] only for a query still unfinished then
+//! ([`crate::port::ServicePort::is_finished`]), so a query holds no
+//! deadline state.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -25,7 +25,6 @@ use simcore::{RequestTable, SimDuration, SimRng, SimTime};
 use simcpu::{JobId, Machine, Program, ThreadId};
 
 use crate::cache::CacheModel;
-use crate::port::arrived_at;
 use crate::tags::{parse_stage_tag, service_bits, stage_tag, tag_service, Stage};
 
 /// Service-model parameters (calibrated to the paper's standalone profile).
@@ -138,8 +137,6 @@ pub struct QueryOutcome {
 struct QueryState {
     spec: QuerySpec,
     arrival: SimTime,
-    /// The host's sequence number for this query's deadline event.
-    deadline_seq: u64,
     /// Tag of the newest thread spawned for the query; 0 until it starts.
     newest_tag: u64,
     pending_workers: u32,
@@ -247,21 +244,12 @@ impl IndexServe {
     }
 
     /// Handles a query arrival; returns the dense query index. The host
-    /// fires [`IndexServe::on_timeout`] for it at `now + cfg.timeout` and
-    /// names the event `deadline_seq` in its own queue; the query keeps
-    /// that number while it is unfinished (see
-    /// [`IndexServe::live_deadlines`]).
-    pub fn on_arrival(
-        &mut self,
-        now: SimTime,
-        spec: QuerySpec,
-        deadline_seq: u64,
-        machine: &mut Machine,
-    ) -> u64 {
+    /// fires [`IndexServe::on_timeout`] for it at `now + cfg.timeout` if
+    /// it is unfinished then.
+    pub fn on_arrival(&mut self, now: SimTime, spec: QuerySpec, machine: &mut Machine) -> u64 {
         let qidx = self.queries.insert(QueryState {
             spec,
             arrival: now,
-            deadline_seq,
             newest_tag: 0,
             pending_workers: 0,
         });
@@ -283,11 +271,9 @@ impl IndexServe {
         self.queries.get_mut(qidx).expect("query is unfinished")
     }
 
-    /// Appends `(qidx, deadline_seq)` for each unfinished query that
-    /// arrived at `arrival`, oldest first: the deadlines still live when
-    /// `arrival + cfg.timeout` comes due.
-    pub fn live_deadlines(&self, arrival: SimTime, out: &mut Vec<(u64, u64)>) {
-        arrived_at(&self.queries, arrival, |q| (q.arrival, q.deadline_seq), out);
+    /// True once query `qidx` has finished: completed, dropped or shed.
+    pub(crate) fn is_finished(&self, qidx: u64) -> bool {
+        self.queries.is_finished(qidx)
     }
 
     fn start_query(&mut self, now: SimTime, qidx: u64, machine: &mut Machine) {
@@ -519,7 +505,6 @@ impl IndexServe {
         let qidx = self.queries.insert(QueryState {
             spec,
             arrival: now,
-            deadline_seq: 0,
             newest_tag: 0,
             pending_workers: 0,
         });
@@ -634,7 +619,7 @@ mod tests {
         let mut m = Machine::new(MachineConfig::small(16));
         let job = m.create_job(TenantClass::Primary, CoreMask::all(16));
         let mut s = IndexServe::new(Arc::new(ServiceConfig::default()), job, 1);
-        s.on_arrival(SimTime::ZERO, spec(), 0, &mut m);
+        s.on_arrival(SimTime::ZERO, spec(), &mut m);
         settle(&mut m, &mut s, SimTime::from_millis(100));
         let mut outcomes = Vec::new();
         s.drain_outcomes_into(&mut outcomes);
@@ -651,7 +636,7 @@ mod tests {
         let mut m = Machine::new(MachineConfig::small(16));
         let job = m.create_job(TenantClass::Primary, CoreMask::all(16));
         let mut s = IndexServe::new(Arc::new(ServiceConfig::default()), job, 2);
-        s.on_arrival(SimTime::ZERO, spec(), 0, &mut m);
+        s.on_arrival(SimTime::ZERO, spec(), &mut m);
         // Run just past the parse stage.
         let t = m.next_timer_at().unwrap();
         m.advance_to(t);
@@ -678,7 +663,7 @@ mod tests {
         };
         let mut s = IndexServe::new(Arc::new(cfg), job, 3);
         for _ in 0..5 {
-            s.on_arrival(SimTime::ZERO, spec(), 0, &mut m);
+            s.on_arrival(SimTime::ZERO, spec(), &mut m);
         }
         assert_eq!(s.in_flight(), 2);
         assert_eq!(s.admission_queue_len(), 3);
@@ -704,7 +689,7 @@ mod tests {
         // Pile up arrivals past the admission cap without driving the
         // machine: the backlog builds until the multiplier saturates.
         for _ in 0..12 {
-            s.on_arrival(SimTime::ZERO, spec(), 0, &mut m);
+            s.on_arrival(SimTime::ZERO, spec(), &mut m);
         }
         assert_eq!(s.admission_queue_len(), 10);
         assert!(s.compensation() > 1.2, "compensation {}", s.compensation());
@@ -719,7 +704,7 @@ mod tests {
         let mut m = Machine::new(MachineConfig::small(2));
         let job = m.create_job(TenantClass::Primary, CoreMask::all(2));
         let mut s = IndexServe::new(Arc::new(ServiceConfig::default()), job, 5);
-        let q = s.on_arrival(SimTime::ZERO, spec(), 0, &mut m);
+        let q = s.on_arrival(SimTime::ZERO, spec(), &mut m);
         // Fire the deadline while the query is still mid-flight.
         m.advance_to(SimTime::from_micros(200));
         let out = s.on_timeout(SimTime::from_micros(200), q, &mut m).unwrap();
@@ -754,8 +739,8 @@ mod tests {
         m.drain_outputs_into(&mut outs);
         outs.clear();
         let mut s = IndexServe::new(Arc::new(ServiceConfig::default()), job, 8);
-        let q = s.on_arrival(SimTime::ZERO, spec(), 0, &mut m);
-        let other = s.on_arrival(SimTime::ZERO, spec(), 1, &mut m);
+        let q = s.on_arrival(SimTime::ZERO, spec(), &mut m);
+        let other = s.on_arrival(SimTime::ZERO, spec(), &mut m);
         // Run until one of the query's workers finishes: its ten workers
         // share four cores with the other query's, so the rest are
         // running, queued or blocked on a read.
@@ -845,7 +830,7 @@ mod tests {
                 s.on_timeout(due, q, &mut m);
             }
             settle(&mut m, &mut s, at);
-            let q = s.on_arrival(at, varied_spec(i), 0, &mut m);
+            let q = s.on_arrival(at, varied_spec(i), &mut m);
             assert_eq!(q, i, "ids stay dense");
             deadlines.push_back((at + timeout, q));
             s.drain_outcomes_into(&mut outcomes);
@@ -901,7 +886,7 @@ mod tests {
         // running when the process dies.
         let burst = 200;
         for i in n..n + burst {
-            s.on_arrival(now, varied_spec(i), 0, &mut m);
+            s.on_arrival(now, varied_spec(i), &mut m);
         }
         reported.resize((n + burst) as usize, false);
         assert!(s.admission_queue_len() > 0);
@@ -929,7 +914,7 @@ mod tests {
         let mut m = Machine::new(MachineConfig::small(16));
         let job = m.create_job(TenantClass::Primary, CoreMask::all(16));
         let mut s = IndexServe::new(Arc::new(ServiceConfig::default()), job, 6);
-        let q = s.on_arrival(SimTime::ZERO, spec(), 0, &mut m);
+        let q = s.on_arrival(SimTime::ZERO, spec(), &mut m);
         settle(&mut m, &mut s, SimTime::from_millis(100));
         let mut outcomes = Vec::new();
         s.drain_outcomes_into(&mut outcomes);

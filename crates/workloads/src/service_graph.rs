@@ -368,6 +368,11 @@ impl GraphEngine {
         self.live as usize
     }
 
+    /// True once request `ridx` has retired (completed or dropped).
+    pub fn is_finished(&self, ridx: u64) -> bool {
+        self.requests.is_finished(ridx)
+    }
+
     /// Counters for the resilience mechanisms this engine executed.
     pub fn resilience_stats(&self) -> &ResilienceStats {
         &self.stats
